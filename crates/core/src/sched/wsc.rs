@@ -11,7 +11,7 @@
 //! online heuristic (Eq. 6), so the batch scheduler also balances energy
 //! against response time.
 
-use spindown_graph::setcover::SetCoverInstance;
+use spindown_graph::setcover::{CoverScratch, SetCoverInstance};
 use spindown_sim::time::SimDuration;
 
 use crate::cost::CostFunction;
@@ -19,10 +19,17 @@ use crate::model::{DiskId, Request};
 use crate::sched::{ScheduleMode, Scheduler, SystemView};
 
 /// The paper's batch energy-aware scheduler.
+///
+/// Holds its per-batch buffers (candidate disks with their costs, the
+/// set-cover instance and the greedy solve's scratch), so a warm
+/// [`Scheduler::assign_into`] call allocates nothing.
 #[derive(Debug, Clone)]
 pub struct WscScheduler {
     cost: CostFunction,
     interval: SimDuration,
+    candidates: Vec<(DiskId, f64)>,
+    instance: SetCoverInstance,
+    cover: CoverScratch,
 }
 
 impl WscScheduler {
@@ -40,7 +47,13 @@ impl WscScheduler {
     pub fn new(cost: CostFunction, interval: SimDuration) -> Self {
         cost.validate().expect("invalid cost function");
         assert!(!interval.is_zero(), "batch interval must be positive");
-        WscScheduler { cost, interval }
+        WscScheduler {
+            cost,
+            interval,
+            candidates: Vec::new(),
+            instance: SetCoverInstance::default(),
+            cover: CoverScratch::default(),
+        }
     }
 
     /// The batching interval.
@@ -59,56 +72,67 @@ impl Scheduler for WscScheduler {
     }
 
     fn assign(&mut self, reqs: &[Request], view: &SystemView<'_>) -> Vec<DiskId> {
+        let mut out = Vec::with_capacity(reqs.len());
+        self.assign_into(reqs, view, &mut out);
+        out
+    }
+
+    fn assign_into(&mut self, reqs: &[Request], view: &SystemView<'_>, out: &mut Vec<DiskId>) {
+        out.clear();
         if reqs.is_empty() {
-            return Vec::new();
+            return;
         }
-        // Candidate disks: every location of every queued request.
-        let mut candidates: Vec<DiskId> = reqs
-            .iter()
-            .flat_map(|r| view.locations(r.data).iter().copied())
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
+        let WscScheduler {
+            cost,
+            candidates,
+            instance,
+            cover,
+            ..
+        } = self;
+        // Candidate disks: every location of every queued request (their
+        // costs are filled in below).
+        candidates.clear();
+        candidates.extend(
+            reqs.iter()
+                .flat_map(|r| view.locations(r.data).iter().map(|&d| (d, 0.0))),
+        );
+        candidates.sort_unstable_by_key(|&(d, _)| d);
+        candidates.dedup_by_key(|&mut (d, _)| d);
 
         // Build the WSC instance: one element per request, one set per
         // candidate disk.
-        let mut instance = SetCoverInstance::new(reqs.len());
-        let mut disk_cost = Vec::with_capacity(candidates.len());
-        for &d in &candidates {
+        instance.reset(reqs.len());
+        for (d, c) in candidates.iter_mut() {
             let covered = reqs
                 .iter()
                 .enumerate()
-                .filter_map(|(i, r)| view.locations(r.data).contains(&d).then_some(i as u32));
-            let c = self.cost.cost(view.status(d), view.now, view.params);
-            instance.add_set(c, covered);
-            disk_cost.push(c);
+                .filter_map(|(i, r)| view.locations(r.data).contains(d).then_some(i as u32));
+            *c = cost.cost(view.status(*d), view.now, view.params);
+            instance.add_set(*c, covered);
         }
-        let cover = instance
-            .solve_greedy()
-            .expect("every request has at least one location, so a cover exists");
+        let found = instance.solve_greedy_into(cover);
+        assert!(
+            found,
+            "every request has at least one location, so a cover exists"
+        );
 
         // Dispatch each request to the cheapest selected disk holding its
         // data (ties to the lower disk id).
-        let selected: Vec<(DiskId, f64)> = cover
-            .sets
-            .iter()
-            .map(|&s| (candidates[s], disk_cost[s]))
-            .collect();
-        reqs.iter()
-            .map(|r| {
-                let locs = view.locations(r.data);
-                selected
-                    .iter()
-                    .filter(|(d, _)| locs.contains(d))
-                    .min_by(|(da, ca), (db, cb)| {
-                        ca.partial_cmp(cb)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(da.cmp(db))
-                    })
-                    .map(|(d, _)| *d)
-                    .expect("cover covers every request")
-            })
-            .collect()
+        out.extend(reqs.iter().map(|r| {
+            let locs = view.locations(r.data);
+            cover
+                .sets()
+                .iter()
+                .map(|&s| &candidates[s])
+                .filter(|(d, _)| locs.contains(d))
+                .min_by(|(da, ca), (db, cb)| {
+                    ca.partial_cmp(cb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(da.cmp(db))
+                })
+                .map(|(d, _)| *d)
+                .expect("cover covers every request")
+        }));
     }
 }
 

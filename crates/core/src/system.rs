@@ -34,7 +34,7 @@ use spindown_disk::policy::{
 use spindown_disk::power::PowerParams;
 use spindown_disk::queue::QueueDiscipline;
 use spindown_disk::state::DiskPowerState;
-use spindown_sim::event::EventQueue;
+use spindown_sim::event::{EventQueue, Scheduled};
 use spindown_sim::rng::{SimRng, SplitMix64};
 use spindown_sim::stats::LatencyHistogram;
 use spindown_sim::time::{SimDuration, SimTime};
@@ -152,10 +152,19 @@ impl Default for SystemConfig {
 }
 
 /// An engine-local event. `Disk` carries the *island-local* disk index.
+/// Batch ticks are not events: the engine holds the one armed tick beside
+/// the queue (see [`IslandEngine::armed`]).
 enum Ev {
-    BatchTick,
     Sample,
     Disk(u32, DiskEvent),
+}
+
+/// A queued event plus its `post` bit: whether it belongs *after* the
+/// batch tick due at its instant (DESIGN.md §16). Stamped once, at
+/// schedule time, by [`IslandEngine::schedule`].
+struct Entry {
+    ev: Ev,
+    post: bool,
 }
 
 /// Failure surfaced by a [`RequestSource`]: an upstream I/O or parse
@@ -434,8 +443,21 @@ struct IslandEngine<'a, S: Scheduler> {
     global_ids: Vec<DiskId>,
     /// Global disk index → local slot (`u32::MAX` for foreign disks).
     local_of: Vec<u32>,
-    queue: EventQueue<Ev>,
+    queue: EventQueue<Entry>,
     batch_buffer: Vec<Request>,
+    /// The batch tick, armed exactly while `batch_buffer` is non-empty:
+    /// due at the first grid instant `k·interval` (`k ≥ 1`) at or after
+    /// the arrival that found the buffer empty ([`batch_instant`]).
+    armed: Option<SimTime>,
+    /// The latest instant whose grid tick has passed — set when the armed
+    /// tick fires or a `post` entry pops. Decides the `post` bit of
+    /// entries scheduled exactly one interval ahead.
+    tick_passed: SimTime,
+    /// Whether a tick of the per-interval chain the armed tick replaces
+    /// would be resident in the queue now: from the first arrival until
+    /// the final dispatch. Counted into `peak_events`, which keeps its
+    /// historical meaning.
+    tick_resident: bool,
     /// Reused scratch for scheduler choices — online dispatch allocates
     /// nothing per arrival.
     choices: Vec<DiskId>,
@@ -521,7 +543,10 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         let name = scheduler.name();
         let batch_interval = match scheduler.mode() {
             ScheduleMode::Online => None,
-            ScheduleMode::Batch(interval) => Some(interval),
+            ScheduleMode::Batch(interval) => {
+                assert!(!interval.is_zero(), "batch interval must be positive");
+                Some(interval)
+            }
         };
         IslandEngine {
             power: &config.power,
@@ -534,10 +559,13 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
             global_ids: global_ids.to_vec(),
             local_of,
             // Only in-flight work lives here: per-disk pipeline events
-            // plus at most one batch tick and one power sample — never
-            // the trace itself.
+            // plus at most one power sample — never the trace itself, and
+            // never the batch tick, which is held in `armed`.
             queue: EventQueue::with_capacity(n_local.saturating_mul(4) + 8),
             batch_buffer: Vec::new(),
+            armed: None,
+            tick_passed: SimTime::ZERO,
+            tick_resident: false,
             choices: Vec::new(),
             in_flight: if use_hash {
                 InFlight::hash()
@@ -560,22 +588,44 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         }
     }
 
-    /// Schedules the initial batch tick and power sample. Deferred to the
-    /// first arrival so an island that never receives one stays inert —
-    /// exactly like the historical loop, which gated both on a non-empty
-    /// stream.
+    /// Schedules the initial power sample and starts the tick chain's
+    /// residency. Deferred to the first arrival so an island that never
+    /// receives one stays inert — exactly like the historical loop, which
+    /// gated both on a non-empty stream.
     fn ensure_started(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        if let Some(interval) = self.batch_interval {
-            self.queue.schedule(SimTime::ZERO + interval, Ev::BatchTick);
-        }
+        self.tick_resident = self.batch_interval.is_some();
         if self.power_sample.is_some() {
-            self.queue.schedule(SimTime::ZERO, Ev::Sample);
+            self.schedule(SimTime::ZERO, SimTime::ZERO, Ev::Sample);
         }
-        self.peak_events = self.peak_events.max(self.queue.len());
+        self.update_peaks(0);
+    }
+
+    /// Queues `ev` at `at` (scheduled at `now`), stamping its `post` bit.
+    ///
+    /// A chain that ticks every interval `I` schedules the tick at `T`
+    /// when the tick at `T − I` finishes, so among entries due at a grid
+    /// instant `T` it sits after those scheduled before that moment and
+    /// before those scheduled after it. Relative to `now` that is: after
+    /// when the delay is under `I`, before when it is over `I`, and at
+    /// exactly `I` after iff the tick at `now` has already passed.
+    fn schedule(&mut self, now: SimTime, at: SimTime, ev: Ev) {
+        let post = self.batch_interval.is_some_and(|interval| {
+            let delay = at.saturating_since(now);
+            delay < interval || (delay == interval && self.tick_passed == now)
+        });
+        self.queue.schedule(at, Entry { ev, post });
+    }
+
+    /// The earliest pending instant: the queue head or the armed tick.
+    fn next_time(&self) -> Option<SimTime> {
+        match (self.queue.peek_time(), self.armed) {
+            (Some(q), Some(a)) => Some(q.min(a)),
+            (q, a) => q.or(a),
+        }
     }
 
     /// Feeds a block of arrivals (non-decreasing times, the island's own
@@ -594,47 +644,56 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         }
     }
 
-    /// [`IslandEngine::offer`] minus the start check.
+    /// One arrival of [`IslandEngine::offer_batch`], after the start check.
     fn offer_one(&mut self, req: Request) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= req.at {
-                break;
-            }
+        while self.next_time().is_some_and(|t| t < req.at) {
             self.step_event(true);
         }
         let now = req.at;
         self.last_event = self.last_event.max(now);
         self.trace_end = now;
         self.arrivals += 1;
-        if self.batch_interval.is_some() {
+        if let Some(interval) = self.batch_interval {
+            debug_assert_eq!(self.armed.is_some(), !self.batch_buffer.is_empty());
+            if self.armed.is_none() {
+                self.armed = Some(batch_instant(now, interval));
+            }
             self.batch_buffer.push(req);
         } else {
             let singleton = [req];
             self.dispatch(&singleton, now);
         }
-        self.update_peaks();
+        self.update_peaks(0);
     }
 
-    /// Pops and processes one event. `pending` is true while a further
-    /// arrival exists for this island (it gates the batch-tick and
-    /// power-sample chains, as the look-ahead arrival did historically).
+    /// Processes the earliest pending event: the armed tick or the queue
+    /// head. `pending` is true while a further arrival exists for this
+    /// island (it gates the power-sample chain, as the look-ahead arrival
+    /// did historically, and marks a tick fired without it as final).
+    ///
+    /// At an instant shared with the armed tick, entries without the
+    /// `post` bit run before the tick and entries with it run after: they
+    /// are a FIFO prefix and suffix of the instant's entries, so popping
+    /// the head and firing the tick first when it is `post` is enough.
     fn step_event(&mut self, pending: bool) {
-        let ev = self.queue.pop().expect("step_event requires an event");
-        let now = ev.at;
-        self.last_event = now;
-        match ev.payload {
-            Ev::BatchTick => {
-                if !self.batch_buffer.is_empty() {
-                    let batch = std::mem::take(&mut self.batch_buffer);
-                    self.dispatch(&batch, now);
-                    self.batch_buffer = batch;
-                    self.batch_buffer.clear();
-                }
-                if pending {
-                    let interval = self.batch_interval.expect("tick implies batch mode");
-                    self.queue.schedule(now + interval, Ev::BatchTick);
-                }
+        if let Some(tick) = self.armed {
+            if self.queue.peek_time().is_none_or(|t| t > tick) {
+                self.fire_tick(tick, pending, 0);
+                return;
             }
+        }
+        let Scheduled {
+            at: now,
+            payload: Entry { ev, post },
+        } = self.queue.pop().expect("step_event requires an event");
+        if post {
+            if self.armed == Some(now) {
+                self.fire_tick(now, pending, 1);
+            }
+            self.tick_passed = now;
+        }
+        self.last_event = now;
+        match ev {
             Ev::Sample => {
                 self.sample_times.push(now);
                 for d in &self.disks {
@@ -642,11 +701,11 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
                 }
                 // Keep sampling while real events remain (the only
                 // pending sample is the one just popped, so a non-empty
-                // queue or an unconsumed arrival means actual work is
-                // still in flight).
-                if !self.queue.is_empty() || pending {
+                // queue, an armed tick or an unconsumed arrival means
+                // actual work is still in flight).
+                if !self.queue.is_empty() || self.armed.is_some() || pending {
                     let interval = self.power_sample.expect("sampling enabled");
-                    self.queue.schedule(now + interval, Ev::Sample);
+                    self.schedule(now, now + interval, Ev::Sample);
                 }
             }
             Ev::Disk(d, event) => {
@@ -667,7 +726,8 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
                             Some((deadline, token)) => {
                                 if now < deadline {
                                     timer.earliest_queued = Some(deadline);
-                                    self.queue.schedule(
+                                    self.schedule(
+                                        now,
                                         deadline,
                                         Ev::Disk(d, DiskEvent::IdleTimeout(token)),
                                     );
@@ -697,7 +757,25 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
                 }
             }
         }
-        self.update_peaks();
+        self.update_peaks(0);
+    }
+
+    /// Fires the armed tick due at `now`: dispatches the batch, disarms,
+    /// and marks the instant's tick passed. `held` counts entries already
+    /// popped but not yet processed, which the per-interval chain would
+    /// still have had queued at this point.
+    fn fire_tick(&mut self, now: SimTime, pending: bool, held: usize) {
+        debug_assert_eq!(self.armed, Some(now));
+        self.armed = None;
+        self.last_event = now;
+        let batch = std::mem::take(&mut self.batch_buffer);
+        self.dispatch(&batch, now);
+        self.batch_buffer = batch;
+        self.batch_buffer.clear();
+        self.tick_passed = now;
+        // Without a further arrival this is the chain's final tick.
+        self.tick_resident &= pending;
+        self.update_peaks(held);
     }
 
     /// Schedules a disk directive, routing idle timers through the
@@ -710,10 +788,10 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
             timer.desired = Some((deadline, token));
             if timer.earliest_queued.is_none_or(|q| deadline < q) {
                 timer.earliest_queued = Some(deadline);
-                self.queue.schedule(deadline, Ev::Disk(local, dir.event));
+                self.schedule(now, deadline, Ev::Disk(local, dir.event));
             }
         } else {
-            self.queue.schedule(now + dir.after, Ev::Disk(local, dir.event));
+            self.schedule(now, now + dir.after, Ev::Disk(local, dir.event));
         }
     }
 
@@ -722,8 +800,12 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
         self.failed_at[disk.index()].is_some_and(|t| now >= t)
     }
 
-    fn update_peaks(&mut self) {
-        self.peak_events = self.peak_events.max(self.queue.len());
+    /// Folds the current occupancy into the peaks. `held` counts popped
+    /// entries not yet processed (see [`IslandEngine::fire_tick`]); the
+    /// event count includes the per-interval chain's resident tick.
+    fn update_peaks(&mut self, held: usize) {
+        let events = self.queue.len() + held + usize::from(self.tick_resident);
+        self.peak_events = self.peak_events.max(events);
         self.peak_in_flight = self
             .peak_in_flight
             .max(self.in_flight.len() + self.batch_buffer.len());
@@ -818,7 +900,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
 
     /// Drains every remaining event and detaches the partial metrics.
     fn into_finished(mut self) -> FinishedIsland {
-        while !self.queue.is_empty() {
+        while self.next_time().is_some() {
             self.step_event(false);
         }
         let drained_watts = self.disks.iter().map(Disk::power_w).collect();
@@ -946,11 +1028,12 @@ pub fn run_system(
 
 /// Runs `scheduler` over arrivals pulled lazily from `source`.
 ///
-/// The event queue holds only in-flight work (disk pipeline events, one
-/// batch tick, one power sample) plus the single look-ahead arrival, so
-/// memory stays bounded by disk count and batch width — never by trace
-/// length. Arrivals are interleaved with simulator events by time;
-/// at equal times the arrival is processed first, matching the
+/// The event queue holds only in-flight work (disk pipeline events and
+/// one power sample; a batch scheduler's tick is armed beside it only
+/// while a batch is waiting, DESIGN.md §16) plus the single look-ahead
+/// arrival, so memory stays bounded by disk count and batch width —
+/// never by trace length. Arrivals are interleaved with simulator events
+/// by time; at equal times the arrival is processed first, matching the
 /// pre-scheduled ordering the materialized path historically used
 /// (arrivals were enqueued before any other event and the queue is
 /// FIFO-stable at ties).
@@ -1285,6 +1368,15 @@ pub fn run_system_with_jobs(
     let mut source = requests.iter().map(|r| Ok::<Request, SourceError>(*r));
     run_system_streamed_with_jobs(&mut source, placement, factory, config, jobs)
         .expect("in-memory sorted slices cannot fail")
+}
+
+/// The instant the batch holding an arrival at `at` is dispatched: the
+/// first grid instant `k·interval` with `k ≥ 1` at or after `at`. An
+/// arrival exactly on a grid instant joins that instant's batch; one at
+/// `t = 0` waits for the first tick at `interval`.
+fn batch_instant(at: SimTime, interval: SimDuration) -> SimTime {
+    let step = interval.as_micros();
+    SimTime::from_micros(at.as_micros().div_ceil(step).max(1) * step)
 }
 
 /// Deterministic pseudo-LBA of a data item on a disk: a hash of the
@@ -1705,6 +1797,207 @@ mod tests {
             );
             assert_eq!(serial, parallel, "jobs {jobs}");
         }
+    }
+
+    /// A batch scheduler that places every request on its first replica
+    /// and logs each dispatch: the instant, the request indices, and the
+    /// state of disk 0 as the scheduler saw it.
+    struct Recorder {
+        interval: SimDuration,
+        log: Vec<(SimTime, Vec<u32>, DiskPowerState)>,
+    }
+
+    impl Recorder {
+        fn new(interval_ms: u64) -> Self {
+            Recorder {
+                interval: SimDuration::from_millis(interval_ms),
+                log: Vec::new(),
+            }
+        }
+    }
+
+    impl Scheduler for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn mode(&self) -> ScheduleMode {
+            ScheduleMode::Batch(self.interval)
+        }
+
+        fn assign(&mut self, reqs: &[Request], view: &SystemView<'_>) -> Vec<DiskId> {
+            let ids = reqs.iter().map(|r| r.index).collect();
+            self.log.push((view.now, ids, view.status(DiskId(0)).state));
+            reqs.iter().map(|r| view.locations(r.data)[0]).collect()
+        }
+    }
+
+    fn one_disk_placement() -> ExplicitPlacement {
+        ExplicitPlacement::new(vec![vec![DiskId(0)]], 1)
+    }
+
+    /// Requests for data 0 at the given times.
+    fn reads_at(times_s: &[f64]) -> Vec<Request> {
+        requests(times_s, &vec![0; times_s.len()])
+    }
+
+    #[test]
+    fn arrival_on_a_grid_instant_joins_that_batch() {
+        // 0.15 s opens the 0.2 s batch; 0.2 s lands exactly on that tick
+        // and rides along; 1 µs later misses it and waits for 0.3 s.
+        let reqs = reads_at(&[0.15, 0.2, 0.200_001]);
+        let mut rec = Recorder::new(100);
+        let config = small_config(1, PolicyKind::AlwaysOn);
+        run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+        let batches: Vec<(SimTime, Vec<u32>)> = rec
+            .log
+            .iter()
+            .map(|(t, ids, _)| (*t, ids.clone()))
+            .collect();
+        assert_eq!(
+            batches,
+            vec![
+                (SimTime::from_millis(200), vec![0, 1]),
+                (SimTime::from_millis(300), vec![2]),
+            ]
+        );
+    }
+
+    #[test]
+    fn first_arrival_at_zero_is_dispatched_at_the_interval() {
+        let reqs = reads_at(&[0.0, 0.0]);
+        let mut rec = Recorder::new(7);
+        run_system(
+            &reqs,
+            &one_disk_placement(),
+            &mut rec,
+            &small_config(1, PolicyKind::AlwaysOn),
+        );
+        assert_eq!(rec.log.len(), 1);
+        assert_eq!(rec.log[0].0, SimTime::from_millis(7));
+        assert_eq!(rec.log[0].1, vec![0, 1]);
+    }
+
+    #[test]
+    fn power_sample_at_a_tick_instant_follows_the_interval_order() {
+        // One standby disk; an arrival at 0.15 s is dispatched by the
+        // 0.2 s tick, which starts a spin-up (0 W rate power, against
+        // 0.8 W in standby). A sample due at 0.2 s sees the dispatch iff
+        // it was queued after that tick: S < I and S = I do; S > I does
+        // not (that sample was queued at 0 s, before the 0.1 s tick
+        // queued the 0.2 s one).
+        let reqs = reads_at(&[0.15]);
+        let standby_w = PowerParams::barracuda().standby_w;
+        for (sample_ms, sees_dispatch) in [(50, true), (100, true), (200, false)] {
+            let mut config = small_config(1, PolicyKind::Breakeven);
+            config.power_sample = Some(SimDuration::from_millis(sample_ms));
+            let mut rec = Recorder::new(100);
+            let m = run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+            assert_eq!(rec.log[0].0, SimTime::from_millis(200));
+            let (_, w) = *m
+                .power_timeline
+                .iter()
+                .find(|(t, _)| *t == 0.2)
+                .expect("a sample at the tick instant");
+            let expected = if sees_dispatch { 0.0 } else { standby_w };
+            assert_eq!(w, expected, "sample interval {sample_ms} ms");
+        }
+    }
+
+    #[test]
+    fn spin_up_completing_on_the_grid_precedes_that_tick() {
+        // The 0.1 s tick wakes the standby disk; its 10 s spin-up ends at
+        // 10.1 s, a grid instant. An arrival at 10.05 s arms that very
+        // tick, which must see the finished spin-up: the completion was
+        // queued at 0.1 s, long before the tick at 10.1 s would have been.
+        let reqs = reads_at(&[0.05, 10.05]);
+        let mut rec = Recorder::new(100);
+        run_system(
+            &reqs,
+            &one_disk_placement(),
+            &mut rec,
+            &small_config(1, PolicyKind::Breakeven),
+        );
+        assert_eq!(rec.log.len(), 2);
+        assert_eq!(rec.log[0].0, SimTime::from_millis(100));
+        assert_eq!(rec.log[0].2, DiskPowerState::Standby);
+        assert_eq!(rec.log[1].0, SimTime::from_millis(10_100));
+        assert_ne!(rec.log[1].2, DiskPowerState::SpinningUp);
+    }
+
+    #[test]
+    fn event_queued_by_a_dispatch_one_interval_ahead_precedes_that_tick() {
+        // A 100 ms spin-up started by the 0.1 s tick's dispatch ends at
+        // 0.2 s, exactly one interval ahead. It was queued while the
+        // 0.1 s tick was still running — before the 0.2 s tick would have
+        // been — so the 0.2 s tick must see the disk spun up.
+        let mut config = small_config(1, PolicyKind::Breakeven);
+        config.power = PowerParams {
+            spinup_s: 0.1,
+            ..PowerParams::barracuda()
+        };
+        let reqs = reads_at(&[0.05, 0.15]);
+        let mut rec = Recorder::new(100);
+        run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+        assert_eq!(rec.log.len(), 2);
+        assert_eq!(rec.log[0].2, DiskPowerState::Standby);
+        assert_eq!(rec.log[1].0, SimTime::from_millis(200));
+        assert_ne!(rec.log[1].2, DiskPowerState::SpinningUp);
+    }
+
+    #[test]
+    fn island_without_arrivals_schedules_nothing() {
+        let mut config = small_config(2, PolicyKind::Breakeven);
+        config.power_sample = Some(SimDuration::from_millis(1));
+        let placement = ExplicitPlacement::new(vec![vec![DiskId(0)], vec![DiskId(1)]], 2);
+        let rngs = disk_rngs(&config);
+        let mut engine = IslandEngine::new(
+            &placement,
+            &config,
+            Recorder::new(100),
+            &[DiskId(1)],
+            &rngs,
+            false,
+        );
+        engine.offer_batch(&[]);
+        assert_eq!(engine.next_time(), None);
+        let finished = engine.into_finished();
+        assert!(finished.sample_times.is_empty());
+        assert_eq!(finished.peak_events, 0);
+        assert_eq!(finished.last_event, SimTime::ZERO);
+    }
+
+    #[test]
+    fn armed_tick_lives_beside_the_queue() {
+        // Between batches the island holds no tick event: one arrival
+        // arms one tick and queues nothing.
+        let config = small_config(1, PolicyKind::Breakeven);
+        let placement = one_disk_placement();
+        let rngs = disk_rngs(&config);
+        let mut engine = IslandEngine::new(
+            &placement,
+            &config,
+            Recorder::new(100),
+            &[DiskId(0)],
+            &rngs,
+            false,
+        );
+        engine.offer_batch(&reads_at(&[1.234_567]));
+        assert_eq!(engine.armed, Some(SimTime::from_millis(1_300)));
+        assert!(engine.queue.is_empty());
+        // The replaced chain's resident tick still counts as one event.
+        assert_eq!(engine.peak_events, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch interval must be positive")]
+    fn zero_batch_interval_is_rejected() {
+        run_system(
+            &reads_at(&[0.0]),
+            &one_disk_placement(),
+            &mut Recorder::new(0),
+            &small_config(1, PolicyKind::Breakeven),
+        );
     }
 
     #[test]

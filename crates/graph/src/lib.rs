@@ -41,4 +41,4 @@ pub mod setcover;
 pub use csr::CsrGraph;
 pub use delta::DeltaGraph;
 pub use graph::{Graph, GraphBuilder, GraphView, NodeId};
-pub use setcover::{Cover, SetCoverInstance, WeightedSet};
+pub use setcover::{Cover, CoverScratch, SetCoverInstance, WeightedSet};

@@ -36,6 +36,25 @@ pub struct SetCoverInstance {
     universe: usize,
     sets: Vec<WeightedSet>,
     clamped: usize,
+    /// Element buffers of sets dropped by [`reset`](Self::reset), handed
+    /// back out by [`add_set`](Self::add_set) in their old order.
+    spare: Vec<Vec<u32>>,
+}
+
+/// Reusable buffers for [`SetCoverInstance::solve_greedy_into`]. Once a
+/// solve has seen an instance at least as large, a solve allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CoverScratch {
+    covered: Vec<bool>,
+    chosen: Vec<usize>,
+}
+
+impl CoverScratch {
+    /// The sets selected by the last successful solve, ascending.
+    pub fn sets(&self) -> &[usize] {
+        &self.chosen
+    }
 }
 
 /// A solution: which sets were selected and their combined weight.
@@ -52,9 +71,21 @@ impl SetCoverInstance {
     pub fn new(universe: usize) -> Self {
         SetCoverInstance {
             universe,
-            sets: Vec::new(),
-            clamped: 0,
+            ..SetCoverInstance::default()
         }
+    }
+
+    /// Empties the instance and sets a new universe size, keeping the set
+    /// storage: later [`add_set`](Self::add_set) calls refill the old
+    /// sets' element buffers, so rebuilding an instance of the same shape
+    /// allocates nothing. Otherwise a reset instance behaves exactly like
+    /// [`SetCoverInstance::new`]`(universe)`.
+    pub fn reset(&mut self, universe: usize) {
+        self.universe = universe;
+        self.clamped = 0;
+        // Reversed, so `add_set` pops the first set's buffer first.
+        self.spare
+            .extend(self.sets.drain(..).rev().map(|s| s.elements));
     }
 
     /// Adds a candidate set; returns its index. Out-of-range elements and
@@ -64,10 +95,10 @@ impl SetCoverInstance {
     /// it; release builds clamp the weight to zero and count the event in
     /// [`clamped_weights`](Self::clamped_weights).
     pub fn add_set(&mut self, weight: f64, elements: impl IntoIterator<Item = u32>) -> usize {
-        let mut elems: Vec<u32> = elements
-            .into_iter()
-            .filter(|&e| (e as usize) < self.universe)
-            .collect();
+        let mut elems = self.spare.pop().unwrap_or_default();
+        elems.clear();
+        let universe = self.universe;
+        elems.extend(elements.into_iter().filter(|&e| (e as usize) < universe));
         elems.sort_unstable();
         elems.dedup();
         let valid = weight.is_finite() && weight >= 0.0;
@@ -144,17 +175,31 @@ impl SetCoverInstance {
     /// assert_eq!(cover.weight, 2.0);
     /// ```
     pub fn solve_greedy(&self) -> Option<Cover> {
-        let mut covered = vec![false; self.universe];
+        let mut scratch = CoverScratch::default();
+        if !self.solve_greedy_into(&mut scratch) {
+            return None;
+        }
+        let sets = scratch.chosen;
+        Some(Cover {
+            weight: self.weight_of(&sets),
+            sets,
+        })
+    }
+
+    /// [`solve_greedy`](Self::solve_greedy) into caller-owned buffers:
+    /// returns whether a cover exists and leaves its sets, ascending, in
+    /// [`CoverScratch::sets`]. Same selection rule and tie tolerance.
+    pub fn solve_greedy_into(&self, scratch: &mut CoverScratch) -> bool {
+        let CoverScratch { covered, chosen } = scratch;
+        covered.clear();
+        covered.resize(self.universe, false);
+        chosen.clear();
         let mut remaining = self.universe;
-        let mut chosen: Vec<usize> = Vec::new();
-        let mut used = vec![false; self.sets.len()];
 
         while remaining > 0 {
             let mut best: Option<(f64, usize, usize)> = None; // (ratio, new, idx)
             for (i, s) in self.sets.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
+                // A chosen set covers nothing new, so this also skips it.
                 let new = s.elements.iter().filter(|&&e| !covered[e as usize]).count();
                 if new == 0 {
                     continue;
@@ -178,8 +223,9 @@ impl SetCoverInstance {
                     best = Some((ratio, new, i));
                 }
             }
-            let (_, _, idx) = best?;
-            used[idx] = true;
+            let Some((_, _, idx)) = best else {
+                return false;
+            };
             chosen.push(idx);
             for &e in &self.sets[idx].elements {
                 if !covered[e as usize] {
@@ -189,10 +235,7 @@ impl SetCoverInstance {
             }
         }
         chosen.sort_unstable();
-        Some(Cover {
-            weight: self.weight_of(&chosen),
-            sets: chosen,
-        })
+        true
     }
 
     /// Exact minimum-weight cover by iterative branch-and-bound on the
@@ -613,6 +656,52 @@ mod tests {
         inst.add_set(0.5, [2]);
         let c = inst.solve_greedy().unwrap();
         assert!(c.sets.contains(&1));
+    }
+
+    #[test]
+    fn reset_instance_matches_a_fresh_one() {
+        let build = |inst: &mut SetCoverInstance| {
+            inst.add_set(2.0, [0, 1, 2]);
+            inst.add_set(1.0, [2, 3, 3, 9]);
+            inst.add_set(1.5, [1, 3]);
+        };
+        let mut fresh = SetCoverInstance::new(4);
+        build(&mut fresh);
+        let mut reused = SetCoverInstance::new(7);
+        reused.add_set(5.0, [0, 1, 2, 3, 4, 5, 6]);
+        reused.add_set(0.5, [6]);
+        reused.reset(4);
+        build(&mut reused);
+        assert_eq!(reused.universe(), 4);
+        assert_eq!(reused.sets(), fresh.sets());
+        assert_eq!(reused.solve_greedy(), fresh.solve_greedy());
+    }
+
+    #[test]
+    fn greedy_into_matches_greedy_across_scratch_reuse() {
+        let mut scratch = CoverScratch::default();
+        let mut big = SetCoverInstance::new(6);
+        big.add_set(2.0, [0, 1, 2]);
+        big.add_set(2.0, [3, 4, 5]);
+        big.add_set(1.0, [0, 3]);
+        big.add_set(1.0, [1, 4]);
+        big.add_set(1.0, [2, 5]);
+        let mut small = SetCoverInstance::new(3);
+        small.add_set(1.0, [0]);
+        small.add_set(2.0, [0, 1]);
+        small.add_set(0.5, [2]);
+        let mut uncoverable = SetCoverInstance::new(3);
+        uncoverable.add_set(1.0, [0, 1]);
+        for inst in [&big, &small, &uncoverable, &big] {
+            let found = inst.solve_greedy_into(&mut scratch);
+            match inst.solve_greedy() {
+                Some(cover) => {
+                    assert!(found);
+                    assert_eq!(scratch.sets(), cover.sets.as_slice());
+                }
+                None => assert!(!found),
+            }
+        }
     }
 
     #[test]
