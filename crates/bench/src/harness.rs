@@ -1,15 +1,13 @@
 //! Zero-dependency micro-benchmark harness.
 //!
-//! Times the algorithmic substrates — conflict-graph construction (the
-//! arena-backed flat-edge path versus the incremental `add_edge`
-//! baseline), each MWIS solver (the production tournament-tree engine on
-//! CSR, the adjacency-list backend, and the eager-cascade reference
-//! engine), and full experiment-grid evaluation — over a
-//! configurable warmup + iteration count, reporting median/p10/p90 wall
-//! times. The `spindown bench` subcommand renders a [`BenchReport`] to
-//! JSON (`BENCH_core.json` at the repo root by default); no external
-//! benchmarking crate is involved, so the harness runs in fully offline
-//! builds.
+//! Times the algorithmic substrates — conflict-graph construction
+//! (serial and sharded), rolling-horizon re-planning, each MWIS and
+//! set-cover solver, full experiment-grid evaluation, and streamed trace
+//! parsing and replay — over a configurable warmup + iteration count,
+//! reporting median/p10/p90 wall times. The `spindown bench` subcommand
+//! renders a [`BenchReport`] to JSON (`BENCH_core.json` at the repo root
+//! by default); no external benchmarking crate is involved, so the
+//! harness runs in fully offline builds.
 //!
 //! [`BenchConfig::filter`] restricts a run to benchmarks whose name
 //! contains a substring; fixtures are built lazily, so a filtered run
@@ -156,13 +154,10 @@ pub struct BenchReport {
     pub config: BenchConfig,
     /// All benchmark results, in execution order.
     pub entries: Vec<BenchEntry>,
-    /// Median-over-median speedups computed from this run's entries:
-    /// `graph_build_speedup_medium` (bulk vs incremental build),
-    /// `mwis_speedup_gwmin` / `mwis_speedup_gwmin2` (eager cascade on
-    /// adjacency lists vs the tournament-tree engine on CSR — the
-    /// original implementation against the production one),
-    /// `allocs_per_solve` (heap allocations inside a warm production
-    /// solve, `bench-alloc` builds only), and the intra-run
+    /// Ratios and gauges computed from this run's entries, among them
+    /// `incremental_replan_speedup` (delta-maintained vs rebuilt
+    /// re-planning), `allocs_per_solve` (heap allocations inside a warm
+    /// production solve, `bench-alloc` builds only), and the intra-run
     /// parallelism ratios `graph_build_parallel_speedup` /
     /// `offline_eval_parallel_speedup` (serial vs
     /// [`PARALLEL_BENCH_JOBS`]-worker runs of the same fixture).
@@ -349,10 +344,9 @@ fn small_scale() -> Scale {
 
 /// The medium scale: few data items and a deep successor horizon give
 /// dense conflict buckets (~100k nodes, ~15M edges at replication 3,
-/// successor horizon 32 — mean degree ~290), so the `O(E · d̄)`
-/// per-insert dedup scans of the incremental build clearly separate from
-/// the `O(E + n)` bulk path, while the working set stays small enough
-/// that shared-host memory noise doesn't swamp the ratio.
+/// successor horizon 32 — mean degree ~290), a build-dominated workload
+/// whose working set stays small enough that shared-host memory noise
+/// doesn't swamp the serial/parallel ratio.
 fn medium_scale() -> Scale {
     Scale {
         requests: 1_200,
@@ -362,11 +356,9 @@ fn medium_scale() -> Scale {
     }
 }
 
-/// The MWIS-solver scale: moderate density (~190k nodes, ~7M edges). The
-/// greedy solvers' deletion cascade is `O(E · d̄)` in heap traffic on the
-/// eager engine, so on the deliberately dense [`medium_scale`] graph a
-/// single eager gwmin run takes ~45 s — too slow to iterate on. This
-/// keeps a solver iteration in single-digit seconds.
+/// The MWIS-solver scale: moderate density (~190k nodes, ~7M edges),
+/// sparser than the deliberately dense [`medium_scale`] graph so a solver
+/// iteration stays well under a second.
 fn solver_scale() -> Scale {
     Scale {
         requests: 8_000,
@@ -405,43 +397,25 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         PARALLEL_BENCH_JOBS.min(host_parallelism())
     };
 
-    // Conflict-graph construction: bulk (flat edge arena -> CSR) vs
-    // incremental (Graph::add_edge), small and medium density. All four
-    // build benches get extra samples: iterations are cheap (tens to
-    // hundreds of ms — the small ones especially are noise-dominated at
-    // few samples) and their medians feed the derived ratio and the CI
-    // regression gate, so they must hold still on noisy shared hosts.
+    // Conflict-graph construction (flat edge arena -> CSR), small and
+    // medium density, serial and sharded. All three build benches get
+    // extra samples: iterations are cheap (tens to hundreds of ms — the
+    // small one especially is noise-dominated at few samples) and their
+    // medians feed the derived ratio and the CI regression gate, so they
+    // must hold still on noisy shared hosts.
     let gb_iters = iters.max(1) * 2 + 1;
-    if want("graph_build_bulk_small") || want("graph_build_incremental_small") {
+    if want("graph_build_bulk_small") {
         let small = GraphFixture::new(small_scale(), 3, 8, config.seed);
-        if want("graph_build_bulk_small") {
-            entries.push(BenchEntry {
-                name: "graph_build_bulk_small",
-                stats: time_ns(warmup, gb_iters, || {
-                    black_box(small.planner.build_graph(&small.requests, &small.placement));
-                }),
-            });
-        }
-        if want("graph_build_incremental_small") {
-            entries.push(BenchEntry {
-                name: "graph_build_incremental_small",
-                stats: time_ns(warmup, gb_iters, || {
-                    black_box(
-                        small
-                            .planner
-                            .build_graph_incremental(&small.requests, &small.placement),
-                    );
-                }),
-            });
-        }
+        entries.push(BenchEntry {
+            name: "graph_build_bulk_small",
+            stats: time_ns(warmup, gb_iters, || {
+                black_box(small.planner.build_graph(&small.requests, &small.placement));
+            }),
+        });
     }
-    if want("graph_build_bulk_medium")
-        || want("graph_build_incremental_medium")
-        || want("graph_build_parallel_medium")
-    {
+    if want("graph_build_bulk_medium") || want("graph_build_parallel_medium") {
         let medium = GraphFixture::new(medium_scale(), 3, 32, config.seed);
         let mut bulk_medium = None;
-        let mut incr_medium = None;
         if want("graph_build_bulk_medium") {
             let stats = time_ns(warmup, gb_iters, || {
                 black_box(
@@ -455,26 +429,6 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
                 stats,
             });
             bulk_medium = Some(stats);
-        }
-        if want("graph_build_incremental_medium") {
-            let stats = time_ns(warmup, gb_iters, || {
-                black_box(
-                    medium
-                        .planner
-                        .build_graph_incremental(&medium.requests, &medium.placement),
-                );
-            });
-            entries.push(BenchEntry {
-                name: "graph_build_incremental_medium",
-                stats,
-            });
-            incr_medium = Some(stats);
-        }
-        if let (Some(bulk), Some(incr)) = (bulk_medium, incr_medium) {
-            derived.push(DerivedEntry {
-                name: "graph_build_speedup_medium",
-                value: incr.median_ns as f64 / bulk.median_ns as f64,
-            });
         }
         if want("graph_build_parallel_medium") {
             let stats = time_ns(warmup, gb_iters, || {
@@ -681,37 +635,19 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
     }
 
     // MWIS solvers on a moderate-density conflict graph (see
-    // [`solver_scale`] for why not the medium one). Three configurations
-    // per greedy:
-    //   *            — tournament-tree engine on the CSR backend, solving
-    //                  out of a warm scratch (production: the repeated-
-    //                  window configuration the planner runs);
-    //   *_adjacency  — tournament-tree engine on the adjacency-list
-    //                  backend (isolates the storage layout);
-    //   *_eager      — eager cascade on the adjacency-list backend (the
-    //                  original implementation; isolates the engine when
-    //                  read against *_adjacency).
+    // [`solver_scale`]), the greedies on the CSR backend solving out of a
+    // warm scratch — the repeated-window configuration the planner runs.
     //
     // With the `bench-alloc` feature the warm production solves are also
     // bracketed by the thread-local allocation counter and the largest
     // count is reported as the derived `allocs_per_solve` — the
     // measured form of the scratch-reuse zero-allocation contract.
-    let solver_names = [
-        "mwis_gwmin",
-        "mwis_gwmin2",
-        "mwis_gwmin_adjacency",
-        "mwis_gwmin2_adjacency",
-        "mwis_gwmin_eager",
-        "mwis_gwmin2_eager",
-        "mwis_local_search",
-    ];
+    let solver_names = ["mwis_gwmin", "mwis_gwmin2", "mwis_local_search"];
     if solver_names.iter().any(|n| want(n)) {
         let solver_fix = GraphFixture::new(solver_scale(), 3, 8, config.seed);
         let cg = solver_fix
             .planner
             .build_graph(&solver_fix.requests, &solver_fix.placement);
-        let mut csr_gwmin = None;
-        let mut csr_gwmin2 = None;
         let mut scratch = solvers::GreedyScratch::new();
         let mut selected: Vec<spindown_graph::graph::NodeId> = Vec::new();
         #[cfg(feature = "bench-alloc")]
@@ -723,19 +659,14 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             spindown_alloctrack::thread_allocs()
         };
         if want("mwis_gwmin") {
-            // NB: "mwis_gwmin" is a substring of every gwmin variant, so a
-            // `--filter mwis_gwmin` run times all of them — that is the
-            // comparison someone filtering on the name wants.
             solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected);
-            let stats = time_ns(warmup, iters, || {
-                solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected);
-                black_box(&selected);
-            });
             entries.push(BenchEntry {
                 name: "mwis_gwmin",
-                stats,
+                stats: time_ns(warmup, iters, || {
+                    solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected);
+                    black_box(&selected);
+                }),
             });
-            csr_gwmin = Some(stats);
             #[cfg(feature = "bench-alloc")]
             {
                 let allocs = count_warm_solve(&mut || {
@@ -746,15 +677,13 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         }
         if want("mwis_gwmin2") {
             solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected);
-            let stats = time_ns(warmup, iters, || {
-                solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected);
-                black_box(&selected);
-            });
             entries.push(BenchEntry {
                 name: "mwis_gwmin2",
-                stats,
+                stats: time_ns(warmup, iters, || {
+                    solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected);
+                    black_box(&selected);
+                }),
             });
-            csr_gwmin2 = Some(stats);
             #[cfg(feature = "bench-alloc")]
             {
                 let allocs = count_warm_solve(&mut || {
@@ -770,65 +699,6 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
                 value: max_allocs_per_solve as f64,
             });
         }
-        if [
-            "mwis_gwmin_adjacency",
-            "mwis_gwmin2_adjacency",
-            "mwis_gwmin_eager",
-            "mwis_gwmin2_eager",
-        ]
-        .iter()
-        .any(|n| want(n))
-        {
-            let cg_adj = solver_fix
-                .planner
-                .build_graph_incremental(&solver_fix.requests, &solver_fix.placement);
-            if want("mwis_gwmin_adjacency") {
-                entries.push(BenchEntry {
-                    name: "mwis_gwmin_adjacency",
-                    stats: time_ns(warmup, iters, || {
-                        black_box(solvers::gwmin(&cg_adj.graph));
-                    }),
-                });
-            }
-            if want("mwis_gwmin2_adjacency") {
-                entries.push(BenchEntry {
-                    name: "mwis_gwmin2_adjacency",
-                    stats: time_ns(warmup, iters, || {
-                        black_box(solvers::gwmin2(&cg_adj.graph));
-                    }),
-                });
-            }
-            if want("mwis_gwmin_eager") {
-                let stats = time_ns(warmup, iters, || {
-                    black_box(solvers::baseline::gwmin(&cg_adj.graph));
-                });
-                entries.push(BenchEntry {
-                    name: "mwis_gwmin_eager",
-                    stats,
-                });
-                if let Some(csr) = csr_gwmin {
-                    derived.push(DerivedEntry {
-                        name: "mwis_speedup_gwmin",
-                        value: stats.median_ns as f64 / csr.median_ns as f64,
-                    });
-                }
-            }
-            if want("mwis_gwmin2_eager") {
-                let stats = time_ns(warmup, iters, || {
-                    black_box(solvers::baseline::gwmin2(&cg_adj.graph));
-                });
-                entries.push(BenchEntry {
-                    name: "mwis_gwmin2_eager",
-                    stats,
-                });
-                if let Some(csr) = csr_gwmin2 {
-                    derived.push(DerivedEntry {
-                        name: "mwis_speedup_gwmin2",
-                        value: stats.median_ns as f64 / csr.median_ns as f64,
-                    });
-                }
-            }
-        }
         if want("mwis_local_search") {
             let start = solvers::gwmin(&cg.graph);
             entries.push(BenchEntry {
@@ -840,16 +710,8 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         }
     }
 
-    // Exact branch-and-bound. The iterative bitset solver
-    // (`mwis_exact_small` / `mwis_exact_medium`) is gated against the
-    // retained recursive clone-per-branch oracle
-    // (`mwis_exact_baseline_small`); the derived `mwis_exact_speedup`
-    // ratio is the headline number for the rewrite. The medium fixture
-    // sits past the size the recursive solver could comfortably carry.
-    if ["mwis_exact_small", "mwis_exact_baseline_small"]
-        .iter()
-        .any(|n| want(n))
-    {
+    // Exact branch-and-bound on a tiny and a medium conflict graph.
+    if want("mwis_exact_small") {
         let tiny = GraphFixture::new(
             Scale {
                 requests: 18,
@@ -862,32 +724,12 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             config.seed,
         );
         let tiny_cg = tiny.planner.build_graph(&tiny.requests, &tiny.placement);
-        let mut iter_stats = None;
-        if want("mwis_exact_small") {
-            let stats = time_ns(warmup, iters, || {
+        entries.push(BenchEntry {
+            name: "mwis_exact_small",
+            stats: time_ns(warmup, iters, || {
                 black_box(solvers::exact(&tiny_cg.graph, usize::MAX));
-            });
-            entries.push(BenchEntry {
-                name: "mwis_exact_small",
-                stats,
-            });
-            iter_stats = Some(stats);
-        }
-        if want("mwis_exact_baseline_small") {
-            let stats = time_ns(warmup, iters, || {
-                black_box(solvers::baseline::exact(&tiny_cg.graph, usize::MAX));
-            });
-            entries.push(BenchEntry {
-                name: "mwis_exact_baseline_small",
-                stats,
-            });
-            if let Some(it) = iter_stats {
-                derived.push(DerivedEntry {
-                    name: "mwis_exact_speedup",
-                    value: stats.median_ns as f64 / it.median_ns as f64,
-                });
-            }
-        }
+            }),
+        });
     }
     if want("mwis_exact_medium") {
         let mid = GraphFixture::new(
@@ -910,49 +752,23 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         });
     }
 
-    // Exact weighted set cover, same shape: iterative vs recursive
-    // baseline on seeded instances (one singleton per element for
-    // coverability plus random multi-sets), and medium instances the
-    // baseline is not asked to carry. A single solve is microseconds —
-    // far below timer jitter at the CI gate's 25% tolerance — so each
-    // timed iteration solves a whole batch of distinct instances.
-    if ["setcover_exact_small", "setcover_exact_baseline_small"]
-        .iter()
-        .any(|n| want(n))
-    {
+    // Exact weighted set cover on seeded instances (one singleton per
+    // element for coverability plus random multi-sets), small and medium.
+    // A single solve is microseconds — far below timer jitter at the CI
+    // gate's 25% tolerance — so each timed iteration solves a whole batch
+    // of distinct instances.
+    if want("setcover_exact_small") {
         let insts: Vec<_> = (0..256)
             .map(|i| cover_fixture(14, config.seed.wrapping_add(i)))
             .collect();
-        let mut iter_stats = None;
-        if want("setcover_exact_small") {
-            let stats = time_ns(warmup, iters, || {
+        entries.push(BenchEntry {
+            name: "setcover_exact_small",
+            stats: time_ns(warmup, iters, || {
                 for inst in &insts {
                     black_box(inst.solve_exact(usize::MAX));
                 }
-            });
-            entries.push(BenchEntry {
-                name: "setcover_exact_small",
-                stats,
-            });
-            iter_stats = Some(stats);
-        }
-        if want("setcover_exact_baseline_small") {
-            let stats = time_ns(warmup, iters, || {
-                for inst in &insts {
-                    black_box(inst.solve_exact_baseline(usize::MAX));
-                }
-            });
-            entries.push(BenchEntry {
-                name: "setcover_exact_baseline_small",
-                stats,
-            });
-            if let Some(it) = iter_stats {
-                derived.push(DerivedEntry {
-                    name: "setcover_exact_speedup",
-                    value: stats.median_ns as f64 / it.median_ns as f64,
-                });
-            }
-        }
+            }),
+        });
     }
     if want("setcover_exact_medium") {
         let insts: Vec<_> = (0..256)
@@ -1244,11 +1060,11 @@ mod tests {
             ],
             derived: vec![
                 DerivedEntry {
-                    name: "graph_build_speedup_medium",
+                    name: "graph_build_parallel_speedup",
                     value: 2.5,
                 },
                 DerivedEntry {
-                    name: "mwis_speedup_gwmin",
+                    name: "incremental_replan_speedup",
                     value: 3.25,
                 },
             ],
@@ -1262,11 +1078,11 @@ mod tests {
         assert!(json.contains("\"host\": {\"available_parallelism\": 4, \"parallel_jobs\": 4},"));
         assert!(json.contains("\"a\": {\"median_ns\": 10, \"p10_ns\": 5, \"p90_ns\": 20},"));
         assert!(json.contains("\"b\": {\"median_ns\": 30, \"p10_ns\": 25, \"p90_ns\": 40}\n"));
-        assert!(json.contains("\"graph_build_speedup_medium\": 2.500,"));
-        assert!(json.contains("\"mwis_speedup_gwmin\": 3.250\n"));
+        assert!(json.contains("\"graph_build_parallel_speedup\": 2.500,"));
+        assert!(json.contains("\"incremental_replan_speedup\": 3.250\n"));
         assert_eq!(report.stats("b").unwrap().median_ns, 30);
         assert!(report.stats("c").is_none());
-        assert_eq!(report.derived("mwis_speedup_gwmin"), Some(3.25));
+        assert_eq!(report.derived("incremental_replan_speedup"), Some(3.25));
         assert!(report.derived("missing").is_none());
         // Balanced braces — cheap structural sanity for the hand emitter.
         assert_eq!(
@@ -1306,22 +1122,20 @@ mod tests {
         assert!(report.entries.is_empty());
         assert!(report.derived.is_empty());
 
-        // A narrow filter runs exactly its match; no derived ratios
-        // without their counterparts (the baseline alone must not emit
-        // `mwis_exact_speedup`).
+        // A narrow filter runs exactly its match.
         let report = run_benches(&BenchConfig {
             warmup: 0,
             iters: 1,
-            filter: Some("mwis_exact_baseline_small".into()),
+            filter: Some("mwis_exact_small".into()),
             ..BenchConfig::default()
         });
         let names: Vec<&str> = report.entries.iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["mwis_exact_baseline_small"]);
+        assert_eq!(names, vec!["mwis_exact_small"]);
         assert!(report.derived.is_empty());
     }
 
     #[test]
-    fn exact_benches_emit_speedup_ratios() {
+    fn exact_benches_run_in_order() {
         let report = run_benches(&BenchConfig {
             warmup: 0,
             iters: 1,
@@ -1333,18 +1147,12 @@ mod tests {
             names,
             vec![
                 "mwis_exact_small",
-                "mwis_exact_baseline_small",
                 "mwis_exact_medium",
                 "setcover_exact_small",
-                "setcover_exact_baseline_small",
                 "setcover_exact_medium",
             ]
         );
-        let derived: Vec<&str> = report.derived.iter().map(|d| d.name).collect();
-        assert_eq!(
-            derived,
-            vec!["mwis_exact_speedup", "setcover_exact_speedup"]
-        );
+        assert!(report.derived.is_empty());
     }
 
     #[test]

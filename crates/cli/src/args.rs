@@ -323,14 +323,24 @@ impl Cli {
                 }
                 "--requests" => cli.requests = parse_num(&value("--requests")?, "--requests")?,
                 "--data-items" => {
-                    cli.data_items = parse_num(&value("--data-items")?, "--data-items")?
+                    cli.data_items = parse_positive(&value("--data-items")?, "--data-items")?
                 }
-                "--rate" => cli.rate = parse_float(&value("--rate")?, "--rate")?,
-                "--disks" => cli.disks = parse_num(&value("--disks")?, "--disks")?,
+                "--rate" => {
+                    cli.rate = parse_float(&value("--rate")?, "--rate")?;
+                    if cli.rate <= 0.0 {
+                        return Err(ParseError::BadValue("--rate".into()));
+                    }
+                }
+                "--disks" => cli.disks = parse_positive(&value("--disks")?, "--disks")?,
                 "--replication" => {
-                    cli.replication = parse_num(&value("--replication")?, "--replication")?
+                    cli.replication = parse_positive(&value("--replication")?, "--replication")?
                 }
-                "--zipf" => cli.zipf = parse_float(&value("--zipf")?, "--zipf")?,
+                "--zipf" => {
+                    cli.zipf = parse_float(&value("--zipf")?, "--zipf")?;
+                    if cli.zipf < 0.0 {
+                        return Err(ParseError::BadValue("--zipf".into()));
+                    }
+                }
                 "--policy" => {
                     let v = value("--policy")?;
                     if !matches!(v.as_str(), "always-on" | "2cpm" | "adaptive" | "quantile") {
@@ -364,37 +374,35 @@ impl Cli {
                         _ => return Err(ParseError::BadValue("--scheduler".into())),
                     }
                 }
-                "--alpha" => cli.alpha = parse_float(&value("--alpha")?, "--alpha")?,
-                "--beta" => cli.beta = parse_float(&value("--beta")?, "--beta")?,
+                // Each half of the cost function is checked against the
+                // paper's default for the other half, so a failure names
+                // the flag that caused it.
+                "--alpha" => {
+                    cli.alpha = parse_float(&value("--alpha")?, "--alpha")?;
+                    CostFunction {
+                        alpha: cli.alpha,
+                        ..CostFunction::default()
+                    }
+                    .validate()
+                    .map_err(|_| ParseError::BadValue("--alpha".into()))?;
+                }
+                "--beta" => {
+                    cli.beta = parse_float(&value("--beta")?, "--beta")?;
+                    CostFunction {
+                        beta: cli.beta,
+                        ..CostFunction::default()
+                    }
+                    .validate()
+                    .map_err(|_| ParseError::BadValue("--beta".into()))?;
+                }
                 "--interval-ms" => {
-                    cli.interval_ms = parse_num(&value("--interval-ms")?, "--interval-ms")?
+                    cli.interval_ms = parse_positive(&value("--interval-ms")?, "--interval-ms")?
                 }
                 "--seed" => cli.seed = parse_num(&value("--seed")?, "--seed")?,
-                "--window-s" => {
-                    cli.window_s = parse_num(&value("--window-s")?, "--window-s")?;
-                    if cli.window_s == 0 {
-                        return Err(ParseError::BadValue("--window-s".into()));
-                    }
-                }
-                "--step-s" => {
-                    cli.step_s = parse_num(&value("--step-s")?, "--step-s")?;
-                    if cli.step_s == 0 {
-                        return Err(ParseError::BadValue("--step-s".into()));
-                    }
-                }
-                "--jobs" | "-j" => {
-                    let jobs: usize = parse_num(&value("--jobs")?, "--jobs")?;
-                    if jobs == 0 {
-                        return Err(ParseError::BadValue("--jobs".into()));
-                    }
-                    cli.jobs = Some(jobs);
-                }
-                "--iters" => {
-                    cli.iters = parse_num(&value("--iters")?, "--iters")?;
-                    if cli.iters == 0 {
-                        return Err(ParseError::BadValue("--iters".into()));
-                    }
-                }
+                "--window-s" => cli.window_s = parse_positive(&value("--window-s")?, "--window-s")?,
+                "--step-s" => cli.step_s = parse_positive(&value("--step-s")?, "--step-s")?,
+                "--jobs" | "-j" => cli.jobs = Some(parse_positive(&value("--jobs")?, "--jobs")?),
+                "--iters" => cli.iters = parse_positive(&value("--iters")?, "--iters")?,
                 "--warmup" => cli.warmup = parse_num(&value("--warmup")?, "--warmup")?,
                 "--filter" => cli.filter = Some(value("--filter")?),
                 "--bench-out" => cli.bench_out = PathBuf::from(value("--bench-out")?),
@@ -416,6 +424,19 @@ impl Cli {
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
     s.parse().map_err(|_| ParseError::BadValue(flag.into()))
+}
+
+/// [`parse_num`] for counts that must be at least 1.
+fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    s: &str,
+    flag: &str,
+) -> Result<T, ParseError> {
+    let v: T = parse_num(s, flag)?;
+    if v == T::from(0) {
+        Err(ParseError::BadValue(flag.into()))
+    } else {
+        Ok(v)
+    }
 }
 
 fn parse_float(s: &str, flag: &str) -> Result<f64, ParseError> {
@@ -508,6 +529,30 @@ mod tests {
             Cli::parse(&argv("simulate --zipf inf")),
             Err(ParseError::BadValue("--zipf".into()))
         );
+        // Degenerate values the simulator cannot run are parse errors,
+        // not panics further down.
+        for (args, flag) in [
+            ("simulate --disks 0", "--disks"),
+            ("simulate --replication 0", "--replication"),
+            ("simulate --zipf -0.5", "--zipf"),
+            ("simulate --rate 0", "--rate"),
+            ("simulate --rate -3", "--rate"),
+            ("simulate --data-items 0", "--data-items"),
+            ("simulate --scheduler wsc --interval-ms 0", "--interval-ms"),
+            ("simulate --alpha -0.1", "--alpha"),
+            ("simulate --alpha 1.5", "--alpha"),
+            ("simulate --beta 0", "--beta"),
+        ] {
+            assert_eq!(
+                Cli::parse(&argv(args)),
+                Err(ParseError::BadValue(flag.into())),
+                "{args}"
+            );
+        }
+        // The bounds themselves are legal.
+        let cli = Cli::parse(&argv("simulate --zipf 0 --alpha 0 --beta 0.5")).unwrap();
+        assert_eq!((cli.zipf, cli.alpha, cli.beta), (0.0, 0.0, 0.5));
+        assert_eq!(Cli::parse(&argv("simulate --alpha 1")).unwrap().alpha, 1.0);
     }
 
     #[test]

@@ -26,6 +26,23 @@ fn missing_command_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn degenerate_values_exit_two_without_panicking() {
+    for args in [
+        &["simulate", "--disks", "0"][..],
+        &["simulate", "--rate", "0"],
+        &["simulate", "--scheduler", "wsc", "--interval-ms", "0"],
+        &["compare", "--beta", "0"],
+    ] {
+        let out = bin().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("missing or invalid value for --"), "{args:?}");
+    }
+}
+
+#[test]
 fn simulate_small_synthetic_workload() {
     let out = bin()
         .args([

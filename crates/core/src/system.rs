@@ -6,25 +6,23 @@
 //! [`crate::offline`] evaluator, playing the role OMNeT++ + DiskSim play
 //! in the paper's experiments.
 //!
-//! Arrivals are *pulled* from a [`RequestSource`] one at a time
+//! Arrivals are *pulled* from a [`RequestSource`] in blocks
 //! ([`run_system_streamed`]), so the event queue only ever holds
 //! in-flight disk events — a multi-GB trace streams through in constant
 //! memory. [`run_system`] wraps a `&[Request]` slice as a source for
-//! in-memory callers and is the differential oracle for the streaming
-//! path (both run the identical loop, so metrics are bit-identical by
-//! construction; tests pin it anyway).
+//! in-memory callers; both run the identical loop.
 //!
 //! The loop body itself lives in [`IslandEngine`], a push-based engine
-//! whose disks, event queue, in-flight accounting and histogram are all
-//! local to one **island** (a connected component of the replica-sharing
+//! whose disks, event queue, in-flight slab and histogram are all local
+//! to one **island** (a connected component of the replica-sharing
 //! relation, [`crate::placement::IslandPartition`]). The serial entry
 //! points drive a single engine over every disk;
 //! [`run_system_streamed_with_jobs`] runs one engine per island across a
 //! worker pool and merges the per-island metrics exactly
 //! ([`crate::metrics::merge_islands`]) — bit-identical to the serial
-//! oracle, as pinned by `tests/island_determinism.rs`.
-
-use std::collections::HashMap;
+//! engine, as pinned by `tests/island_determinism.rs`. Outputs are also
+//! pinned by digests recorded from earlier engines
+//! (`tests/batch_golden.rs`, `tests/island_determinism.rs`).
 
 use spindown_disk::disk::{Directive, Disk, DiskEvent, DiskRequest};
 use spindown_disk::mechanics::{DiskGeometry, Mechanics};
@@ -263,58 +261,40 @@ fn validate_order(block: &[Request], prev: &mut Option<SimTime>) -> (usize, Opti
 }
 
 /// Dispatched-but-uncompleted accounting: maps a completion back to its
-/// arrival time. The production representation is a per-disk slab keyed
-/// by dispatch slot (the slot doubles as the disk-request wire id), so
-/// the hot path never hashes; the `Hash` variant keeps the historical
-/// `HashMap` keyed by global request index as a differential oracle.
-enum InFlight {
-    Slab {
-        /// `slots[disk][slot]` = arrival time of the request occupying
-        /// that dispatch slot, `None` when free.
-        slots: Vec<Vec<Option<SimTime>>>,
-        /// Per-disk free-slot stacks (LIFO, deterministic).
-        free: Vec<Vec<u32>>,
-        len: usize,
-    },
-    Hash(HashMap<u64, SimTime>),
+/// arrival time. A per-disk slab keyed by dispatch slot (the slot doubles
+/// as the disk-request wire id), so the hot path never hashes.
+struct InFlight {
+    /// `slots[disk][slot]` = arrival time of the request occupying that
+    /// dispatch slot, `None` when free.
+    slots: Vec<Vec<Option<SimTime>>>,
+    /// Per-disk free-slot stacks (LIFO, deterministic).
+    free: Vec<Vec<u32>>,
+    len: usize,
 }
 
 impl InFlight {
-    fn slab(disks: usize) -> Self {
-        InFlight::Slab {
+    fn new(disks: usize) -> Self {
+        InFlight {
             slots: vec![Vec::new(); disks],
             free: vec![Vec::new(); disks],
             len: 0,
         }
     }
 
-    fn hash() -> Self {
-        InFlight::Hash(HashMap::new())
-    }
-
     /// Registers a dispatch on local disk `disk`; returns the wire id to
     /// stamp on the [`DiskRequest`].
     fn insert(&mut self, disk: usize, req: &Request) -> u64 {
-        match self {
-            InFlight::Slab { slots, free, len } => {
-                *len += 1;
-                match free[disk].pop() {
-                    Some(slot) => {
-                        let cell = &mut slots[disk][slot as usize];
-                        debug_assert!(cell.is_none(), "free slot {slot} occupied");
-                        *cell = Some(req.at);
-                        slot as u64
-                    }
-                    None => {
-                        slots[disk].push(Some(req.at));
-                        (slots[disk].len() - 1) as u64
-                    }
-                }
+        self.len += 1;
+        match self.free[disk].pop() {
+            Some(slot) => {
+                let cell = &mut self.slots[disk][slot as usize];
+                debug_assert!(cell.is_none(), "free slot {slot} occupied");
+                *cell = Some(req.at);
+                slot as u64
             }
-            InFlight::Hash(map) => {
-                let prev = map.insert(req.index as u64, req.at);
-                debug_assert!(prev.is_none(), "request id {} already in flight", req.index);
-                req.index as u64
+            None => {
+                self.slots[disk].push(Some(req.at));
+                (self.slots[disk].len() - 1) as u64
             }
         }
     }
@@ -322,26 +302,16 @@ impl InFlight {
     /// Resolves a completion on local disk `disk` with wire id `id`,
     /// returning the request's arrival time.
     fn remove(&mut self, disk: usize, id: u64) -> SimTime {
-        match self {
-            InFlight::Slab { slots, free, len } => {
-                let at = slots[disk][id as usize]
-                    .take()
-                    .expect("completed request must be in flight");
-                free[disk].push(id as u32);
-                *len -= 1;
-                at
-            }
-            InFlight::Hash(map) => map
-                .remove(&id)
-                .expect("completed request must be in flight"),
-        }
+        let at = self.slots[disk][id as usize]
+            .take()
+            .expect("completed request must be in flight");
+        self.free[disk].push(id as u32);
+        self.len -= 1;
+        at
     }
 
     fn len(&self) -> usize {
-        match self {
-            InFlight::Slab { len, .. } => *len,
-            InFlight::Hash(map) => map.len(),
-        }
+        self.len
     }
 }
 
@@ -504,15 +474,13 @@ struct FinishedIsland {
 
 impl<'a, S: Scheduler> IslandEngine<'a, S> {
     /// Builds an engine over `global_ids` (ascending). `rngs` is the
-    /// global per-disk fork table from [`disk_rngs`]. `use_hash` selects
-    /// the `HashMap` in-flight oracle instead of the production slab.
+    /// global per-disk fork table from [`disk_rngs`].
     fn new(
         placement: &'a dyn LocationProvider,
         config: &'a SystemConfig,
         scheduler: S,
         global_ids: &[DiskId],
         rngs: &[SimRng],
-        use_hash: bool,
     ) -> Self {
         let n_local = global_ids.len();
         let n_global = config.disks as usize;
@@ -567,11 +535,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
             tick_passed: SimTime::ZERO,
             tick_resident: false,
             choices: Vec::new(),
-            in_flight: if use_hash {
-                InFlight::hash()
-            } else {
-                InFlight::slab(n_local)
-            },
+            in_flight: InFlight::new(n_local),
             idle_timers: vec![IdleTimer::default(); n_local],
             arrivals: 0,
             trace_end: SimTime::ZERO,
@@ -1059,30 +1023,6 @@ pub fn run_system_streamed(
     scheduler: &mut dyn Scheduler,
     config: &SystemConfig,
 ) -> Result<RunMetrics, SourceError> {
-    run_single_engine(source, placement, scheduler, config, false)
-}
-
-/// [`run_system_streamed`] with the historical `HashMap` in-flight
-/// accounting instead of the production per-disk slab. Retained solely as
-/// the differential oracle for the slab (the wire ids on disk requests
-/// differ; the simulation and metrics must not).
-#[doc(hidden)]
-pub fn run_system_streamed_hash_oracle(
-    source: &mut dyn RequestSource,
-    placement: &dyn LocationProvider,
-    scheduler: &mut dyn Scheduler,
-    config: &SystemConfig,
-) -> Result<RunMetrics, SourceError> {
-    run_single_engine(source, placement, scheduler, config, true)
-}
-
-fn run_single_engine(
-    source: &mut dyn RequestSource,
-    placement: &dyn LocationProvider,
-    scheduler: &mut dyn Scheduler,
-    config: &SystemConfig,
-    use_hash: bool,
-) -> Result<RunMetrics, SourceError> {
     assert_eq!(
         placement.disks(),
         config.disks,
@@ -1090,7 +1030,7 @@ fn run_single_engine(
     );
     let rngs = disk_rngs(config);
     let all: Vec<DiskId> = (0..config.disks).map(DiskId).collect();
-    let mut engine = IslandEngine::new(placement, config, scheduler, &all, &rngs, use_hash);
+    let mut engine = IslandEngine::new(placement, config, scheduler, &all, &rngs);
     // Decoded-record block reused between the source (parser) and the
     // event loop: one virtual fill and one ordering scan per block, no
     // per-record iterator plumbing.
@@ -1184,7 +1124,6 @@ pub fn run_system_streamed_with_jobs(
                     factory(),
                     partition.island_disks(i),
                     &rngs,
-                    false,
                 )
             })
             .collect();
@@ -1294,7 +1233,6 @@ pub fn run_system_streamed_with_jobs(
                                 factory(),
                                 partition.island_disks(i),
                                 rngs,
-                                false,
                             )
                         })
                         .collect();
@@ -1763,21 +1701,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_oracle_matches_slab_build() {
-        let reqs = requests(&[0.0, 0.1, 0.2, 5.0, 20.0, 20.0], &[0, 1, 0, 1, 0, 1]);
-        let placement = two_disk_placement();
-        let config = small_config(2, PolicyKind::Breakeven);
-        let mut slab_sched = HeuristicScheduler::new(CostFunction::default());
-        let slab = run_system(&reqs, &placement, &mut slab_sched, &config);
-        let mut hash_sched = HeuristicScheduler::new(CostFunction::default());
-        let mut source = reqs.iter().map(|r| Ok::<Request, SourceError>(*r));
-        let hash =
-            run_system_streamed_hash_oracle(&mut source, &placement, &mut hash_sched, &config)
-                .expect("in-memory source");
-        assert_eq!(slab, hash);
-    }
-
-    #[test]
     fn with_jobs_single_island_equals_serial() {
         // Both data items span both disks: one island, so the parallel
         // entry point must take the serial path (operational fields
@@ -1951,14 +1874,8 @@ mod tests {
         config.power_sample = Some(SimDuration::from_millis(1));
         let placement = ExplicitPlacement::new(vec![vec![DiskId(0)], vec![DiskId(1)]], 2);
         let rngs = disk_rngs(&config);
-        let mut engine = IslandEngine::new(
-            &placement,
-            &config,
-            Recorder::new(100),
-            &[DiskId(1)],
-            &rngs,
-            false,
-        );
+        let mut engine =
+            IslandEngine::new(&placement, &config, Recorder::new(100), &[DiskId(1)], &rngs);
         engine.offer_batch(&[]);
         assert_eq!(engine.next_time(), None);
         let finished = engine.into_finished();
@@ -1974,14 +1891,8 @@ mod tests {
         let config = small_config(1, PolicyKind::Breakeven);
         let placement = one_disk_placement();
         let rngs = disk_rngs(&config);
-        let mut engine = IslandEngine::new(
-            &placement,
-            &config,
-            Recorder::new(100),
-            &[DiskId(0)],
-            &rngs,
-            false,
-        );
+        let mut engine =
+            IslandEngine::new(&placement, &config, Recorder::new(100), &[DiskId(0)], &rngs);
         engine.offer_batch(&reads_at(&[1.234_567]));
         assert_eq!(engine.armed, Some(SimTime::from_millis(1_300)));
         assert!(engine.queue.is_empty());

@@ -15,14 +15,16 @@
 //! island; every disk its own island) exercise the fallback and the
 //! maximal-sharding extremes.
 
+mod common;
+
+use common::digest;
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{build_scheduler, data_space, requests_from_trace, SchedulerKind};
 use spindown_core::model::{DiskId, Request};
 use spindown_core::placement::{IslandPartition, PlacementConfig, PlacementMap};
 use spindown_core::sched::{ExplicitPlacement, LocationProvider, Scheduler};
 use spindown_core::system::{
-    run_system, run_system_streamed_hash_oracle, run_system_with_jobs, DiskFailure, PolicyKind,
-    SourceError, SystemConfig,
+    run_system, run_system_with_jobs, DiskFailure, PolicyKind, SystemConfig,
 };
 use spindown_core::RunMetrics;
 use spindown_disk::power::PowerParams;
@@ -270,27 +272,31 @@ fn chain_placement_is_one_island() {
     }
 }
 
-/// The per-disk in-flight slab is observationally identical to the
-/// historical `HashMap` accounting on a full multi-scheduler replay
-/// (wire ids differ; simulation, latencies and energies must not).
+/// A full multi-scheduler replay through the per-disk in-flight slab
+/// reproduces digests recorded while a `HashMap` keyed by request index
+/// still ran beside it and matched it exactly (the two stamped different
+/// wire ids on disk requests; simulation, latencies, energies and peaks
+/// did not differ).
 #[test]
-fn slab_in_flight_matches_hash_oracle() {
+fn in_flight_runs_match_recorded_digests() {
     let requests = workload(1_000, 320, 8.0, 71);
     let placement = grouped_placement(data_space(&requests), 8, 3, 2);
     let cfg = config(24, 71, true);
-    for kind in scheduler_kinds() {
-        let mut slab_sched = build_scheduler(&kind, 71).expect("event-loop scheduler");
-        let slab = run_system(&requests, &placement, slab_sched.as_mut(), &cfg);
-        let mut hash_sched = build_scheduler(&kind, 71).expect("event-loop scheduler");
-        let mut source = requests.iter().map(|r| Ok::<Request, SourceError>(*r));
-        let hash = run_system_streamed_hash_oracle(
-            &mut source,
-            &placement,
-            hash_sched.as_mut(),
-            &cfg,
-        )
-        .expect("in-memory source");
-        assert_eq!(slab, hash, "{}", kind.label());
+    let recorded: [(&str, u64); 5] = [
+        ("random", 0xb5e9_46bf_0177_4b6d),
+        ("static", 0x0217_dd5c_7bef_3cd6),
+        ("heuristic", 0x894e_9992_3ac6_4d9e),
+        ("load-aware", 0x83bd_13ba_8eb0_cc5a),
+        ("wsc", 0x1000_2894_d95c_20ab),
+    ];
+    for (kind, (label, want)) in scheduler_kinds().iter().zip(recorded) {
+        assert_eq!(kind.label(), label);
+        let mut sched = build_scheduler(kind, 71).expect("event-loop scheduler");
+        let got = digest(&run_system(&requests, &placement, sched.as_mut(), &cfg));
+        assert_eq!(
+            got, want,
+            "{label}: 0x{got:016x} drifted from the recorded run"
+        );
     }
 }
 

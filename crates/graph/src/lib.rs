@@ -18,12 +18,10 @@
 //!   greedy ([`mwis::gwmin`], Sakai et al. \[22\]), the stronger
 //!   [`mwis::gwmin2`], a [`mwis::local_search`] improver, and an
 //!   [`mwis::exact`] iterative bitset branch-and-bound oracle. All generic
-//!   over [`graph::GraphView`]; [`mwis::baseline`] keeps the eager-heap
-//!   reference cascade and the recursive exact solver as oracles and
-//!   benchmark baselines.
+//!   over [`graph::GraphView`].
 //! * [`setcover`] — weighted set cover for the batch scheduler (§3.2):
 //!   greedy `H_n`-approximation and an exact iterative bitset
-//!   branch-and-bound oracle (recursive baseline retained).
+//!   branch-and-bound oracle.
 //! * [`bitset`] — the word-packed `u64` bitset primitives both exact
 //!   solvers build their alive/covered sets, mask tables, and undo arenas
 //!   from.

@@ -20,43 +20,33 @@
 //! [`CsrGraph`](crate::csr::CsrGraph); the CSR layout is the fast path for
 //! build-once-solve-many conflict graphs (contiguous neighbor scans).
 //!
-//! The reference greedies use a **version-counter lazy heap**: each node
-//! carries an epoch that is bumped whenever its remaining-graph degree or
-//! neighbor weight changes, and a popped heap entry is acted on only if
-//! its recorded epoch still matches. A deletion cascade coalesces its
-//! updates — it marks every touched survivor dirty while applying the
-//! degree/weight decrements and pushes **one** refreshed entry per
-//! survivor at the end — instead of pushing per neighbor-of-neighbor
-//! decrement as the eager reference engine does.
-//!
-//! The production engine replaces the lazy heap outright with a
-//! **monotone tournament tree** in a flat index-addressed layout: one
-//! `u128` slot per node packs an order-preserving integer score key and
-//! the complemented node id, the implicit segment tree above the slots
-//! holds each subtree's winner, the current maximum is a single root
-//! read, and an update is a bottom-up walk that stops at the first
-//! ancestor whose stored winner did not change. There are no stale
-//! entries, no epochs, and no pop/sift churn — instrumenting the lazy
-//! heap on dense conflict graphs showed ~98 % of pops stale, with the
-//! sift traffic those garbage entries drag along dominating the whole
-//! solve. Around the tree, the cascade state is SoA: one hot record per
-//! node holding only the statistic the score family reads (GWMIN a
-//! degree, GWMIN2 a neighbor-weight — never both) plus the cascade
-//! stamp, and liveness as a word-packed bitset from [`crate::bitset`].
-//! All of it lives in a caller-owned [`GreedyScratch`], so a warm
-//! repeated solve performs zero allocations. [`baseline`] retains both
-//! predecessors — the eager-heap engine and the coalesced `BinaryHeap`
-//! engine — as differential oracles; all three select the exact same
-//! sets.
+//! The greedy engine is a **monotone tournament tree** in a flat
+//! index-addressed layout: one `u128` slot per node packs an
+//! order-preserving integer score key and the complemented node id, the
+//! implicit segment tree above the slots holds each subtree's winner, the
+//! current maximum is a single root read, and an update is a bottom-up
+//! walk that stops at the first ancestor whose stored winner did not
+//! change. A deletion cascade kills the selected node's neighborhood,
+//! applies every degree/neighbor-weight decrement, and refreshes each
+//! touched survivor's slot once. There are no stale entries, no epochs,
+//! and no pop/sift churn — instrumenting the lazy heap this replaced on
+//! dense conflict graphs showed ~98 % of pops stale, with the sift
+//! traffic those garbage entries drag along dominating the whole solve.
+//! Around the tree, the cascade state is SoA: one hot record per node
+//! holding only the statistic the score family reads (GWMIN a degree,
+//! GWMIN2 a neighbor-weight — never both) plus the cascade stamp, and
+//! liveness as a word-packed bitset from [`crate::bitset`]. All of it
+//! lives in a caller-owned [`GreedyScratch`], so a warm repeated solve
+//! performs zero allocations. The engine selects exactly the sets of the
+//! eager-heap cascade it replaced; `tests/kernel_differential.rs` pins
+//! the two against each other with that engine kept as a test-only
+//! reference.
 //!
 //! All solvers return node lists sorted ascending, so results are
 //! deterministic and directly comparable.
 
 use crate::bitset;
 use crate::graph::{GraphView, NodeId};
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Default node budget for [`exact`] when callers have no tighter
 /// requirement — offline ablations and NPC harnesses fall back to GWMIN
@@ -69,7 +59,7 @@ pub const DEFAULT_NODE_LIMIT: usize = 128;
 /// maximizing `w(v) / (deg(v)+1)` (degree in the *remaining* graph), add it
 /// to the independent set, and delete it and its neighbors.
 ///
-/// Runs in `O((n + m) log n)` using a lazy max-heap keyed by the ratio.
+/// Runs in `O((n + m) log n)` using a tournament tree keyed by the ratio.
 /// Ties break toward the smaller node id, making the result deterministic.
 ///
 /// # Examples
@@ -290,7 +280,8 @@ const DEAD: u128 = 0;
 /// Packs a score key and node id into one tournament priority: the key
 /// in the high word so the larger score wins, the complemented node id
 /// in the low word so equal scores resolve toward the **smaller** node
-/// id — the oracle's tie-break — all in a single `u128` compare.
+/// id — the historical heap engines' tie-break — all in a single `u128`
+/// compare.
 #[inline]
 fn pack(key: u64, node: u32) -> u128 {
     ((key as u128) << 64) | (!node) as u128
@@ -327,9 +318,9 @@ fn tree_update(tree: &mut [u128], n: usize, v: usize, val: u128) {
     }
 }
 
-/// The production greedy engine, monomorphized per score family. Same
-/// cascade semantics as the coalesced predecessor retained in
-/// [`baseline`] — select the maximum-priority node, kill its
+/// The greedy engine, monomorphized per score family. Same cascade
+/// semantics as the heap engines it replaced — select the
+/// maximum-priority node, kill its
 /// neighborhood, decrement each survivor once per dead neighbor, refresh
 /// each touched survivor's priority once per cascade — but the priority
 /// structure is a monotone tournament tree instead of a lazy heap:
@@ -416,347 +407,6 @@ fn greedy_tree<S: GreedyStat, G: GraphView + ?Sized>(
         }
     }
     out.sort_unstable();
-}
-
-/// The reference engines kept as differential oracles and benchmark
-/// baselines: the eager-heap greedies, the coalesced `BinaryHeap` engine
-/// the tournament tree replaced (identical selection to the production
-/// cascades), and the recursive clone-per-branch exact solver.
-pub mod baseline {
-    use super::*;
-
-    /// [`gwmin`](super::gwmin) driven by the eager cascade — one heap push
-    /// per neighbor-of-neighbor decrement, the pre-CSR implementation.
-    pub fn gwmin<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
-        greedy_by_eager(g, |w, deg, _nbr_w| w / (deg as f64 + 1.0))
-    }
-
-    /// [`gwmin2`](super::gwmin2) driven by the eager cascade.
-    pub fn gwmin2<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
-        greedy_by_eager(g, gwmin2_score)
-    }
-
-    /// [`gwmin`](super::gwmin) on the coalesced `BinaryHeap` engine — the
-    /// direct predecessor of the tournament-tree production engine, kept
-    /// verbatim as its differential oracle.
-    pub fn gwmin_coalesced<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
-        greedy_by_coalesced(g, |w, deg, _nbr_w| w / (deg as f64 + 1.0))
-    }
-
-    /// [`gwmin2`](super::gwmin2) on the coalesced `BinaryHeap` engine
-    /// (see [`gwmin_coalesced`]).
-    pub fn gwmin2_coalesced<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
-        greedy_by_coalesced(g, gwmin2_score)
-    }
-
-    /// Max-heap entry of the reference engines: a node's score at the
-    /// epoch it was (re)computed. An entry is valid only while `epoch`
-    /// matches the node's current epoch — any cascade that touches the
-    /// node bumps the epoch, so staleness is an integer comparison,
-    /// immune to `f64` drift (and to `NaN` weights, which made the old
-    /// `nbr_w` equality test reject *every* entry).
-    #[derive(PartialEq)]
-    struct Entry {
-        score: f64,
-        node: NodeId,
-        epoch: u32,
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Max-heap on score; tie-break toward smaller node id.
-            self.score
-                .partial_cmp(&other.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-
-    /// Shared state of the reference engines: the remaining-graph degree
-    /// and neighbor-weight per node, plus the epoch counters backing
-    /// staleness. (The production engine replaced this parallel-`Vec`s
-    /// layout with one hot record per node carrying only the statistic
-    /// its score family reads, and dropped the epochs entirely — a
-    /// tournament slot cannot go stale.)
-    struct GreedyState {
-        alive: Vec<bool>,
-        deg: Vec<u32>,
-        nbr_w: Vec<f64>,
-        epoch: Vec<u32>,
-    }
-
-    impl GreedyState {
-        fn init<G: GraphView + ?Sized>(g: &G) -> GreedyState {
-            let n = g.len();
-            GreedyState {
-                alive: vec![true; n],
-                deg: (0..n).map(|v| g.degree(v as NodeId) as u32).collect(),
-                nbr_w: (0..n)
-                    .map(|v| {
-                        g.neighbors(v as NodeId)
-                            .iter()
-                            .map(|&u| g.weight(u))
-                            .sum::<f64>()
-                    })
-                    .collect(),
-                epoch: vec![0u32; n],
-            }
-        }
-
-        fn initial_heap(
-            &self,
-            g: &(impl GraphView + ?Sized),
-            score: &impl Fn(f64, usize, f64) -> f64,
-        ) -> BinaryHeap<Entry> {
-            let mut heap = BinaryHeap::with_capacity(self.alive.len());
-            for v in 0..self.alive.len() {
-                heap.push(Entry {
-                    score: score(g.weight(v as NodeId), self.deg[v] as usize, self.nbr_w[v]),
-                    node: v as NodeId,
-                    epoch: 0,
-                });
-            }
-            heap
-        }
-    }
-
-    /// The coalesced engine the tournament tree replaced. `score(weight,
-    /// alive_degree, alive_neighbor_weight)` must be non-decreasing as
-    /// neighbors die, which both ratios satisfy — that monotonicity is
-    /// what makes the lazy heap correct (a stale entry never over-states
-    /// a node's current score, so the refreshed entry pushed at the
-    /// cascade that invalidated it is the one that competes at the node's
-    /// true score).
-    ///
-    /// Deletion cascade: killing the selected node's neighbors decrements
-    /// the degree/neighbor-weight of each *survivor* exactly once per
-    /// dead neighbor, but the heap hears about a survivor only **once per
-    /// cascade** — the survivor is stamped on first touch, its epoch
-    /// bumped, and a single refreshed entry pushed after all decrements
-    /// have landed. The eager engine above instead pushes on every
-    /// decrement; on a graph of mean degree `d̄` that is ~`d̄` times the
-    /// heap traffic for identical results.
-    fn greedy_by_coalesced<G: GraphView + ?Sized>(
-        g: &G,
-        score: impl Fn(f64, usize, f64) -> f64,
-    ) -> Vec<NodeId> {
-        let n = g.len();
-        let mut st = GreedyState::init(g);
-        let mut heap = st.initial_heap(g, &score);
-
-        // Cascade-local scratch: which survivors were already recorded
-        // this cascade (stamp = cascade id; 0 = never, counting from 1).
-        let mut touch_stamp = vec![0u32; n];
-        let mut touched: Vec<NodeId> = Vec::new();
-        let mut cascade: u32 = 0;
-
-        let mut result = Vec::new();
-        while let Some(e) = heap.pop() {
-            let v = e.node as usize;
-            if !st.alive[v] || e.epoch != st.epoch[v] {
-                continue;
-            }
-            result.push(e.node);
-            st.alive[v] = false;
-            cascade += 1;
-            touched.clear();
-            // Kill neighbors; decrement degrees/weights of *their*
-            // neighbors.
-            for &u in g.neighbors(e.node) {
-                let ui = u as usize;
-                if !st.alive[ui] {
-                    continue;
-                }
-                st.alive[ui] = false;
-                let uw = g.weight(u);
-                for &w2 in g.neighbors(u) {
-                    let wi = w2 as usize;
-                    if !st.alive[wi] {
-                        continue;
-                    }
-                    st.deg[wi] -= 1;
-                    st.nbr_w[wi] -= uw;
-                    if touch_stamp[wi] != cascade {
-                        touch_stamp[wi] = cascade;
-                        touched.push(w2);
-                    }
-                }
-            }
-            // One refreshed entry per surviving touched node, now that
-            // every decrement of this cascade has been applied. Nodes
-            // touched first and killed later in the same cascade are
-            // skipped here.
-            for &t in &touched {
-                let ti = t as usize;
-                if !st.alive[ti] {
-                    continue;
-                }
-                st.epoch[ti] += 1;
-                heap.push(Entry {
-                    score: score(g.weight(t), st.deg[ti] as usize, st.nbr_w[ti]),
-                    node: t,
-                    epoch: st.epoch[ti],
-                });
-            }
-        }
-        result.sort_unstable();
-        result
-    }
-
-    /// The original cascade: every degree decrement immediately pushes a
-    /// refreshed entry. Each intermediate push is invalidated by the next
-    /// decrement's epoch bump, so per alive node only the latest entry is
-    /// ever acted on — exactly the valid-entry multiset of the coalesced
-    /// engine in [`gwmin_coalesced`], hence bit-identical outputs, at
-    /// `O(d̄)`-fold the heap traffic. (Staleness here also uses the epoch
-    /// counter: the historical `f64` equality test on the accumulated
-    /// neighbor weight was exact-by-accident and fell apart on `NaN`.)
-    fn greedy_by_eager<G: GraphView + ?Sized>(
-        g: &G,
-        score: impl Fn(f64, usize, f64) -> f64,
-    ) -> Vec<NodeId> {
-        let mut st = GreedyState::init(g);
-        let mut heap = st.initial_heap(g, &score);
-
-        let mut result = Vec::new();
-        while let Some(e) = heap.pop() {
-            let v = e.node as usize;
-            if !st.alive[v] || e.epoch != st.epoch[v] {
-                continue;
-            }
-            result.push(e.node);
-            st.alive[v] = false;
-            for &u in g.neighbors(e.node) {
-                let ui = u as usize;
-                if !st.alive[ui] {
-                    continue;
-                }
-                st.alive[ui] = false;
-                let uw = g.weight(u);
-                for &w2 in g.neighbors(u) {
-                    let wi = w2 as usize;
-                    if !st.alive[wi] {
-                        continue;
-                    }
-                    st.deg[wi] -= 1;
-                    st.nbr_w[wi] -= uw;
-                    st.epoch[wi] += 1;
-                    heap.push(Entry {
-                        score: score(g.weight(w2), st.deg[wi] as usize, st.nbr_w[wi]),
-                        node: w2,
-                        epoch: st.epoch[wi],
-                    });
-                }
-            }
-        }
-        result.sort_unstable();
-        result
-    }
-
-    /// The pre-bitset exact solver: recursive branch-and-bound that clones
-    /// a `Vec<bool>` alive bitmap per branch and bounds with the plain
-    /// positive-weight sum. Kept verbatim as the differential oracle for
-    /// [`super::exact`] — it recurses one stack frame per branch vertex,
-    /// so keep it away from instances anywhere near the production
-    /// [`DEFAULT_NODE_LIMIT`](super::DEFAULT_NODE_LIMIT).
-    pub fn exact<G: GraphView + ?Sized>(g: &G, node_limit: usize) -> Option<Vec<NodeId>> {
-        if g.len() > node_limit {
-            return None;
-        }
-        let n = g.len();
-        let mut best: Vec<NodeId> = Vec::new();
-        let mut best_w = f64::NEG_INFINITY;
-        let mut current: Vec<NodeId> = Vec::new();
-        let alive: Vec<bool> = vec![true; n];
-
-        fn recurse<G: GraphView + ?Sized>(
-            g: &G,
-            alive: Vec<bool>,
-            current: &mut Vec<NodeId>,
-            cur_w: f64,
-            best: &mut Vec<NodeId>,
-            best_w: &mut f64,
-        ) {
-            // Remaining positive weight as an (admissible) upper bound.
-            let rem: f64 = alive
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(v, _)| g.weight(v as NodeId).max(0.0))
-                .sum();
-            if cur_w + rem <= *best_w {
-                return;
-            }
-            // Pick the alive vertex of maximum alive-degree.
-            let pick = alive
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(v, _)| {
-                    let d = g
-                        .neighbors(v as NodeId)
-                        .iter()
-                        .filter(|&&u| alive[u as usize])
-                        .count();
-                    (d, v)
-                })
-                .max();
-            let Some((deg, v)) = pick else {
-                if cur_w > *best_w {
-                    *best_w = cur_w;
-                    *best = current.clone();
-                }
-                return;
-            };
-            if deg == 0 {
-                // All remaining vertices are isolated: take every positive one.
-                let mut w = cur_w;
-                let mut taken = Vec::new();
-                for (u, &a) in alive.iter().enumerate() {
-                    if a && g.weight(u as NodeId) > 0.0 {
-                        w += g.weight(u as NodeId);
-                        taken.push(u as NodeId);
-                    }
-                }
-                if w > *best_w {
-                    *best_w = w;
-                    let mut sol = current.clone();
-                    sol.extend(taken);
-                    *best = sol;
-                }
-                return;
-            }
-            // Branch 1: include v.
-            let mut incl = alive.clone();
-            incl[v] = false;
-            for &u in g.neighbors(v as NodeId) {
-                incl[u as usize] = false;
-            }
-            current.push(v as NodeId);
-            recurse(
-                g,
-                incl,
-                current,
-                cur_w + g.weight(v as NodeId),
-                best,
-                best_w,
-            );
-            current.pop();
-            // Branch 2: exclude v.
-            let mut excl = alive;
-            excl[v] = false;
-            recurse(g, excl, current, cur_w, best, best_w);
-        }
-
-        recurse(g, alive, &mut current, 0.0, &mut best, &mut best_w);
-        best.sort_unstable();
-        Some(best)
-    }
 }
 
 /// Improves `initial` with two move types until a local optimum:
@@ -897,9 +547,9 @@ enum NodeStep {
 /// against a greedy clique-cover bound — partition the alive vertices into
 /// cliques by intersecting closed neighborhoods and sum each clique's
 /// maximum weight (an independent set takes at most one vertex per
-/// clique). Both strictly dominate the recursive baseline's
-/// sum-of-positive-weights bound; [`baseline::exact`] retains that solver
-/// as the differential oracle.
+/// clique). Both strictly dominate the sum-of-positive-weights bound of
+/// the recursive solver this replaced, which `tests/exact_differential.rs`
+/// keeps as a test-only reference.
 pub fn exact<G: GraphView + ?Sized>(g: &G, node_limit: usize) -> Option<Vec<NodeId>> {
     if g.len() > node_limit {
         return None;
@@ -1028,8 +678,8 @@ pub fn exact<G: GraphView + ?Sized>(g: &G, node_limit: usize) -> Option<Vec<Node
 
 /// One node of the MWIS search: prune against the clique-cover bound,
 /// harvest leaf candidates (empty or edgeless remainders), or name the
-/// branch vertex (maximum alive degree, ties to the larger id — the
-/// recursive baseline's rule).
+/// branch vertex (maximum alive degree, ties to the larger id — the rule
+/// of the recursive solver this replaced).
 #[allow(clippy::too_many_arguments)]
 fn exact_eval_node(
     alive: &[u64],
@@ -1116,7 +766,7 @@ fn clique_cover_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Graph, GraphBuilder};
+    use crate::graph::Graph;
 
     fn path(weights: &[f64]) -> Graph {
         let mut g = Graph::with_weights(weights.to_vec());
@@ -1238,27 +888,6 @@ mod tests {
         let is = gwmin2(&g);
         assert!(g.is_independent_set(&is));
         assert!(g.set_weight_sum(&is) >= 1.0);
-    }
-
-    #[test]
-    fn solvers_run_identically_on_csr() {
-        // Same instance through both backends and both greedy engines.
-        let weights = vec![4.0, 1.0, 3.0, 2.0, 5.0, 1.0];
-        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)];
-        let mut g = Graph::with_weights(weights.clone());
-        let mut b = GraphBuilder::with_weights(weights);
-        for &(u, v) in &edges {
-            g.add_edge(u, v);
-            b.add_edge(u, v);
-        }
-        let c = b.finalize_csr();
-        assert_eq!(gwmin(&g), gwmin(&c));
-        assert_eq!(gwmin2(&g), gwmin2(&c));
-        assert_eq!(gwmin(&g), baseline::gwmin(&g));
-        assert_eq!(gwmin2(&c), baseline::gwmin2(&c));
-        assert_eq!(exact(&g, 64), exact(&c, 64));
-        let start = gwmin(&g);
-        assert_eq!(local_search(&g, &start), local_search(&c, &start));
     }
 
     #[test]

@@ -253,10 +253,9 @@ impl SetCoverInstance {
     /// Bounds: the incumbent is seeded with the greedy `H_n`-approximate
     /// cover, and each node prunes against `w + max_e min_cover_w(e)` over
     /// its uncovered elements — any completion must pay for a set covering
-    /// the most expensive-to-cover element. Both strictly dominate the
-    /// recursive baseline's bare `w >= best_w` test;
-    /// [`solve_exact_baseline`](Self::solve_exact_baseline) retains that
-    /// solver as the differential oracle.
+    /// the most expensive-to-cover element. Both strictly dominate the bare
+    /// `w >= best_w` test of the recursive solver this replaced, which
+    /// `tests/exact_differential.rs` keeps as a test-only reference.
     pub fn solve_exact(&self, element_limit: usize) -> Option<Cover> {
         if self.universe > element_limit {
             return None;
@@ -381,84 +380,6 @@ impl SetCoverInstance {
         Some(Cover {
             weight: self.weight_of(&best),
             sets: best,
-        })
-    }
-
-    /// The pre-bitset exact solver: recursive branch-and-bound with a
-    /// `Vec<bool>` covered bitmap and no lower bound beyond the incumbent.
-    /// Kept verbatim as the differential oracle for
-    /// [`solve_exact`](Self::solve_exact) — it recurses one stack frame
-    /// per chosen set, so keep it away from universes anywhere near the
-    /// production [`DEFAULT_ELEMENT_LIMIT`].
-    pub fn solve_exact_baseline(&self, element_limit: usize) -> Option<Cover> {
-        if self.universe > element_limit {
-            return None;
-        }
-        // Pre-index: which sets cover each element?
-        let mut covering: Vec<Vec<usize>> = vec![Vec::new(); self.universe];
-        for (i, s) in self.sets.iter().enumerate() {
-            for &e in &s.elements {
-                covering[e as usize].push(i);
-            }
-        }
-        if covering.iter().any(|c| c.is_empty()) && self.universe > 0 {
-            return None;
-        }
-
-        struct Ctx<'a> {
-            inst: &'a SetCoverInstance,
-            covering: Vec<Vec<usize>>,
-            best_w: f64,
-            best: Option<Vec<usize>>,
-        }
-
-        fn recurse(ctx: &mut Ctx<'_>, covered: &mut [bool], chosen: &mut Vec<usize>, w: f64) {
-            if w >= ctx.best_w {
-                return;
-            }
-            let Some(e) = covered.iter().position(|&c| !c) else {
-                ctx.best_w = w;
-                ctx.best = Some(chosen.clone());
-                return;
-            };
-            // Try each set that covers e (clone-undo covered bitmap).
-            for i in 0..ctx.covering[e].len() {
-                let s = ctx.covering[e][i];
-                if chosen.contains(&s) {
-                    continue;
-                }
-                let newly: Vec<usize> = ctx.inst.sets[s]
-                    .elements
-                    .iter()
-                    .map(|&x| x as usize)
-                    .filter(|&x| !covered[x])
-                    .collect();
-                for &x in &newly {
-                    covered[x] = true;
-                }
-                chosen.push(s);
-                recurse(ctx, covered, chosen, w + ctx.inst.sets[s].weight);
-                chosen.pop();
-                for &x in &newly {
-                    covered[x] = false;
-                }
-            }
-        }
-
-        let mut ctx = Ctx {
-            inst: self,
-            covering,
-            best_w: f64::INFINITY,
-            best: None,
-        };
-        let mut covered = vec![false; self.universe];
-        let mut chosen = Vec::new();
-        recurse(&mut ctx, &mut covered, &mut chosen, 0.0);
-        let mut sets = ctx.best?;
-        sets.sort_unstable();
-        Some(Cover {
-            weight: self.weight_of(&sets),
-            sets,
         })
     }
 }
@@ -603,31 +524,6 @@ mod tests {
         let c = inst.solve_greedy().unwrap();
         assert_eq!(c.sets, vec![1], "joule-scale tie: bigger set wins");
         assert_eq!(c.weight, 2.0 * r);
-    }
-
-    #[test]
-    fn exact_matches_recursive_baseline_on_unit_tests() {
-        for inst in [
-            {
-                let mut i = SetCoverInstance::new(4);
-                i.add_set(3.1, [0, 1, 2, 3]);
-                i.add_set(1.0, [0, 1]);
-                i.add_set(1.0, [2, 3]);
-                i
-            },
-            {
-                let mut i = SetCoverInstance::new(6);
-                i.add_set(5.0, [0, 1, 2, 4]);
-                i.add_set(5.0, [1, 2]);
-                i.add_set(5.0, [3, 5]);
-                i.add_set(5.0, [2, 3, 4, 5]);
-                i
-            },
-        ] {
-            let new = inst.solve_exact(64).unwrap();
-            let old = inst.solve_exact_baseline(64).unwrap();
-            assert_eq!(new, old);
-        }
     }
 
     #[test]

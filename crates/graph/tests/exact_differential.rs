@@ -1,7 +1,8 @@
 //! Differential pinning of the iterative bitset exact solvers against the
-//! retained recursive baselines, plus deep-branching instances at the old
-//! production limits that the recursive solvers' clone-per-branch /
-//! frame-per-branch design made hazardous.
+//! recursive solvers they replaced (kept in `common/mod.rs` as test-only
+//! references), plus deep-branching instances at the old production
+//! limits that the recursive solvers' clone-per-branch / frame-per-branch
+//! design made hazardous.
 //!
 //! Instance weights are continuous draws from the seeded `spindown_sim`
 //! RNG, so optima are unique (almost surely, and deterministically for
@@ -9,6 +10,9 @@
 //! not merely equal weights. Runs with `-C overflow-checks=on` in the CI
 //! differential job to exercise the bitset word arithmetic.
 
+mod common;
+
+use common::{recursive_cover_exact, recursive_mwis_exact};
 use spindown_graph::csr::CsrGraph;
 use spindown_graph::graph::{Graph, NodeId};
 use spindown_graph::mwis;
@@ -52,15 +56,15 @@ fn random_cover(rng: &mut SimRng, max_universe: usize) -> SetCoverInstance {
 }
 
 /// 125 seeded graphs, sparse to near-complete: the iterative solver must
-/// return the recursive baseline's exact node set on both storage
+/// return the recursive reference's exact node set on both storage
 /// backends.
 #[test]
-fn mwis_exact_bit_identical_to_recursive_baseline() {
+fn mwis_exact_bit_identical_to_recursive_reference() {
     let mut rng = SimRng::seed_from_u64(0x6717b0);
     for case in 0..125 {
         let g = random_graph(&mut rng, 24, [1, 2, 4, 8, 12][case % 5]);
         let c = CsrGraph::from_graph(&g);
-        let old = mwis::baseline::exact(&g, 24).expect("within limit");
+        let old = recursive_mwis_exact(&g, 24).expect("within limit");
         let new = mwis::exact(&g, 24).expect("within limit");
         assert_eq!(new, old, "case {case}: iterative vs recursive");
         assert_eq!(
@@ -76,7 +80,7 @@ fn mwis_exact_bit_identical_to_recursive_baseline() {
 /// must agree on instances that contain them (weights here are continuous
 /// apart from the sign flip, so optima stay unique).
 #[test]
-fn mwis_exact_agrees_with_baseline_weight_under_nonpositive_weights() {
+fn mwis_exact_agrees_with_reference_under_nonpositive_weights() {
     let mut rng = SimRng::seed_from_u64(0x6717b1);
     for case in 0..40 {
         let mut g = random_graph(&mut rng, 16, 3);
@@ -86,9 +90,9 @@ fn mwis_exact_agrees_with_baseline_weight_under_nonpositive_weights() {
                 g.set_weight(v as NodeId, -g.weight(v as NodeId));
             }
         }
-        let old = mwis::baseline::exact(&g, 16).expect("within limit");
+        let old = recursive_mwis_exact(&g, 16).expect("within limit");
         let new = mwis::exact(&g, 16).expect("within limit");
-        // The baseline may pad its set with zero-weight vertices it
+        // The reference may pad its set with zero-weight vertices it
         // happened to branch through; with continuous weights there are
         // none, so the unique positive-weight optimum must match exactly.
         assert_eq!(new, old, "case {case}");
@@ -97,22 +101,50 @@ fn mwis_exact_agrees_with_baseline_weight_under_nonpositive_weights() {
 }
 
 /// 125 seeded cover instances: full `Cover` equality (sets and recomputed
-/// weight) between the iterative solver and the recursive baseline.
+/// weight) between the iterative solver and the recursive reference.
 #[test]
-fn setcover_exact_bit_identical_to_recursive_baseline() {
+fn setcover_exact_bit_identical_to_recursive_reference() {
     let mut rng = SimRng::seed_from_u64(0x6717b2);
     for case in 0..125 {
         let inst = random_cover(&mut rng, [4, 7, 10, 13, 16][case % 5]);
-        let old = inst.solve_exact_baseline(16).expect("coverable");
+        let old = recursive_cover_exact(&inst, 16).expect("coverable");
         let new = inst.solve_exact(16).expect("coverable");
         assert_eq!(new, old, "case {case}: iterative vs recursive");
         assert!(inst.is_cover(&new.sets), "case {case}: not a cover");
     }
 }
 
+/// Two hand-built instances, one with a cheap split beating a single
+/// covering set and one with all weights equal: the iterative and
+/// recursive solvers return the same cover.
+#[test]
+fn setcover_exact_matches_recursive_reference_on_small_instances() {
+    for inst in [
+        {
+            let mut i = SetCoverInstance::new(4);
+            i.add_set(3.1, [0, 1, 2, 3]);
+            i.add_set(1.0, [0, 1]);
+            i.add_set(1.0, [2, 3]);
+            i
+        },
+        {
+            let mut i = SetCoverInstance::new(6);
+            i.add_set(5.0, [0, 1, 2, 4]);
+            i.add_set(5.0, [1, 2]);
+            i.add_set(5.0, [3, 5]);
+            i.add_set(5.0, [2, 3, 4, 5]);
+            i
+        },
+    ] {
+        let new = inst.solve_exact(64).unwrap();
+        let old = recursive_cover_exact(&inst, 64).unwrap();
+        assert_eq!(new, old);
+    }
+}
+
 /// Uncoverable universes: both solvers return `None`.
 #[test]
-fn setcover_exact_none_matches_baseline_on_uncoverable() {
+fn setcover_exact_none_matches_reference_on_uncoverable() {
     let mut rng = SimRng::seed_from_u64(0x6717b3);
     for _ in 0..32 {
         let universe = 2 + rng.index(10);
@@ -124,7 +156,7 @@ fn setcover_exact_none_matches_baseline_on_uncoverable() {
             }
         }
         assert!(inst.solve_exact(16).is_none());
-        assert!(inst.solve_exact_baseline(16).is_none());
+        assert!(recursive_cover_exact(&inst, 16).is_none());
     }
 }
 

@@ -1,18 +1,21 @@
 //! Differential pinning of the tournament-tree greedy engine and the
-//! word-at-a-time bitset kernels against their retained predecessors.
+//! word-at-a-time bitset kernels against their predecessors.
 //!
 //! The production greedy engine (`gwmin`/`gwmin2`) is a monotone
-//! tournament tree; its oracles are the eager rescan baseline and the
-//! coalesced lazy engine in `mwis::baseline`. Weights are continuous
-//! draws from the seeded `spindown_sim` RNG, so score ties are absent
-//! (almost surely, deterministically for these fixed seeds) apart from
-//! the engineered tie cases — the engines must return **bit-identical**
-//! selections on both storage backends, not merely equal weights.
+//! tournament tree; its reference is the eager-heap cascade kept in
+//! `common/mod.rs`. Weights are continuous draws from the seeded
+//! `spindown_sim` RNG, so score ties are absent (almost surely,
+//! deterministically for these fixed seeds) apart from the engineered tie
+//! cases — the engines must return **bit-identical** selections on both
+//! storage backends, not merely equal weights.
 
+mod common;
+
+use common::{eager_gwmin, eager_gwmin2};
 use spindown_graph::bitset;
 use spindown_graph::csr::CsrGraph;
-use spindown_graph::graph::{Graph, NodeId};
-use spindown_graph::mwis::{self, baseline, GreedyScratch};
+use spindown_graph::graph::{Graph, GraphBuilder, NodeId};
+use spindown_graph::mwis::{self, GreedyScratch};
 use spindown_sim::rng::SimRng;
 
 /// A random graph with tunable density: `2..=max_n` nodes, continuous
@@ -32,32 +35,22 @@ fn random_graph(rng: &mut SimRng, max_n: usize, edge_factor: usize) -> Graph {
 }
 
 /// 150 seeded graphs, sparse to near-complete: the tournament engine
-/// must reproduce both retained oracles exactly, on the adjacency-list
-/// and the CSR backend.
+/// must reproduce the eager cascade exactly, on the adjacency-list and
+/// the CSR backend.
 #[test]
-fn greedy_tree_bit_identical_to_oracles_sparse_to_dense() {
+fn greedy_tree_bit_identical_to_eager_sparse_to_dense() {
     let mut rng = SimRng::seed_from_u64(0x9a11e0);
     for case in 0..150 {
         let g = random_graph(&mut rng, 48, [1, 2, 4, 8, 16, 32][case % 6]);
         let c = CsrGraph::from_graph(&g);
 
         let tree = mwis::gwmin(&g);
-        assert_eq!(tree, baseline::gwmin(&g), "case {case}: gwmin vs eager");
-        assert_eq!(
-            tree,
-            baseline::gwmin_coalesced(&g),
-            "case {case}: gwmin vs coalesced"
-        );
+        assert_eq!(tree, eager_gwmin(&g), "case {case}: gwmin vs eager");
         assert_eq!(tree, mwis::gwmin(&c), "case {case}: gwmin CSR diverged");
         assert!(g.is_independent_set(&tree), "case {case}: infeasible");
 
         let tree2 = mwis::gwmin2(&g);
-        assert_eq!(tree2, baseline::gwmin2(&g), "case {case}: gwmin2 vs eager");
-        assert_eq!(
-            tree2,
-            baseline::gwmin2_coalesced(&g),
-            "case {case}: gwmin2 vs coalesced"
-        );
+        assert_eq!(tree2, eager_gwmin2(&g), "case {case}: gwmin2 vs eager");
         assert_eq!(tree2, mwis::gwmin2(&c), "case {case}: gwmin2 CSR diverged");
         assert!(g.is_independent_set(&tree2), "case {case}: infeasible");
     }
@@ -67,7 +60,7 @@ fn greedy_tree_bit_identical_to_oracles_sparse_to_dense() {
 /// agree on the smallest-node-id tie-break rather than merely matching
 /// total weight.
 #[test]
-fn greedy_tree_matches_oracles_under_total_ties() {
+fn greedy_tree_matches_eager_under_total_ties() {
     let mut rng = SimRng::seed_from_u64(0x9a11e1);
     for case in 0..40 {
         let n = 2 + rng.index(31);
@@ -80,14 +73,38 @@ fn greedy_tree_matches_oracles_under_total_ties() {
             }
         }
         let c = CsrGraph::from_graph(&g);
-        for (tree, eager, coal) in [
-            (mwis::gwmin(&c), baseline::gwmin(&g), baseline::gwmin_coalesced(&c)),
-            (mwis::gwmin2(&c), baseline::gwmin2(&g), baseline::gwmin2_coalesced(&c)),
+        for (tree, eager) in [
+            (mwis::gwmin(&c), eager_gwmin(&g)),
+            (mwis::gwmin2(&c), eager_gwmin2(&g)),
         ] {
             assert_eq!(tree, eager, "case {case}: tie-break vs eager");
-            assert_eq!(tree, coal, "case {case}: tie-break vs coalesced");
         }
     }
+}
+
+/// One small instance through both backends, the bulk builder and the
+/// eager reference: greedy, exact and local search all agree.
+#[test]
+fn solvers_run_identically_on_csr() {
+    let weights = vec![4.0, 1.0, 3.0, 2.0, 5.0, 1.0];
+    let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)];
+    let mut g = Graph::with_weights(weights.clone());
+    let mut b = GraphBuilder::with_weights(weights);
+    for &(u, v) in &edges {
+        g.add_edge(u, v);
+        b.add_edge(u, v);
+    }
+    let c = b.finalize_csr();
+    assert_eq!(mwis::gwmin(&g), mwis::gwmin(&c));
+    assert_eq!(mwis::gwmin2(&g), mwis::gwmin2(&c));
+    assert_eq!(mwis::gwmin(&g), eager_gwmin(&g));
+    assert_eq!(mwis::gwmin2(&c), eager_gwmin2(&c));
+    assert_eq!(mwis::exact(&g, 64), mwis::exact(&c, 64));
+    let start = mwis::gwmin(&g);
+    assert_eq!(
+        mwis::local_search(&g, &start),
+        mwis::local_search(&c, &start)
+    );
 }
 
 /// One scratch threaded through an interleaved gwmin/gwmin2 sequence of

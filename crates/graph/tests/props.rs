@@ -3,6 +3,9 @@
 //! run exercises the identical cases), every solver's output must be
 //! feasible, and the exact solvers must dominate the heuristics.
 
+mod common;
+
+use common::{eager_gwmin, eager_gwmin2};
 use spindown_graph::csr::CsrGraph;
 use spindown_graph::graph::{Graph, NodeId};
 use spindown_graph::mwis;
@@ -268,7 +271,7 @@ fn csr_structure_matches_adjacency_list() {
 }
 
 /// Every MWIS solver must return the *identical* node set on both
-/// storage backends, and the coalesced production cascade must be
+/// storage backends, and the production greedy engine must be
 /// bit-identical to the eager reference engine on each backend — across
 /// sparse-to-dense seeded instances.
 #[test]
@@ -280,13 +283,13 @@ fn solvers_identical_across_backends_and_engines() {
 
         let gw = mwis::gwmin(&g);
         assert_eq!(gw, mwis::gwmin(&c), "case {case}: gwmin backends");
-        assert_eq!(gw, mwis::baseline::gwmin(&g), "case {case}: gwmin engines");
-        assert_eq!(gw, mwis::baseline::gwmin(&c), "case {case}: gwmin cross");
+        assert_eq!(gw, eager_gwmin(&g), "case {case}: gwmin engines");
+        assert_eq!(gw, eager_gwmin(&c), "case {case}: gwmin cross");
 
         let gw2 = mwis::gwmin2(&g);
         assert_eq!(gw2, mwis::gwmin2(&c), "case {case}: gwmin2 backends");
-        assert_eq!(gw2, mwis::baseline::gwmin2(&g), "case {case}: gwmin2 engines");
-        assert_eq!(gw2, mwis::baseline::gwmin2(&c), "case {case}: gwmin2 cross");
+        assert_eq!(gw2, eager_gwmin2(&g), "case {case}: gwmin2 engines");
+        assert_eq!(gw2, eager_gwmin2(&c), "case {case}: gwmin2 cross");
 
         assert_eq!(
             mwis::local_search(&g, &gw),

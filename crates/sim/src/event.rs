@@ -6,19 +6,13 @@
 //! reproducibility: two events at the same timestamp are always delivered in
 //! the order they were scheduled, independent of queue internals.
 //!
-//! Two implementations share the exact same API and pop order:
-//!
-//! * [`WheelQueue`] — a hierarchical timing wheel (calendar queue), the
-//!   production implementation. Scheduling and popping are O(1) amortized
-//!   for the small, disk-bounded event populations the simulator carries
-//!   (a few events per disk), instead of the heap's O(log n) comparisons
-//!   and sift traffic.
-//! * [`baseline::EventQueue`] — the original `BinaryHeap` implementation,
-//!   kept as the differential oracle. The seeded suite in
-//!   `tests/queue_differential.rs` pins both to bit-identical pop
-//!   sequences, and the `baseline-queue` cargo feature re-points the
-//!   [`EventQueue`] alias at the heap so any full-system run (including
-//!   the 1M-line CI byte-diff) can be replayed on the oracle.
+//! The queue is a hierarchical timing wheel (calendar queue). Scheduling
+//! and popping are O(1) amortized for the small, disk-bounded event
+//! populations the simulator carries (a few events per disk), instead of
+//! a binary heap's O(log n) comparisons and sift traffic. Its pop order is
+//! exactly a `(time, seq)` heap's; `tests/queue_differential.rs` pins the
+//! two to bit-identical pop sequences over hundreds of seeded schedules,
+//! with the heap kept there as a test-only reference.
 //!
 //! # Why the wheel preserves FIFO tie order
 //!
@@ -56,17 +50,6 @@ pub struct Scheduled<T> {
     pub payload: T,
 }
 
-/// The production event queue. The `baseline-queue` cargo feature swaps
-/// this alias to [`baseline::EventQueue`] so whole-system runs can be
-/// replayed on the heap oracle.
-#[cfg(not(feature = "baseline-queue"))]
-pub type EventQueue<T> = WheelQueue<T>;
-
-/// The production event queue (re-pointed at the heap oracle by the
-/// `baseline-queue` cargo feature).
-#[cfg(feature = "baseline-queue")]
-pub type EventQueue<T> = baseline::EventQueue<T>;
-
 /// Bits per wheel level; 64 slots each.
 const LEVEL_BITS: u32 = 6;
 /// Slots per level.
@@ -79,7 +62,7 @@ const LEVELS: usize = 11;
 const NIL: u32 = u32::MAX;
 
 /// One arena cell: an event plus its intrusive slot-list link. The
-/// payload is an `Option` only so [`WheelQueue::pop`] can move it out of
+/// payload is an `Option` only so [`EventQueue::pop`] can move it out of
 /// the arena without unsafe code; a node on a slot list is always `Some`.
 struct WheelNode<T> {
     at: SimTime,
@@ -107,7 +90,7 @@ struct WheelNode<T> {
 /// assert_eq!(q.pop().unwrap().payload, "late");
 /// assert!(q.pop().is_none());
 /// ```
-pub struct WheelQueue<T> {
+pub struct EventQueue<T> {
     /// All pending events, in one contiguous allocation; freed cells are
     /// chained through `next` into a free list. Slot membership is an
     /// intrusive singly-linked list over this arena, so a cascade re-files
@@ -119,8 +102,8 @@ pub struct WheelQueue<T> {
     /// Per-slot list head, `LEVELS × SLOTS` row-major (`NIL` = empty).
     /// Entries within a slot are in insertion order — the wheel needs no
     /// sequence stamps: FIFO among equal times is structural (slots only
-    /// ever append, in schedule order), unlike the heap baseline which
-    /// buys it with a per-entry counter.
+    /// ever append, in schedule order), where a heap buys it with a
+    /// per-entry counter.
     head: Vec<u32>,
     /// Per-slot list tail (`NIL` = empty), for O(1) append.
     tail: Vec<u32>,
@@ -142,16 +125,16 @@ pub struct WheelQueue<T> {
     next_at: Cell<Option<SimTime>>,
 }
 
-impl<T> Default for WheelQueue<T> {
+impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> WheelQueue<T> {
+impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        WheelQueue {
+        EventQueue {
             arena: Vec::new(),
             free: NIL,
             head: vec![NIL; LEVELS * SLOTS],
@@ -378,10 +361,9 @@ impl<T> WheelQueue<T> {
     /// Resets the queue to its freshly-constructed state, keeping the slot
     /// allocations: pending events are dropped and the watermark returns
     /// to zero. A cleared queue schedules and drains exactly like a fresh
-    /// one — the heap baseline additionally rewinds its FIFO tie-break
-    /// counter here; the wheel's tie order is structural, so dropping the
-    /// entries is already enough — and warm engines can recycle queues
-    /// across runs without reallocating.
+    /// one — the wheel's tie order is structural, so dropping the entries
+    /// is already enough — and warm engines can recycle queues across runs
+    /// without reallocating.
     pub fn clear(&mut self) {
         for level in 0..LEVELS {
             let mut bits = self.occupied[level];
@@ -408,317 +390,140 @@ impl<T> WheelQueue<T> {
     }
 }
 
-pub mod baseline {
-    //! The original `BinaryHeap` event queue, kept as the differential
-    //! oracle for [`WheelQueue`](super::WheelQueue) (and selectable as the
-    //! production queue via the `baseline-queue` cargo feature).
-
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    use super::Scheduled;
-    use crate::time::SimTime;
-
-    struct Entry<T> {
-        at: SimTime,
-        seq: u64,
-        payload: T,
-    }
-
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl<T> Eq for Entry<T> {}
-
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; invert so the earliest time (and among
-            // equal times, the smallest sequence number) is popped first.
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// A time-ordered event queue with stable FIFO tie-breaking, backed by
-    /// a binary heap. Same API and pop order as
-    /// [`WheelQueue`](super::WheelQueue).
-    pub struct EventQueue<T> {
-        heap: BinaryHeap<Entry<T>>,
-        seq: u64,
-        /// Time of the most recently popped event; used to detect scheduling
-        /// into the past (a logic error in the caller).
-        watermark: SimTime,
-    }
-
-    impl<T> Default for EventQueue<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<T> EventQueue<T> {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            EventQueue {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                watermark: SimTime::ZERO,
-            }
-        }
-
-        /// Creates an empty queue with pre-allocated capacity.
-        pub fn with_capacity(cap: usize) -> Self {
-            EventQueue {
-                heap: BinaryHeap::with_capacity(cap),
-                seq: 0,
-                watermark: SimTime::ZERO,
-            }
-        }
-
-        /// Schedules `payload` for delivery at `at`.
-        ///
-        /// # Panics
-        ///
-        /// Panics in debug builds if `at` is earlier than the time of the most
-        /// recently popped event — scheduling into the simulated past is always
-        /// a bug in the caller.
-        pub fn schedule(&mut self, at: SimTime, payload: T) {
-            debug_assert!(
-                at >= self.watermark,
-                "scheduled event at {at:?} before current time {:?}",
-                self.watermark
-            );
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Entry { at, seq, payload });
-        }
-
-        /// Removes and returns the earliest event, advancing the internal
-        /// watermark to its time.
-        pub fn pop(&mut self) -> Option<Scheduled<T>> {
-            let e = self.heap.pop()?;
-            self.watermark = e.at;
-            Some(Scheduled {
-                at: e.at,
-                payload: e.payload,
-            })
-        }
-
-        /// The delivery time of the earliest pending event.
-        pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.at)
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// `true` if no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// The time of the most recently popped event (the queue's notion of
-        /// "now").
-        pub fn now(&self) -> SimTime {
-            self.watermark
-        }
-
-        /// Resets the queue to its freshly-constructed state, keeping the heap
-        /// allocation: pending events are dropped and both the FIFO tie-break
-        /// counter and the watermark return to zero. A cleared queue behaves
-        /// exactly like `with_capacity(self.capacity())`, so warm engines can
-        /// recycle queues across runs without reallocating.
-        pub fn clear(&mut self) {
-            self.heap.clear();
-            self.seq = 0;
-            self.watermark = SimTime::ZERO;
-        }
-
-        /// Number of events the queue can hold without reallocating.
-        pub fn capacity(&self) -> usize {
-            self.heap.capacity()
-        }
-
-        #[cfg(test)]
-        pub(crate) fn seq_for_tests(&self) -> u64 {
-            self.seq
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    // The shared behavioral suite runs against both implementations via a
-    // tiny macro; wheel-specific cases (rollover, cascades, clear-reuse on
-    // the slot structure) follow below, and the cross-implementation
-    // differential suite lives in `tests/queue_differential.rs`.
-    macro_rules! queue_suite {
-        ($modname:ident, $Queue:ident) => {
-            mod $modname {
-                use super::*;
-
-                #[test]
-                fn pops_in_time_order() {
-                    let mut q = $Queue::new();
-                    for &s in &[5u64, 1, 9, 3, 7] {
-                        q.schedule(SimTime::from_secs(s), s);
-                    }
-                    let mut out = Vec::new();
-                    while let Some(e) = q.pop() {
-                        out.push(e.payload);
-                    }
-                    assert_eq!(out, vec![1, 3, 5, 7, 9]);
-                }
-
-                #[test]
-                fn equal_times_are_fifo() {
-                    let mut q = $Queue::new();
-                    let t = SimTime::from_secs(1);
-                    for i in 0..100 {
-                        q.schedule(t, i);
-                    }
-                    let mut out = Vec::new();
-                    while let Some(e) = q.pop() {
-                        out.push(e.payload);
-                    }
-                    assert_eq!(out, (0..100).collect::<Vec<_>>());
-                }
-
-                #[test]
-                fn interleaved_schedule_and_pop_stays_fifo() {
-                    let mut q = $Queue::new();
-                    let t = SimTime::from_secs(1);
-                    q.schedule(t, "a");
-                    q.schedule(t, "b");
-                    assert_eq!(q.pop().unwrap().payload, "a");
-                    q.schedule(t, "c");
-                    assert_eq!(q.pop().unwrap().payload, "b");
-                    assert_eq!(q.pop().unwrap().payload, "c");
-                }
-
-                #[test]
-                fn watermark_tracks_pops() {
-                    let mut q = $Queue::new();
-                    assert_eq!(q.now(), SimTime::ZERO);
-                    q.schedule(SimTime::from_secs(4), ());
-                    q.pop();
-                    assert_eq!(q.now(), SimTime::from_secs(4));
-                }
-
-                #[test]
-                #[should_panic(expected = "before current time")]
-                #[cfg(debug_assertions)]
-                fn scheduling_into_past_panics() {
-                    let mut q = $Queue::new();
-                    q.schedule(SimTime::from_secs(10), ());
-                    q.pop();
-                    q.schedule(SimTime::from_secs(1), ());
-                }
-
-                #[test]
-                fn peek_len_empty_clear() {
-                    let mut q = $Queue::with_capacity(8);
-                    assert!(q.is_empty());
-                    assert_eq!(q.peek_time(), None);
-                    q.schedule(SimTime::from_secs(2), ());
-                    q.schedule(SimTime::from_secs(1), ());
-                    assert_eq!(q.len(), 2);
-                    assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-                    q.clear();
-                    assert!(q.is_empty());
-                }
-
-                #[test]
-                fn clear_then_reuse_restarts_tie_order() {
-                    // PR 8's warm engines rely on `clear` resetting the
-                    // FIFO counter and watermark exactly like a fresh
-                    // queue: a second run's same-time events must drain in
-                    // schedule order, and early times must be legal again.
-                    let mut q = $Queue::with_capacity(64);
-                    let cap = q.capacity();
-                    let t = SimTime::from_secs(9);
-                    for i in 0..50 {
-                        q.schedule(t, i);
-                    }
-                    q.pop();
-                    assert_eq!(q.now(), t);
-                    q.clear();
-                    assert!(q.is_empty());
-                    assert_eq!(q.now(), SimTime::ZERO);
-                    assert!(q.capacity() >= cap, "clear must keep the allocation");
-                    q.schedule(SimTime::from_secs(1), 100);
-                    q.schedule(SimTime::from_secs(1), 101);
-                    assert_eq!(q.pop().unwrap().payload, 100);
-                    assert_eq!(q.pop().unwrap().payload, 101);
-                }
-
-                #[test]
-                fn same_time_as_now_is_allowed() {
-                    let mut q = $Queue::new();
-                    q.schedule(SimTime::from_secs(1), 0);
-                    q.pop();
-                    // Re-scheduling at exactly `now` must be fine (zero-delay events).
-                    q.schedule(q.now(), 1);
-                    assert_eq!(q.pop().unwrap().at, SimTime::from_secs(1));
-                }
-
-                #[test]
-                fn large_volume_is_sorted() {
-                    let mut q = $Queue::new();
-                    // Deterministic pseudo-shuffle.
-                    let mut x: u64 = 0x9E3779B97F4A7C15;
-                    for _ in 0..10_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        q.schedule(SimTime::from_micros(x % 1_000_000), ());
-                    }
-                    let mut prev = SimTime::ZERO;
-                    while let Some(e) = q.pop() {
-                        assert!(e.at >= prev);
-                        prev = e.at;
-                    }
-                    let _ = prev + SimDuration::ZERO;
-                }
-            }
-        };
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        for &s in &[5u64, 1, 9, 3, 7] {
+            q.schedule(SimTime::from_secs(s), s);
+        }
+        let mut out = Vec::new();
+        while let Some(e) = q.pop() {
+            out.push(e.payload);
+        }
+        assert_eq!(out, vec![1, 3, 5, 7, 9]);
     }
 
-    use baseline::EventQueue as BaselineQueue;
-    queue_suite!(wheel, WheelQueue);
-    queue_suite!(heap, BaselineQueue);
+    #[test]
+    fn equal_times_are_fifo() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        let mut out = Vec::new();
+        while let Some(e) = q.pop() {
+            out.push(e.payload);
+        }
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
 
     #[test]
-    fn baseline_clear_resets_seq_counter() {
-        let mut q = BaselineQueue::new();
+    fn interleaved_schedule_and_pop_stays_fifo() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.schedule(t, "a");
+        q.schedule(t, "b");
+        assert_eq!(q.pop().unwrap().payload, "a");
+        q.schedule(t, "c");
+        assert_eq!(q.pop().unwrap().payload, "b");
+        assert_eq!(q.pop().unwrap().payload, "c");
+    }
+
+    #[test]
+    fn watermark_tracks_pops() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.schedule(SimTime::from_secs(4), ());
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_secs(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    #[cfg(debug_assertions)]
+    fn scheduling_into_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), ());
+        q.pop();
         q.schedule(SimTime::from_secs(1), ());
+    }
+
+    #[test]
+    fn peek_len_empty_clear() {
+        let mut q = EventQueue::with_capacity(8);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_secs(2), ());
         q.schedule(SimTime::from_secs(1), ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         q.clear();
-        q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(1), ());
-        assert_eq!(q.seq_for_tests(), 2);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_then_reuse_restarts_tie_order() {
+        // Warm engines rely on `clear` resetting the tie order and
+        // watermark exactly like a fresh queue: a second run's
+        // same-time events must drain in schedule order, and early
+        // times must be legal again.
+        let mut q = EventQueue::with_capacity(64);
+        let cap = q.capacity();
+        let t = SimTime::from_secs(9);
+        for i in 0..50 {
+            q.schedule(t, i);
+        }
+        q.pop();
+        assert_eq!(q.now(), t);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert!(q.capacity() >= cap, "clear must keep the allocation");
+        q.schedule(SimTime::from_secs(1), 100);
+        q.schedule(SimTime::from_secs(1), 101);
+        assert_eq!(q.pop().unwrap().payload, 100);
+        assert_eq!(q.pop().unwrap().payload, 101);
+    }
+
+    #[test]
+    fn same_time_as_now_is_allowed() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 0);
+        q.pop();
+        // Re-scheduling at exactly `now` must be fine (zero-delay events).
+        q.schedule(q.now(), 1);
+        assert_eq!(q.pop().unwrap().at, SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn large_volume_is_sorted() {
+        let mut q = EventQueue::new();
+        // Deterministic pseudo-shuffle.
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            q.schedule(SimTime::from_micros(x % 1_000_000), ());
+        }
+        let mut prev = SimTime::ZERO;
+        while let Some(e) = q.pop() {
+            assert!(e.at >= prev);
+            prev = e.at;
+        }
+        let _ = prev + SimDuration::ZERO;
     }
 
     #[test]
     fn wheel_crosses_level_boundaries_in_order() {
         // Times straddling 64^k boundaries exercise cascades at every
         // level; drain order must stay globally sorted and FIFO at ties.
-        let mut q = WheelQueue::new();
+        let mut q = EventQueue::new();
         let boundaries = [
             63u64, 64, 65, 4095, 4096, 4097, 262_143, 262_144, 262_145,
             16_777_215, 16_777_216, 1_073_741_824, 68_719_476_736,
@@ -741,7 +546,7 @@ mod tests {
 
     #[test]
     fn wheel_far_future_event_survives_cascades() {
-        let mut q = WheelQueue::new();
+        let mut q = EventQueue::new();
         let far = SimTime::from_micros(u64::MAX - 1);
         q.schedule(far, "far");
         for t in 0..200u64 {
@@ -760,7 +565,7 @@ mod tests {
     fn wheel_zero_delay_chain_stays_fifo() {
         // Scheduling at exactly `now` while draining the same tick must
         // append after the entries already pending at that tick.
-        let mut q = WheelQueue::new();
+        let mut q = EventQueue::new();
         let t = SimTime::from_micros(12345);
         q.schedule(t, 0);
         q.schedule(t, 1);
@@ -775,7 +580,7 @@ mod tests {
 
     #[test]
     fn wheel_peek_is_exact_across_levels() {
-        let mut q = WheelQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(5_000_000), "far");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(5_000_000)));
         q.schedule(SimTime::from_micros(70), "near");

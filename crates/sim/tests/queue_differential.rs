@@ -1,20 +1,107 @@
-//! Differential torture suite: the production timing wheel
-//! ([`spindown_sim::event::WheelQueue`]) must produce **bit-identical pop
-//! sequences** to the retained heap oracle
-//! ([`spindown_sim::event::baseline::EventQueue`]) on hundreds of seeded
+//! Differential torture suite: the timing wheel
+//! ([`spindown_sim::event::EventQueue`]) must produce **bit-identical pop
+//! sequences** to a plain `(time, seq)` binary heap on hundreds of seeded
 //! schedules — same `(time, payload)` stream, same `peek_time`, same
 //! `len`, same `now`, through interleaved schedule/pop traffic, rollover
 //! boundaries, far-future cross-level events, and clear-then-reuse.
 
-use spindown_sim::event::baseline::EventQueue as HeapQueue;
-use spindown_sim::event::WheelQueue;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use spindown_sim::event::{EventQueue, Scheduled};
 use spindown_sim::rng::SplitMix64;
 use spindown_sim::time::SimTime;
+
+/// The reference order: a max-heap inverted to pop the earliest time
+/// first and, among equal times, the lowest schedule sequence number.
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The heap event queue the wheel replaced, trimmed to the calls this
+/// suite makes. FIFO among equal times is bought with a per-entry
+/// counter, which `clear` rewinds.
+struct HeapQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
+    seq: u64,
+    watermark: SimTime,
+}
+
+impl<T> HeapQueue<T> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            watermark: SimTime::ZERO,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: T) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry { at, seq, payload });
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<T>> {
+        let e = self.heap.pop()?;
+        self.watermark = e.at;
+        Some(Scheduled {
+            at: e.at,
+            payload: e.payload,
+        })
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn now(&self) -> SimTime {
+        self.watermark
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+        self.watermark = SimTime::ZERO;
+    }
+}
 
 /// Both queues under lockstep: every operation is applied to both and
 /// every observable compared.
 struct Pair {
-    wheel: WheelQueue<u64>,
+    wheel: EventQueue<u64>,
     heap: HeapQueue<u64>,
     next_payload: u64,
 }
@@ -22,7 +109,7 @@ struct Pair {
 impl Pair {
     fn new() -> Self {
         Pair {
-            wheel: WheelQueue::new(),
+            wheel: EventQueue::new(),
             heap: HeapQueue::new(),
             next_payload: 0,
         }
@@ -123,8 +210,8 @@ fn run_schedule(seed: u64, ops: usize) {
 
 #[test]
 fn seeded_schedules_are_bit_identical() {
-    // 200+ seeded schedules as pinned by the tentpole: every pop sequence
-    // must match the heap oracle exactly.
+    // 200+ seeded schedules: every pop sequence must match the heap
+    // exactly.
     for seed in 0..220u64 {
         run_schedule(seed * 0x9E37_79B9 + 1, 1500);
     }
