@@ -649,7 +649,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             .planner
             .build_graph(&solver_fix.requests, &solver_fix.placement);
         let mut scratch = solvers::GreedyScratch::new();
-        let mut selected: Vec<spindown_graph::graph::NodeId> = Vec::new();
+        let mut selected: Vec<spindown_graph::NodeId> = Vec::new();
         #[cfg(feature = "bench-alloc")]
         let mut max_allocs_per_solve: u64 = 0;
         #[cfg(feature = "bench-alloc")]

@@ -23,15 +23,22 @@
 //! keeps the nearest [`MwisPlanner::max_successors`] successors per
 //! `(request, disk)` (default 3, configurable; tests use exhaustive
 //! settings on small instances).
+//!
+//! ### Conflict-graph storage
+//!
+//! Steps 1–2 emit every conflict edge exactly once into a flat edge
+//! arena that scatters straight into a frozen [`CsrGraph`]
+//! ([`ConflictGraph`]); Steps 3–4 read that graph and nothing else. The
+//! rolling-horizon [`WindowedPlanner`] keeps the same canonical CSR per
+//! window, staging each window's delta on a [`DeltaGraph`] and
+//! compacting it back before the solve.
 
 use spindown_disk::power::PowerParams;
 use spindown_sim::pool;
 use spindown_sim::time::SimTime;
 
-use spindown_graph::csr::CsrGraph;
-use spindown_graph::delta::DeltaGraph;
-use spindown_graph::graph::{Graph, GraphView, NodeId};
 use spindown_graph::mwis as solvers;
+use spindown_graph::{CsrGraph, DeltaGraph, NodeId};
 
 use crate::model::{Assignment, DiskId, Request};
 use crate::saving::SavingModel;
@@ -73,24 +80,18 @@ impl MwisSolver {
     }
 }
 
-/// A constructed Step 1/2 graph plus the metadata to interpret its nodes,
-/// generic over the graph storage backend.
+/// A constructed Step 1/2 graph plus the metadata to interpret its nodes.
 ///
-/// The production pipeline freezes the conflict graph into
-/// [`CsrGraph`] (see [`ConflictGraph`]); the incremental reference build
-/// keeps the mutable adjacency-list [`Graph`] as its oracle backend.
+/// The graph is frozen CSR, built once and solved many times — sorted
+/// flat adjacency gives the MWIS cascades contiguous neighbor scans and
+/// `has_edge` a binary search.
 #[derive(Debug)]
-pub struct ConflictGraphOn<G> {
+pub struct ConflictGraph {
     /// The node-weighted conflict graph.
-    pub graph: G,
+    pub graph: CsrGraph,
     /// Per node: the `(i, j, k)` triple it encodes.
     pub nodes: Vec<(u32, u32, DiskId)>,
 }
-
-/// The default conflict graph: CSR storage, built once and solved many
-/// times — sorted flat adjacency gives the MWIS cascades contiguous
-/// neighbor scans and `has_edge` a binary search.
-pub type ConflictGraph = ConflictGraphOn<CsrGraph>;
 
 /// Reusable working memory for repeated planner solves: the greedy
 /// engine's [`GreedyScratch`](solvers::GreedyScratch) plus the selection
@@ -203,10 +204,10 @@ impl MwisPlanner {
         }
     }
 
-    /// Step 1 shared by both graph builders: one node per candidate
-    /// saving `X(i,j,k) > 0`. Returns the node weights, the `(i, j, k)`
-    /// triple per node, and per-request buckets of touching nodes that
-    /// Step 2 scans for conflicts.
+    /// Serial Step 1: one node per candidate saving `X(i,j,k) > 0`.
+    /// Returns the node weights, the `(i, j, k)` triple per node, and
+    /// per-request buckets of touching nodes that Step 2 scans for
+    /// conflicts.
     #[allow(clippy::type_complexity)]
     fn step1_nodes(
         &self,
@@ -299,7 +300,7 @@ impl MwisPlanner {
     /// Step 2 conflict scan over one request bucket, reporting each edge
     /// through `emit` exactly once (the two-shared-request case is
     /// emitted from bucket `i` only). Shared verbatim by the serial
-    /// builder feed and the sharded edge-bucket producers.
+    /// edge arena and the sharded edge-bucket producers.
     fn step2_bucket(
         nodes: &[(u32, u32, DiskId)],
         r: usize,
@@ -341,11 +342,8 @@ impl MwisPlanner {
     /// `(u32, u32)` edge arena sized up front by a counting pass over the
     /// bucket sizes, and the arena scatters straight into CSR storage
     /// through [`CsrGraph::from_unique_edges`] — one exactly-reserved
-    /// neighbor allocation, no per-node `Vec` growth, no builder replay.
-    /// `O(E log d̄)` in the conflict count for the per-slice sorts. The
-    /// resulting graph encodes exactly the edge set produced by
-    /// [`build_graph_incremental`](MwisPlanner::build_graph_incremental),
-    /// with each neighbor slice sorted ascending.
+    /// neighbor allocation, no per-node `Vec` growth. `O(E log d̄)` in
+    /// the conflict count for the per-slice sorts.
     ///
     /// # Panics
     ///
@@ -385,12 +383,10 @@ impl MwisPlanner {
     /// [`CsrGraph::from_unique_edge_shards`], which walks them in
     /// shard-index order — the serial emission sequence — so the returned
     /// graph is **bit-identical** to `jobs = 1` for any worker count with
-    /// no intermediate merge or builder replay.
-    /// ([`GraphBuilder::merge_edge_shards`](spindown_graph::graph::GraphBuilder::merge_edge_shards)
-    /// remains the replay-based oracle for that equivalence.) `jobs <= 1`
-    /// takes the serial path and spawns nothing, as do builds smaller
-    /// than [`MIN_PARALLEL_BUILD_WORK`] candidate pairs — too little
-    /// work to amortize the pool spawns.
+    /// no intermediate merge. `jobs <= 1` takes the serial path and
+    /// spawns nothing, as do builds smaller than
+    /// [`MIN_PARALLEL_BUILD_WORK`] candidate pairs — too little work to
+    /// amortize the pool spawns.
     ///
     /// # Panics
     ///
@@ -427,47 +423,8 @@ impl MwisPlanner {
         }
     }
 
-    /// Reference Step 2 that grows the adjacency incrementally through
-    /// [`Graph::add_edge`], re-discovering two-shared-request conflicts
-    /// from both buckets and relying on `add_edge`'s per-insert linear
-    /// dedup scan — `O(E · d̄)` overall versus [`build_graph`]'s bulk
-    /// path. Produces the identical edge set on the mutable
-    /// adjacency-list backend (neighbor lists in insertion order, not
-    /// sorted); retained as the equivalence oracle and the benchmark
-    /// baseline.
-    ///
-    /// [`build_graph`]: MwisPlanner::build_graph
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `requests` is not time-sorted.
-    pub fn build_graph_incremental(
-        &self,
-        requests: &[Request],
-        placement: &dyn LocationProvider,
-    ) -> ConflictGraphOn<Graph> {
-        let (weights, nodes, touching) = self.step1_nodes(requests, placement);
-
-        let mut graph = Graph::with_weights(weights);
-        for bucket in &touching {
-            for (a_pos, &a) in bucket.iter().enumerate() {
-                let (ia, ja, ka) = nodes[a as usize];
-                for &b in &bucket[a_pos + 1..] {
-                    let (ib, jb, kb) = nodes[b as usize];
-                    if ia == ib || ja == jb || ka != kb {
-                        graph.add_edge(a, b);
-                    }
-                }
-            }
-        }
-
-        ConflictGraphOn { graph, nodes }
-    }
-
     /// Runs Step 3 on a built graph, returning the selected node ids.
-    /// Generic over the storage backend so the CSR production path and
-    /// the adjacency-list oracle run the same solver code.
-    pub fn solve<G: GraphView>(&self, cg: &ConflictGraphOn<G>) -> Vec<NodeId> {
+    pub fn solve(&self, cg: &ConflictGraph) -> Vec<NodeId> {
         let mut scratch = PlanScratch::new();
         self.solve_into(cg, &mut scratch);
         scratch.selected
@@ -479,15 +436,15 @@ impl MwisPlanner {
     /// one scratch allocate nothing for the greedy solvers. The scratch
     /// carries no state between solves — results are identical to a
     /// fresh [`solve`](MwisPlanner::solve) call.
-    pub fn solve_into<G: GraphView>(&self, cg: &ConflictGraphOn<G>, scratch: &mut PlanScratch) {
+    pub fn solve_into(&self, cg: &ConflictGraph, scratch: &mut PlanScratch) {
         self.solve_view_into(&cg.graph, scratch);
     }
 
-    /// [`solve_into`](MwisPlanner::solve_into) on a bare graph view —
-    /// the entry point for callers that hold the graph and its node
-    /// metadata separately, like the rolling-horizon
-    /// [`WindowedPlanner`] solving the compacted window graph in place.
-    pub fn solve_view_into<G: GraphView>(&self, graph: &G, scratch: &mut PlanScratch) {
+    /// [`solve_into`](MwisPlanner::solve_into) on a bare graph — the
+    /// entry point for callers that hold the graph and its node metadata
+    /// separately, like the rolling-horizon [`WindowedPlanner`] solving
+    /// the compacted window graph in place.
+    pub fn solve_view_into(&self, graph: &CsrGraph, scratch: &mut PlanScratch) {
         let PlanScratch { greedy, selected } = scratch;
         match self.solver {
             MwisSolver::GwMin => solvers::gwmin_into(graph, greedy, selected),
@@ -552,11 +509,11 @@ impl MwisPlanner {
     /// each selected node's request pair, and routes leftovers to their
     /// most-recently-used replica — so any two callers handing in the
     /// same graph, node table, and selection derive bit-identical plans.
-    pub fn derive_plan<G: GraphView>(
+    pub fn derive_plan(
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
-        graph: &G,
+        graph: &CsrGraph,
         nodes: &[(u32, u32, DiskId)],
         selected: &[NodeId],
     ) -> (Assignment, f64) {
@@ -941,10 +898,9 @@ impl WindowedPlanner {
                 victims.push(id as NodeId);
             }
         }
-        // Deferred form: the victims' entries linger in surviving
-        // adjacency lists (we never read overlay adjacency — the next
-        // compaction filters them), skipping an `O(E)` copy-on-write
-        // purge across nearly every survivor list.
+        // The victims' entries linger in surviving base slices until
+        // the next compaction filters them; nothing reads the overlay's
+        // adjacency in between.
         self.delta.tombstone_batch_deferred(&victims);
         self.stats.retired_nodes_total += victims.len() as u64;
 
@@ -1080,9 +1036,8 @@ impl WindowedPlanner {
         // conflicts iff the disks differ. Each edge stages once: a
         // new–new pair inside one family is claimed by its earlier
         // position, a new–new pred–succ pair by its pred-side entry.
-        // Deferred staging puts the edge on the appended endpoint only
-        // — no copy-on-write of survivor lists; compaction synthesizes
-        // the partner half.
+        // Staging puts the edge on the appended endpoint only;
+        // compaction synthesizes the partner half.
         let staged_before = self.delta.staged_edge_count();
         for &(r, p) in &new_entries_i {
             let preds = &bucket_i[r as usize];
@@ -1333,23 +1288,47 @@ mod tests {
     }
 
     #[test]
-    fn bulk_and_incremental_builds_agree_on_paper_instance() {
+    fn fig4_step2_conflict_edges() {
+        // Canonical (disk-major) node ids of the paper instance, in the
+        // paper's 1-based names: 0 = X(1,2,1), 1 = X(1,3,1),
+        // 2 = X(2,3,1), 3 = X(2,3,2), 4 = X(3,4,4), 5 = X(5,6,4).
+        // Energy constraint: 0-1 both claim r1's saving; 1-2 and 1-3 both
+        // end at r3; 2-3 claim the same pair on two disks. Schedule
+        // constraint: 0-3 (r2), 1-4, 2-4 and 3-4 (r3) pin a shared
+        // request to two disks. 0-2 chain on d1 (r2 ends one, starts
+        // the other) and X(5,6,4) shares no request.
         let (reqs, placement) = paper_instance();
-        let p = planner(MwisSolver::GwMin);
-        let bulk = p.build_graph(&reqs, &placement);
-        let incr = p.build_graph_incremental(&reqs, &placement);
-        assert_eq!(bulk.nodes, incr.nodes);
-        assert_eq!(bulk.graph.edge_count(), incr.graph.edge_count());
-        for v in 0..bulk.graph.len() as NodeId {
-            // CSR adjacency is sorted; the incremental oracle keeps
-            // insertion order — compare as sets.
-            let mut incr_nbrs = incr.graph.neighbors(v).to_vec();
-            incr_nbrs.sort_unstable();
-            assert_eq!(bulk.graph.neighbors(v), &incr_nbrs[..]);
-            assert_eq!(bulk.graph.weight(v), incr.graph.weight(v));
+        let cg = planner(MwisSolver::GwMin).build_graph(&reqs, &placement);
+        let d = DiskId;
+        let nodes = vec![
+            (0, 1, d(0)),
+            (0, 2, d(0)),
+            (1, 2, d(0)),
+            (1, 2, d(1)),
+            (2, 3, d(3)),
+            (4, 5, d(3)),
+        ];
+        assert_eq!(cg.nodes, nodes);
+        let edges = [
+            (0, 1),
+            (0, 3),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (2, 3),
+            (2, 4),
+            (3, 4),
+        ];
+        let mut got = Vec::new();
+        for v in 0..cg.graph.len() as NodeId {
+            let later = cg.graph.neighbors(v).iter().filter(|&&u| v < u);
+            got.extend(later.map(|&u| (v, u)));
         }
-        // Both backends drive the solver to the same selection.
-        assert_eq!(p.solve(&bulk), p.solve(&incr));
+        assert_eq!(got, edges);
+        assert_eq!(
+            cg.graph,
+            CsrGraph::from_unique_edges(vec![4.0, 2.0, 3.0, 3.0, 3.0, 4.0], &edges)
+        );
     }
 
     #[test]
@@ -1469,6 +1448,17 @@ mod tests {
         assert_eq!(first, again, "empty delta re-solves the same window");
         assert_eq!(w.stats().compactions, compactions, "no compaction paid");
         assert_eq!(w.stats().windows, 2);
+    }
+
+    #[test]
+    fn fresh_planner_empty_advance_reports_the_built_empty_graph() {
+        let (_, placement) = paper_instance();
+        let p = planner(MwisSolver::GwMin);
+        let mut w = WindowedPlanner::new(p.clone(), 4);
+        let (a, saving) = w.advance(&[], SimTime::from_secs(0), &placement);
+        assert!(a.is_empty());
+        assert_eq!(saving, 0.0);
+        assert_eq!(w.graph(), &p.build_graph(w.window(), &placement).graph);
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //! the claimed-saving `f64`, no tolerance).
 //!
 //! The suite slides 100+ windows across seeded traces spanning sparse
-//! to dense conflict structure and checks every window against *both*
-//! graph backends:
+//! to dense conflict structure and checks windows against two
+//! references:
 //!
-//! * the CSR production path (`build_graph` / `plan`) with exact
-//!   `PartialEq` on the graph and the plan, and
-//! * the mutable adjacency-list oracle (`build_graph_incremental`),
-//!   compared as an edge-set (per-node sorted neighbors, weights,
-//!   node table) and — on order-insensitive solvers — driven to the
-//!   same selection.
+//! * the from-scratch production path (`build_graph` / `plan`) on every
+//!   window, with exact `PartialEq` on the graph and the plan, and
+//! * on sampled windows, an all-pairs brute force over the maintained
+//!   node table that states the Step 2 conflict rule directly — no
+//!   request buckets, no Step 1 helpers — compared edge for edge.
 //!
 //! Special windows are exercised explicitly: empty deltas (no retire,
 //! no arrivals — must skip compaction), full turnover (every request
@@ -32,7 +31,7 @@ use spindown_core::model::Request;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::{MwisPlanner, MwisSolver, WindowedPlanner};
 use spindown_disk::power::PowerParams;
-use spindown_graph::graph::NodeId;
+use spindown_graph::NodeId;
 use spindown_sim::time::{SimDuration, SimTime};
 use spindown_trace::synth::arrivals::OnOffProcess;
 use spindown_trace::synth::{CelloLike, TraceGenerator};
@@ -155,7 +154,7 @@ fn rebase(window: &[Request]) -> Vec<Request> {
 }
 
 /// Checks one settled window against the from-scratch CSR oracle and
-/// (when `check_adj`) the mutable adjacency-list backend. The CSR graph
+/// (when `check_pairs`) the all-pairs Step 2 brute force. The CSR graph
 /// is built once and reused for the plan derivation — the same pipeline
 /// `MwisPlanner::plan` runs internally.
 #[allow(clippy::too_many_arguments)]
@@ -166,7 +165,7 @@ fn check_window(
     w: &WindowedPlanner,
     window: &[Request],
     got: &(spindown_core::model::Assignment, f64),
-    check_adj: bool,
+    check_pairs: bool,
     label: &str,
 ) {
     let ctx = format!("{} {label}", inst.name);
@@ -182,36 +181,29 @@ fn check_window(
     assert_eq!(got.0.disks, want_a.disks, "{ctx}: assignment");
     assert_eq!(got.1, want_s, "{ctx}: claimed saving (bitwise)");
 
-    if !check_adj {
+    if !check_pairs {
         return;
     }
-    // Adjacency-list backend: same node table, weights, and edge set
-    // (its neighbor lists are insertion-ordered — compare sorted).
-    // O(E · d̄) to build, so sampled rather than run on every window.
-    let adj = planner.build_graph_incremental(window, placement);
-    assert_eq!(w.node_table(), &adj.nodes[..], "{ctx}: adj node table");
-    assert_eq!(
-        w.graph().edge_count(),
-        adj.graph.edge_count(),
-        "{ctx}: adj edge count"
-    );
-    for v in 0..adj.graph.len() as NodeId {
-        let mut nbrs = adj.graph.neighbors(v).to_vec();
-        nbrs.sort_unstable();
-        assert_eq!(w.graph().neighbors(v), &nbrs[..], "{ctx}: adj nbrs of {v}");
-        assert_eq!(w.graph().weight(v), adj.graph.weight(v), "{ctx}: weight {v}");
+    // Step 2 by brute force over every node pair: two nodes conflict iff
+    // they share a request and claim the same earlier request, the same
+    // later request, or different disks. O(n²), so sampled rather than
+    // run on every window.
+    let nodes = w.node_table();
+    let mut want = Vec::new();
+    for (a, &(ia, ja, ka)) in nodes.iter().enumerate() {
+        for (b, &(ib, jb, kb)) in nodes.iter().enumerate().skip(a + 1) {
+            let share = ia == ib || ia == jb || ja == ib || ja == jb;
+            if share && (ia == ib || ja == jb || ka != kb) {
+                want.push((a as NodeId, b as NodeId));
+            }
+        }
     }
-    // GwMin's scores depend only on structure (weight / (degree + 1)),
-    // so both backends drive it to the identical selection; GwMin2
-    // accumulates neighbor weights in slice order, so cross-backend
-    // float identity is out of contract there.
-    if matches!(inst.solver, MwisSolver::GwMin) {
-        assert_eq!(
-            planner.solve(&oracle),
-            planner.solve(&adj),
-            "{ctx}: cross-backend selection"
-        );
+    let g = w.graph();
+    let mut edges = Vec::with_capacity(g.edge_count());
+    for v in 0..g.len() as NodeId {
+        edges.extend(g.neighbors(v).iter().filter(|&&u| v < u).map(|&u| (v, u)));
     }
+    assert_eq!(edges, want, "{ctx}: conflict edges vs all-pairs brute force");
 }
 
 /// Slides the full schedule over one instance, checking every window.

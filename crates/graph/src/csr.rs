@@ -1,43 +1,39 @@
 //! Compressed-sparse-row (CSR) graph storage.
 //!
-//! [`CsrGraph`] is the frozen counterpart of [`Graph`](crate::graph::Graph):
-//! the whole adjacency lives in two flat arrays (`offsets` + `neighbors`)
-//! instead of one heap-allocated `Vec` per node. That buys the MWIS
-//! solvers' deletion cascades contiguous, prefetch-friendly neighbor scans
-//! — the dominant cost at conflict-graph scale — and, because each node's
-//! neighbor slice is sorted ascending, an `O(log d)` binary-search
+//! [`CsrGraph`] is the crate's graph type: the whole adjacency lives in
+//! two flat arrays (`offsets` + `neighbors`) instead of one
+//! heap-allocated `Vec` per node. That buys the MWIS solvers' deletion
+//! cascades contiguous, prefetch-friendly neighbor scans — the dominant
+//! cost at conflict-graph scale — and, because each node's neighbor slice
+//! is sorted ascending, an `O(log d)` binary-search
 //! [`has_edge`](CsrGraph::has_edge).
 //!
-//! The layout is immutable by design: build it in one shot with
-//! [`GraphBuilder::finalize_csr`](crate::graph::GraphBuilder::finalize_csr)
-//! (the conflict-graph path) or snapshot an existing mutable graph with
-//! [`CsrGraph::from_graph`]. Anything that still needs `add_edge` after
-//! construction stays on [`Graph`](crate::graph::Graph), which remains the
-//! documented test oracle for this backend.
+//! The layout is immutable by design: build it in one shot from a list
+//! of unique edges with [`CsrGraph::from_unique_edges`] (or its sharded
+//! form, the parallel conflict-graph path). A graph that changes between
+//! solves goes through the [`DeltaGraph`](crate::delta::DeltaGraph)
+//! overlay, which stages the change and compacts back to a fresh
+//! `CsrGraph`.
 
-use crate::graph::{Graph, GraphView, NodeId};
+use crate::NodeId;
 
 /// An immutable node-weighted undirected graph in CSR layout.
 ///
 /// Node `v`'s neighbors occupy
 /// `neighbors[offsets[v] .. offsets[v + 1]]`, sorted ascending and
-/// deduplicated. Weights are indexed by node id, exactly as in
-/// [`Graph`](crate::graph::Graph).
+/// deduplicated. Weights are indexed by node id.
 ///
 /// # Examples
 ///
 /// ```
-/// use spindown_graph::graph::GraphBuilder;
+/// use spindown_graph::CsrGraph;
 ///
-/// let mut b = GraphBuilder::with_weights(vec![1.0, 2.0, 3.0]);
-/// b.add_edge(2, 0);
-/// b.add_edge(0, 1);
-/// let g = b.finalize_csr();
+/// let g = CsrGraph::from_unique_edges(vec![1.0, 2.0, 3.0], &[(2, 0), (0, 1)]);
 /// assert_eq!(g.neighbors(0), &[1, 2], "adjacency is sorted");
 /// assert!(g.has_edge(0, 2));
 /// assert_eq!(g.degree(0), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     weights: Vec<f64>,
     /// `n + 1` running half-edge counts; node `v` owns
@@ -48,46 +44,21 @@ pub struct CsrGraph {
     edges: usize,
 }
 
-impl CsrGraph {
-    /// Builds the CSR layout from per-node adjacency lists that may still
-    /// contain duplicates (both endpoints hold the duplicate, so the
-    /// sort + dedup per slice keeps the adjacency symmetric).
-    ///
-    /// Each list is deduplicated in place *before* the flat arrays are
-    /// allocated, so both are reserved to their exact final size — no
-    /// growth, no slack (debug builds assert capacity == length).
-    pub(crate) fn from_lists(weights: Vec<f64>, mut adj: Vec<Vec<NodeId>>) -> CsrGraph {
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let half: usize = adj.iter().map(Vec::len).sum();
-        assert!(
-            half <= u32::MAX as usize,
-            "CSR offsets are u32: {half} half-edges exceed u32::MAX"
-        );
-        let mut offsets = Vec::with_capacity(weights.len() + 1);
-        let mut neighbors: Vec<NodeId> = Vec::with_capacity(half);
-        offsets.push(0);
-        for list in &adj {
-            neighbors.extend_from_slice(list);
-            offsets.push(neighbors.len() as u32);
-        }
-        debug_assert_eq!(
-            neighbors.capacity(),
-            neighbors.len(),
-            "neighbor arena must be exactly reserved"
-        );
-        debug_assert_eq!(offsets.capacity(), offsets.len());
-        let edges = neighbors.len() / 2;
+/// The empty graph, laid out exactly as every built empty graph is
+/// (`offsets == [0]`), so it compares equal to
+/// `CsrGraph::from_unique_edges(vec![], &[])`.
+impl Default for CsrGraph {
+    fn default() -> Self {
         CsrGraph {
-            weights,
-            offsets,
-            neighbors,
-            edges,
+            weights: Vec::new(),
+            offsets: vec![0],
+            neighbors: Vec::new(),
+            edges: 0,
         }
     }
+}
 
+impl CsrGraph {
     /// Builds the CSR layout from a flat arena of **unique** undirected
     /// edge records in one counting pass plus one ordered scatter:
     /// degrees are counted, offsets prefix-summed, and every half-edge
@@ -100,8 +71,7 @@ impl CsrGraph {
     /// appears exactly once, in either orientation) — the conflict-graph
     /// build emits every pair exactly once by construction. Debug builds
     /// verify the guarantee after sorting and panic on a duplicate;
-    /// release builds trust the caller. Self-loops are skipped, matching
-    /// [`GraphBuilder`](crate::graph::GraphBuilder) insertion.
+    /// release builds trust the caller. Self-loops are skipped.
     ///
     /// # Panics
     ///
@@ -116,13 +86,7 @@ impl CsrGraph {
     /// walks the shards in index order and the scatter lands every record
     /// directly in its endpoint slices, so the result is bit-identical to
     /// feeding the concatenated shards through the serial constructor —
-    /// without ever materializing the concatenation. This is the
-    /// single-allocation replacement for the merge-into-builder-and-replay
-    /// path ([`GraphBuilder::merge_edge_shards`]), which is retained as
-    /// the differential oracle.
-    ///
-    /// [`GraphBuilder::merge_edge_shards`]:
-    ///     crate::graph::GraphBuilder::merge_edge_shards
+    /// without ever materializing the concatenation.
     pub fn from_unique_edge_shards<S: AsRef<[(NodeId, NodeId)]>>(
         weights: Vec<f64>,
         shards: &[S],
@@ -246,32 +210,6 @@ impl CsrGraph {
         (self.weights, self.offsets, self.neighbors)
     }
 
-    /// Snapshots a mutable [`Graph`] into the CSR layout (adjacency gets
-    /// sorted; the graph's lists are already deduplicated).
-    pub fn from_graph(g: &Graph) -> CsrGraph {
-        let n = g.len();
-        let half: usize = 2 * g.edge_count();
-        assert!(
-            half <= u32::MAX as usize,
-            "CSR offsets are u32: {half} half-edges exceed u32::MAX"
-        );
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors: Vec<NodeId> = Vec::with_capacity(half);
-        offsets.push(0);
-        for v in 0..n {
-            let start = neighbors.len();
-            neighbors.extend_from_slice(g.neighbors(v as NodeId));
-            neighbors[start..].sort_unstable();
-            offsets.push(neighbors.len() as u32);
-        }
-        CsrGraph {
-            weights: g.weights().to_vec(),
-            offsets,
-            neighbors,
-            edges: g.edge_count(),
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.weights.len()
@@ -348,81 +286,42 @@ impl CsrGraph {
     }
 }
 
-impl GraphView for CsrGraph {
-    fn len(&self) -> usize {
-        CsrGraph::len(self)
-    }
-
-    fn weight(&self, v: NodeId) -> f64 {
-        CsrGraph::weight(self, v)
-    }
-
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        CsrGraph::neighbors(self, v)
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        CsrGraph::degree(self, v)
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        CsrGraph::has_edge(self, u, v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
 
     #[test]
-    fn finalize_csr_sorts_and_dedups() {
-        let mut b = GraphBuilder::with_weights(vec![1.0, 2.0, 3.0, 4.0]);
-        b.add_edge(3, 0);
-        b.add_edge(0, 1);
-        b.add_edge(1, 0); // duplicate, reversed
-        b.add_edge(2, 2); // self-loop: dropped at insert
-        b.add_edge(2, 0);
-        let g = b.finalize_csr();
+    fn from_unique_edges_sorts_and_skips_self_loops() {
+        let g = CsrGraph::from_unique_edges(
+            vec![1.0, 2.0, 3.0, 4.0],
+            &[(3, 0), (1, 0), (2, 2), (2, 0)],
+        );
         assert_eq!(g.len(), 4);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.edge_count(), 3, "self-loop skipped");
         assert_eq!(g.neighbors(0), &[1, 2, 3]);
         assert_eq!(g.neighbors(1), &[0]);
         assert_eq!(g.neighbors(2), &[0]);
+        assert_eq!(g.neighbors(3), &[0]);
         assert_eq!(g.degree(0), 3);
         assert!(g.has_edge(0, 3) && g.has_edge(3, 0));
         assert!(!g.has_edge(1, 2));
         assert_eq!(g.weight(3), 4.0);
         assert_eq!(g.total_weight(), 10.0);
         assert_eq!(g.set_weight_sum(&[1, 3]), 6.0);
-    }
-
-    #[test]
-    fn from_graph_matches_source() {
-        let mut g = Graph::with_weights(vec![1.0, 2.0, 3.0]);
-        g.add_edge(2, 0);
-        g.add_edge(0, 1);
-        let c = CsrGraph::from_graph(&g);
-        assert_eq!(c.len(), g.len());
-        assert_eq!(c.edge_count(), g.edge_count());
-        assert_eq!(c.neighbors(0), &[1, 2], "snapshot sorts the adjacency");
-        for v in 0..3u32 {
-            assert_eq!(c.degree(v), g.degree(v));
-            assert_eq!(c.weight(v), g.weight(v));
-            for u in 0..3u32 {
-                assert_eq!(c.has_edge(u, v), g.has_edge(u, v), "({u},{v})");
-            }
-        }
+        let (weights, offsets, neighbors) = g.into_parts();
+        assert_eq!(weights, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(offsets, vec![0, 3, 4, 5, 6]);
+        assert_eq!(neighbors, vec![1, 2, 3, 0, 0, 0]);
     }
 
     #[test]
     fn empty_and_isolated() {
-        let empty = GraphBuilder::new(0).finalize_csr();
+        let empty = CsrGraph::from_unique_edges(Vec::new(), &[]);
         assert!(empty.is_empty());
         assert_eq!(empty.edge_count(), 0);
         assert!(empty.is_independent_set(&[]));
 
-        let iso = GraphBuilder::new(3).finalize_csr();
+        let iso = CsrGraph::from_unique_edges(vec![1.0; 3], &[]);
         assert_eq!(iso.len(), 3);
         assert_eq!(iso.degree(1), 0);
         assert!(iso.neighbors(1).is_empty());
@@ -430,17 +329,12 @@ mod tests {
     }
 
     #[test]
-    fn from_unique_edges_matches_builder() {
-        let weights = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let edges = [(3u32, 0u32), (0, 1), (2, 0), (4, 1), (2, 2), (3, 4)];
-        let mut b = GraphBuilder::with_weights(weights.clone());
-        for &(u, v) in &edges {
-            b.add_edge(u, v);
-        }
-        let oracle = b.finalize_csr();
-        let arena = CsrGraph::from_unique_edges(weights, &edges);
-        assert_eq!(arena, oracle, "arena scatter must equal the builder path");
-        assert_eq!(arena.edge_count(), 5, "self-loop skipped");
+    fn default_is_the_built_empty_graph() {
+        assert_eq!(
+            CsrGraph::default(),
+            CsrGraph::from_unique_edges(vec![], &[])
+        );
+        assert_eq!(CsrGraph::default().into_parts().1, vec![0]);
     }
 
     #[test]
@@ -473,10 +367,7 @@ mod tests {
 
     #[test]
     fn independent_set_checks() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(2, 3);
-        let g = b.finalize_csr();
+        let g = CsrGraph::from_unique_edges(vec![1.0; 4], &[(0, 1), (2, 3)]);
         assert!(g.is_independent_set(&[0, 2]));
         assert!(!g.is_independent_set(&[0, 1]));
         assert!(!g.is_independent_set(&[0, 0]), "duplicates rejected");

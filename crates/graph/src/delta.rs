@@ -1,43 +1,43 @@
-//! Delta overlay over a frozen [`CsrGraph`]: tombstones + appends.
+//! Delta overlay over a frozen [`CsrGraph`]: deferred tombstones +
+//! appends.
 //!
 //! The rolling-horizon planner (ROADMAP) advances a sliding window every
 //! few seconds; between two consecutive windows only a small fraction of
 //! conflict-graph nodes retire and arrive, yet [`CsrGraph`] is immutable
-//! by design. [`DeltaGraph`] closes that gap: it wraps a base CSR graph
-//! and applies a node/edge delta on top —
+//! by design. [`DeltaGraph`] stages that delta on top of a base CSR
+//! graph and flattens it back:
 //!
-//! * **tombstones** mark retired base nodes dead ([`tombstone`]); the
-//!   dying node is removed from every live neighbor's adjacency via
-//!   copy-on-write patch lists, so live views never see a dead neighbor;
+//! * **tombstones** ([`tombstone_batch_deferred`]) mark retired nodes
+//!   dead and fix the live edge count by walking only the victims' own
+//!   adjacency; their entries linger in surviving slices until
+//!   compaction filters them;
 //! * **appends** stage arriving nodes ([`append_node`]) and their edges
-//!   ([`add_edge`]) past the base id space;
-//! * **compaction** ([`compact`]) flattens the overlay back into a plain
+//!   ([`add_edge_deferred`]) past the base id space, each edge recorded
+//!   on its appended endpoint only — compaction synthesizes the partner
+//!   half, so staging never copies a survivor's slice;
+//! * **compaction** ([`compact`]) flattens the overlay into a plain
 //!   [`CsrGraph`] under a caller-chosen live-node ordering, writing the
-//!   final offset/neighbor arenas in one exactly-reserved pass and
-//!   sorting only the slices the delta actually disturbed.
+//!   final offset/neighbor arenas in one exactly-reserved pass.
 //!
-//! The overlay implements [`GraphView`], so every MWIS solver runs on it
-//! unchanged: a dead node presents as an isolated node of weight `0.0`
-//! (it can never contribute weight to a solution, and its absence of
-//! edges keeps independence checks exact). Production solves still run
-//! on the compacted CSR — the overlay's job is to make *applying* a
-//! window delta cheap and to batch several advances between solves; the
-//! compaction policy (when to flatten) belongs to the caller, and the
-//! windowed planner compacts whenever the overlay [`is_dirty`] before a
-//! solve.
+//! The overlay answers no adjacency queries, so nothing observes the
+//! lingering dead entries or the missing partner halves before
+//! compaction. Within one overlay generation every tombstone precedes
+//! every staged edge (asserted). The compaction policy (when to flatten)
+//! belongs to the caller; the windowed planner compacts whenever the
+//! overlay [`is_dirty`] before a solve.
 //!
-//! [`tombstone`]: DeltaGraph::tombstone
+//! [`tombstone_batch_deferred`]: DeltaGraph::tombstone_batch_deferred
 //! [`append_node`]: DeltaGraph::append_node
-//! [`add_edge`]: DeltaGraph::add_edge
+//! [`add_edge_deferred`]: DeltaGraph::add_edge_deferred
 //! [`compact`]: DeltaGraph::compact
 //! [`is_dirty`]: DeltaGraph::is_dirty
 
 use crate::csr::CsrGraph;
-use crate::graph::{GraphView, NodeId};
+use crate::NodeId;
 
-/// A [`CsrGraph`] plus a mutation overlay: tombstoned base nodes,
-/// appended nodes, and edges incident to the appends, flattened back to
-/// CSR by [`compact`](DeltaGraph::compact).
+/// A [`CsrGraph`] plus a staged delta: tombstoned nodes, appended nodes,
+/// and edges incident to the appends, flattened back to CSR by
+/// [`compact`](DeltaGraph::compact).
 ///
 /// Node ids: `0..base.len()` address base nodes, `base.len()..len()`
 /// address appended nodes, in append order. Ids are stable for the
@@ -46,18 +46,16 @@ use crate::graph::{GraphView, NodeId};
 /// # Examples
 ///
 /// ```
-/// use spindown_graph::csr::CsrGraph;
-/// use spindown_graph::delta::DeltaGraph;
-/// use spindown_graph::graph::GraphView;
+/// use spindown_graph::{CsrGraph, DeltaGraph};
 ///
 /// // Base: 0 — 1 (weights 1, 2).
 /// let base = CsrGraph::from_unique_edges(vec![1.0, 2.0], &[(0, 1)]);
 /// let mut d = DeltaGraph::new(base);
-/// d.tombstone(0);
+/// d.tombstone_batch_deferred(&[0]);
 /// let v = d.append_node(5.0);
-/// d.add_edge(1, v);
+/// d.add_edge_deferred(v, 1);
 /// assert_eq!(d.live_len(), 2);
-/// assert_eq!(d.neighbors(1), &[v], "patched: dead 0 gone, new 2 present");
+/// assert_eq!(d.edge_count(), 1, "0-1 died with 0; 1-2 is staged");
 /// let (csr, map) = d.compact(&[1, v]);
 /// assert_eq!(csr.len(), 2);
 /// assert!(csr.has_edge(0, 1));
@@ -69,32 +67,13 @@ pub struct DeltaGraph {
     /// Liveness per id (base + appended).
     dead: Vec<bool>,
     dead_count: usize,
-    /// Copy-on-write adjacency overrides for base nodes. `Some` once a
-    /// base node's neighborhood diverges from the base slice (a neighbor
-    /// died, or an appended edge arrived). Invariant: an unpatched live
-    /// base node has no dead neighbors — eager tombstoning patches every
-    /// surviving neighbor of the dying node — *except* for nodes killed
-    /// through the deferred form (counted by `deferred_dead`), whose
-    /// entries linger in live lists until compaction filters them.
-    patched: Vec<Option<Vec<NodeId>>>,
-    /// `true` while the node's live adjacency slice is ascending (base
-    /// slices start sorted; removals preserve order; appends past the
-    /// maximum preserve it too, anything else clears the flag and
-    /// compaction re-sorts that slice).
-    sorted: Vec<bool>,
     appended_weights: Vec<f64>,
+    /// Staged edges per appended node, stored on the appended endpoint
+    /// only; compaction synthesizes the symmetric entries.
     appended_adj: Vec<Vec<NodeId>>,
-    /// Tombstones whose adjacency purge was deferred to compaction.
-    deferred_dead: usize,
-    /// Edges staged through the deferred form, stored on their appended
-    /// endpoint only; compaction synthesizes the symmetric entries.
-    deferred_edges: usize,
-    /// Eagerly staged edges incident to an appended node — the two
-    /// staging modes must not mix within one overlay generation.
-    eager_appended_edges: usize,
     /// Live undirected edge count across base + overlay.
     edges: usize,
-    /// Edges added through the overlay (for dirtiness/stats).
+    /// Edges staged through the overlay.
     staged_edges: usize,
 }
 
@@ -107,13 +86,8 @@ impl DeltaGraph {
             base,
             dead: vec![false; n],
             dead_count: 0,
-            patched: vec![None; n],
-            sorted: vec![true; n],
             appended_weights: Vec::new(),
             appended_adj: Vec::new(),
-            deferred_dead: 0,
-            deferred_edges: 0,
-            eager_appended_edges: 0,
             edges,
             staged_edges: 0,
         }
@@ -170,9 +144,11 @@ impl DeltaGraph {
 
     /// `true` once any delta has been applied — the signal the windowed
     /// planner uses to decide whether a solve needs a fresh compaction
-    /// or can reuse the base graph as-is (the empty-delta window).
+    /// or can reuse the base graph as-is (the empty-delta window). A
+    /// staged edge always has an appended endpoint, so tombstones and
+    /// appends cover every delta.
     pub fn is_dirty(&self) -> bool {
-        self.dead_count > 0 || !self.appended_weights.is_empty() || self.staged_edges > 0
+        self.dead_count > 0 || !self.appended_weights.is_empty()
     }
 
     /// `true` if `v` is tombstoned.
@@ -180,155 +156,33 @@ impl DeltaGraph {
         self.dead[v as usize]
     }
 
-    /// The live adjacency of `v`: the patch list when the overlay has
-    /// diverged, the base slice otherwise, the staged list for appended
-    /// nodes, empty for the dead.
+    /// `v`'s stored adjacency regardless of liveness: the base slice
+    /// (which may still name nodes tombstoned since the base was built)
+    /// or, for an appended node, its staged edges.
     fn adj(&self, v: NodeId) -> &[NodeId] {
         let vi = v as usize;
-        if self.dead[vi] {
-            return &[];
-        }
         let n = self.base.len();
         if vi >= n {
-            return &self.appended_adj[vi - n];
-        }
-        match &self.patched[vi] {
-            Some(list) => list,
-            None => self.base.neighbors(v),
-        }
-    }
-
-    /// Mutable access to `v`'s owned adjacency, materializing the
-    /// copy-on-write patch for a base node on first touch.
-    fn adj_mut(&mut self, v: NodeId) -> &mut Vec<NodeId> {
-        let vi = v as usize;
-        let n = self.base.len();
-        if vi >= n {
-            return &mut self.appended_adj[vi - n];
-        }
-        if self.patched[vi].is_none() {
-            self.patched[vi] = Some(self.base.neighbors(v).to_vec());
-        }
-        self.patched[vi].as_mut().expect("just materialized")
-    }
-
-    /// `v`'s stored adjacency regardless of liveness — the patch list,
-    /// the staged list for appended nodes, or the base slice.
-    fn raw_adj(&self, v: NodeId) -> &[NodeId] {
-        let vi = v as usize;
-        let n = self.base.len();
-        if vi >= n {
-            return &self.appended_adj[vi - n];
-        }
-        match &self.patched[vi] {
-            Some(list) => list,
-            None => self.base.neighbors(v),
-        }
-    }
-
-    /// Tombstones `v`: removes it from every live neighbor's adjacency
-    /// (copy-on-write for base neighbors) and marks it dead. `O(deg(v))`
-    /// removals, each `O(deg(u))` in the worst case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or already dead.
-    pub fn tombstone(&mut self, v: NodeId) {
-        self.tombstone_batch(std::slice::from_ref(&v));
-    }
-
-    /// Tombstones every node in `victims` at once. Equivalent to
-    /// [`tombstone`](DeltaGraph::tombstone) in a loop but marks the
-    /// whole batch dead *before* patching any adjacency, so a victim is
-    /// never removed from another victim's list — a window retirement
-    /// tombstones a dense cluster of mutually-conflicting nodes, and the
-    /// batch form pays only for the boundary edges into the survivors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any victim is out of range, already dead, or repeated.
-    pub fn tombstone_batch(&mut self, victims: &[NodeId]) {
-        assert_eq!(
-            self.deferred_edges, 0,
-            "tombstone before staging deferred edges: a deferred edge is \
-             invisible from its unlisted endpoint"
-        );
-        for &v in victims {
-            assert!((v as usize) < self.len(), "tombstone: node out of range");
-            assert!(!self.dead[v as usize], "tombstone: node already dead");
-            self.dead[v as usize] = true;
-        }
-        self.dead_count += victims.len();
-        for &v in victims {
-            // `adj` answers `&[]` for dead nodes, so read the victim's
-            // pre-death adjacency from its underlying storage directly.
-            let vi = v as usize;
-            let n = self.base.len();
-            let nbrs: Vec<NodeId> = if vi >= n {
-                std::mem::take(&mut self.appended_adj[vi - n])
-            } else {
-                match self.patched[vi].take() {
-                    Some(list) => list,
-                    None => self.base.neighbors(v).to_vec(),
-                }
-            };
-            for &u in &nbrs {
-                if self.dead[u as usize] {
-                    // The co-victim with the larger id owns the edge
-                    // decrement so each intra-batch edge counts once.
-                    if v > u {
-                        self.edges -= 1;
-                    }
-                    continue;
-                }
-                self.edges -= 1;
-                let sorted = self.sorted[u as usize];
-                let list = self.adj_mut(u);
-                let pos = if sorted {
-                    list.binary_search(&v).ok()
-                } else {
-                    list.iter().position(|&x| x == v)
-                };
-                let pos = pos.expect("adjacency must be symmetric");
-                // Removal preserves relative order (and thus sortedness).
-                list.remove(pos);
-            }
-            // Release the dead node's owned storage; views answer via
-            // `dead`.
-            if vi >= n {
-                self.appended_adj[vi - n] = Vec::new();
-            } else {
-                self.patched[vi] = Some(Vec::new());
-            }
-            self.sorted[vi] = true;
+            &self.appended_adj[vi - n]
+        } else {
+            self.base.neighbors(v)
         }
     }
 
     /// Tombstones every node in `victims` *without* purging them from
-    /// surviving neighbors' adjacency lists — the dead entries linger
-    /// until the next [`compact`](DeltaGraph::compact), which filters
-    /// them while remapping. The eager batch form pays copy-on-write
-    /// list surgery on every survivor adjacent to the batch — retiring a
-    /// window prefix makes that nearly `O(E)` on top of compaction's own
-    /// pass — while this form pays only `O(Σ deg(v))` over the victims
-    /// to keep the edge count exact.
-    ///
-    /// Until that compaction, [`GraphView::neighbors`] on a live node
-    /// may still report tombstoned ids. [`has_edge`](DeltaGraph::has_edge)
-    /// (dead endpoints short-circuit), [`weight`](DeltaGraph::weight),
-    /// [`append_node`](DeltaGraph::append_node),
-    /// [`add_edge`](DeltaGraph::add_edge),
-    /// [`edge_count`](DeltaGraph::edge_count) and
-    /// [`compact`](DeltaGraph::compact) all stay exact; a caller that
-    /// *solves* on the overlay between tombstone and compaction must use
-    /// [`tombstone_batch`](DeltaGraph::tombstone_batch) instead.
+    /// surviving neighbors' slices — the dead entries linger until the
+    /// next [`compact`](DeltaGraph::compact), which filters them while
+    /// remapping. Costs `O(Σ deg(v))` over the victims, spent keeping
+    /// the edge count exact; surviving slices are never touched.
     ///
     /// # Panics
     ///
-    /// Panics if any victim is out of range, already dead, or repeated.
+    /// Panics if any victim is out of range, already dead, or repeated,
+    /// or if an edge was already staged in this overlay generation (its
+    /// endpoints must outlive the next compaction).
     pub fn tombstone_batch_deferred(&mut self, victims: &[NodeId]) {
         assert_eq!(
-            self.deferred_edges, 0,
+            self.staged_edges, 0,
             "tombstone before staging deferred edges: a deferred edge is \
              invisible from its unlisted endpoint"
         );
@@ -338,19 +192,18 @@ impl DeltaGraph {
             self.dead[v as usize] = true;
         }
         self.dead_count += victims.len();
-        self.deferred_dead += victims.len();
         // Fix the live edge count: every victim edge dies exactly once.
         // An edge to a co-victim is seen from both ends — the larger id
         // owns the decrement; an edge to a node dead *before* this batch
-        // was already decremented when that node died (its entry can
-        // still sit in the victim's list if that death was deferred).
+        // was already decremented when that node died (its entry still
+        // sits in the victim's slice).
         let mut in_batch = vec![false; self.len()];
         for &v in victims {
             in_batch[v as usize] = true;
         }
         let mut killed = 0usize;
         for &v in victims {
-            for &u in self.raw_adj(v) {
+            for &u in self.adj(v) {
                 if in_batch[u as usize] {
                     if v > u {
                         killed += 1;
@@ -370,73 +223,21 @@ impl DeltaGraph {
         self.appended_weights.push(weight);
         self.appended_adj.push(Vec::new());
         self.dead.push(false);
-        self.sorted.push(true);
         id
-    }
-
-    /// Stages the undirected edge `{u, v}` between two live nodes. The
-    /// caller guarantees the edge is new — the conflict-graph delta emits
-    /// every conflict pair exactly once by construction; debug builds
-    /// verify and panic on a duplicate. Appending past a list's maximum
-    /// keeps it sorted; any other insertion flags the slice for the
-    /// compaction re-sort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range, dead, or `u == v`; debug
-    /// builds also panic when the edge already exists.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(
-            (u as usize) < self.len() && (v as usize) < self.len(),
-            "add_edge: endpoint out of range"
-        );
-        assert!(u != v, "add_edge: self-loop");
-        assert!(
-            !self.dead[u as usize] && !self.dead[v as usize],
-            "add_edge: dead endpoint"
-        );
-        debug_assert!(!self.has_edge(u, v), "add_edge: duplicate edge ({u}, {v})");
-        let n = self.base.len();
-        if (u as usize) >= n || (v as usize) >= n {
-            assert_eq!(
-                self.deferred_edges, 0,
-                "add_edge: cannot mix eager and deferred staging on appended nodes"
-            );
-            self.eager_appended_edges += 1;
-        }
-        for (a, b) in [(u, v), (v, u)] {
-            let sorted = self.sorted[a as usize];
-            let list = self.adj_mut(a);
-            let keeps_order = sorted && list.last().is_none_or(|&l| l < b);
-            list.push(b);
-            self.sorted[a as usize] = keeps_order;
-        }
-        self.edges += 1;
-        self.staged_edges += 1;
     }
 
     /// Stages the undirected edge `{x, v}` where `x` is an *appended*
     /// node, recording it on `x`'s list only — the symmetric entry on
     /// `v` (often a base node with a large adjacency) is synthesized
-    /// during [`compact`](DeltaGraph::compact). This keeps staging
-    /// `O(1)` with no copy-on-write materialization of survivor lists,
-    /// the dominant cost of eager staging when a dense delta touches
-    /// most of the graph's slices.
-    ///
-    /// Until compaction, `neighbors(v)` omits the staged edge and
-    /// [`has_edge`](DeltaGraph::has_edge) may miss it (it sees only
-    /// whichever endpoint's list it searches) — a caller that reads the
-    /// overlay between staging and compaction must use
-    /// [`add_edge`](DeltaGraph::add_edge) instead. The two staging
-    /// modes must not mix on appended endpoints within one overlay
-    /// generation, and deferred-staged endpoints must not be tombstoned
-    /// before compaction (both are asserted).
+    /// during [`compact`](DeltaGraph::compact), so staging is `O(1)`.
+    /// The caller guarantees the edge is new — the conflict-graph delta
+    /// emits every conflict pair exactly once by construction; debug
+    /// builds verify and panic on a duplicate.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not a live appended node, `v` is dead or out of
-    /// range, `x == v`, or an appended-incident edge was already staged
-    /// eagerly; debug builds also panic on a duplicate.
+    /// range, or `x == v`; debug builds also panic on a duplicate.
     pub fn add_edge_deferred(&mut self, x: NodeId, v: NodeId) {
         let n = self.base.len();
         let xi = x as usize;
@@ -453,44 +254,17 @@ impl DeltaGraph {
             !self.dead[xi] && !self.dead[v as usize],
             "add_edge_deferred: dead endpoint"
         );
-        assert_eq!(
-            self.eager_appended_edges, 0,
-            "add_edge_deferred: cannot mix eager and deferred staging on appended nodes"
-        );
         debug_assert!(
-            !self.raw_adj(x).contains(&v) && !self.raw_adj(v).contains(&x),
+            !self.adj(x).contains(&v) && !self.adj(v).contains(&x),
             "add_edge_deferred: duplicate edge ({x}, {v})"
         );
-        let keeps = self.sorted[xi] && self.appended_adj[xi - n].last().is_none_or(|&l| l < v);
         self.appended_adj[xi - n].push(v);
-        self.sorted[xi] = keeps;
         self.edges += 1;
         self.staged_edges += 1;
-        self.deferred_edges += 1;
-    }
-
-    /// `true` if the live edge `{u, v}` exists — binary search on sorted
-    /// slices, linear scan on slices an out-of-order append disturbed.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if self.dead[u as usize] || self.dead[v as usize] {
-            return false;
-        }
-        let (a, b) = if self.adj(u).len() <= self.adj(v).len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let list = self.adj(a);
-        if self.sorted[a as usize] {
-            list.binary_search(&b).is_ok()
-        } else {
-            list.contains(&b)
-        }
     }
 
     /// Weight of `v`: its base or appended weight while live, `0.0` once
-    /// tombstoned (the [`GraphView`] convention — a dead node can never
-    /// add weight to a solution).
+    /// tombstoned (a retired node carries no saving).
     pub fn weight(&self, v: NodeId) -> f64 {
         let vi = v as usize;
         if self.dead[vi] {
@@ -513,12 +287,13 @@ impl DeltaGraph {
     /// Returns the compacted graph and the id map: `map[old] = new` for
     /// live nodes, [`TOMBSTONED`] for dead ones.
     ///
-    /// One counting pass sizes the offset/neighbor arenas exactly; each
-    /// node's live adjacency is remapped and written straight into its
-    /// final slot, and only slices that come out non-ascending (an
-    /// out-of-order append, or a remap that reordered ids) pay a sort —
-    /// untouched survivor slices are a pure remap-and-copy. `O(n + E)`
-    /// plus the disturbed-slice sorts.
+    /// One counting pass sizes the offset/neighbor arenas; each node's
+    /// live adjacency is remapped, merged with its synthesized partner
+    /// halves and written straight into its final slot, and only slices
+    /// that come out non-ascending (a remap that reordered ids, or an
+    /// appended node whose edges were staged out of id order) pay a
+    /// sort — untouched survivor slices are a pure remap-and-copy.
+    /// `O(n + E)` plus the disturbed-slice sorts.
     ///
     /// # Panics
     ///
@@ -560,36 +335,39 @@ impl DeltaGraph {
             map[v as usize] = pos as NodeId;
         }
 
-        // Synthesize the symmetric halves of deferred-staged edges: a
-        // deferred edge sits only on its appended endpoint `x`, so the
-        // partner `u` owes one extra entry `map[x]`. One counting pass
-        // sizes a per-node extras arena; the fill pass walks appended
-        // nodes in id order, which is ascending under any monotone
-        // `order` the planner passes — each node's extras run then
-        // merges into its remapped slice without a sort.
+        // Synthesize the symmetric halves of staged edges: a staged edge
+        // sits only on its appended endpoint `x`, so the partner `u`
+        // owes one extra entry `map[x]`. One counting pass sizes a
+        // per-node extras arena; the fill pass walks appended nodes in
+        // id order, which is ascending under any monotone `order` the
+        // planner passes — each node's extras run then merges into its
+        // remapped slice without a sort.
+        let n_base = self.base.len();
         let mut extra_off: Vec<u32> = Vec::new();
         let mut extra_vals: Vec<NodeId> = Vec::new();
-        if self.deferred_edges > 0 {
-            let n = self.base.len();
+        if self.staged_edges > 0 {
             extra_off = vec![0u32; order.len() + 1];
             for (ai, list) in self.appended_adj.iter().enumerate() {
                 debug_assert!(
-                    !self.dead[n + ai],
-                    "deferred-staged endpoints must outlive compaction"
+                    list.is_empty() || !self.dead[n_base + ai],
+                    "staged-edge endpoints must outlive compaction"
                 );
                 for &u in list {
                     let cu = map[u as usize];
-                    debug_assert!(cu != TOMBSTONED, "deferred edge endpoint died before compaction");
+                    debug_assert!(
+                        cu != TOMBSTONED,
+                        "staged edge endpoint died before compaction"
+                    );
                     extra_off[cu as usize + 1] += 1;
                 }
             }
             for i in 1..extra_off.len() {
                 extra_off[i] += extra_off[i - 1];
             }
-            extra_vals = vec![0 as NodeId; self.deferred_edges];
+            extra_vals = vec![0 as NodeId; self.staged_edges];
             let mut cursor: Vec<u32> = extra_off[..order.len()].to_vec();
             for (ai, list) in self.appended_adj.iter().enumerate() {
-                let cx = map[n + ai];
+                let cx = map[n_base + ai];
                 for &u in list {
                     let cu = map[u as usize] as usize;
                     extra_vals[cursor[cu] as usize] = cx;
@@ -599,12 +377,12 @@ impl DeltaGraph {
         }
 
         // Monotonicity prechecks, O(n) each. When the remap preserves id
-        // order on surviving base nodes, every unpatched base slice —
-        // already ascending in the CSR — stays ascending after the remap,
-        // so the hot loop below can skip per-entry ascent tracking. The
-        // planner's canonical disk-major order always qualifies: survivors
-        // keep their relative order within and across disk runs.
-        let n_base = self.base.len();
+        // order on surviving base nodes, every base slice — already
+        // ascending in the CSR — stays ascending after the remap, so the
+        // hot loop below can skip per-entry ascent tracking. The
+        // planner's canonical disk-major order always qualifies:
+        // survivors keep their relative order within and across disk
+        // runs.
         let base_monotone = {
             let mut prev = None;
             map[..n_base].iter().all(|&m| {
@@ -619,7 +397,7 @@ impl DeltaGraph {
         // Likewise for appended nodes: the extras arena is filled in
         // appended-id order, so a monotone remap of appended ids makes
         // every per-node extras run ascending — no per-run check needed.
-        let extras_ascending = self.deferred_edges == 0 || {
+        let extras_ascending = self.staged_edges == 0 || {
             let mut prev = None;
             map[n_base..].iter().all(|&m| {
                 if m == TOMBSTONED {
@@ -635,11 +413,10 @@ impl DeltaGraph {
         weights.clear();
         weights.reserve(order.len());
         // Capacity bound: the stored half-edges plus synthesized ones —
-        // exact when every tombstone was eager, over only by lingering
-        // entries that point at deferred-tombstoned nodes (filtered
-        // while writing).
+        // over only by lingering entries that point at tombstoned nodes
+        // (filtered while writing).
         let bound: usize =
-            order.iter().map(|&v| self.adj(v).len()).sum::<usize>() + self.deferred_edges;
+            order.iter().map(|&v| self.adj(v).len()).sum::<usize>() + self.staged_edges;
         offsets.clear();
         offsets.reserve(order.len() + 1);
         offsets.push(0);
@@ -659,33 +436,23 @@ impl DeltaGraph {
                 || hi == lo
                 || extra_vals[lo..hi].windows(2).all(|w| w[0] < w[1]);
             let mut e_i = lo;
-            let vi = v as usize;
-            if extras_sorted && base_monotone && vi < n_base && self.patched[vi].is_none() {
-                // Fast path: an unpatched base slice under a monotone
-                // remap is ascending by construction, so remap, filter
+            if extras_sorted && base_monotone && (v as usize) < n_base {
+                // Fast path: a base slice under a monotone remap is
+                // ascending by construction, so remap, filter
                 // tombstones, and stream-merge the extras in one pass
                 // with no ascent bookkeeping. Slices with no pending
                 // extras — the common case — skip the merge compares too.
                 if lo == hi {
                     for &u in self.base.neighbors(v) {
                         let nu = map[u as usize];
-                        if nu == TOMBSTONED {
-                            debug_assert!(
-                                self.deferred_dead > 0,
-                                "live adjacency holds a dead node outside deferred mode"
-                            );
-                            continue;
+                        if nu != TOMBSTONED {
+                            neighbors.push(nu);
                         }
-                        neighbors.push(nu);
                     }
                 } else {
                     for &u in self.base.neighbors(v) {
                         let nu = map[u as usize];
                         if nu == TOMBSTONED {
-                            debug_assert!(
-                                self.deferred_dead > 0,
-                                "live adjacency holds a dead node outside deferred mode"
-                            );
                             continue;
                         }
                         while e_i < hi && extra_vals[e_i] < nu {
@@ -705,10 +472,6 @@ impl DeltaGraph {
                 for &u in self.adj(v) {
                     let nu = map[u as usize];
                     if nu == TOMBSTONED {
-                        debug_assert!(
-                            self.deferred_dead > 0,
-                            "live adjacency holds a dead node outside deferred mode"
-                        );
                         continue;
                     }
                     if merging {
@@ -722,8 +485,8 @@ impl DeltaGraph {
                             }
                             prev = Some(nu);
                         } else {
-                            // The remapped run broke ascent (an out-of-order
-                            // append): collect the rest raw and sort below.
+                            // The remapped run broke ascent: collect the
+                            // rest raw and sort below.
                             merging = false;
                         }
                     }
@@ -759,36 +522,42 @@ impl DeltaGraph {
 /// nodes.
 pub const TOMBSTONED: NodeId = NodeId::MAX;
 
-impl GraphView for DeltaGraph {
-    fn len(&self) -> usize {
-        DeltaGraph::len(self)
-    }
-
-    fn weight(&self, v: NodeId) -> f64 {
-        DeltaGraph::weight(self, v)
-    }
-
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.adj(v)
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        DeltaGraph::has_edge(self, u, v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Graph, GraphBuilder};
+
+    /// Weights of the base nodes 0..=3 and of the first two appended
+    /// ids 4 and 5 the tests use.
+    const WEIGHTS: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
 
     /// A small base graph: path 0-1-2-3 plus chord 0-2, weights 1..=4.
     fn base() -> CsrGraph {
-        let mut b = GraphBuilder::with_weights(vec![1.0, 2.0, 3.0, 4.0]);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 2)] {
-            b.add_edge(u, v);
+        CsrGraph::from_unique_edges(WEIGHTS[..4].to_vec(), &[(0, 1), (1, 2), (2, 3), (0, 2)])
+    }
+
+    /// The reference compaction: the expected live edge set (overlay
+    /// ids) built directly by `from_unique_edges`, relabelled so that
+    /// overlay node `order[p]` becomes node `p`.
+    fn relabelled(order: &[NodeId], live_edges: &[(NodeId, NodeId)]) -> CsrGraph {
+        let pos = |v: NodeId| order.iter().position(|&o| o == v).expect("live node") as NodeId;
+        let edges: Vec<(NodeId, NodeId)> =
+            live_edges.iter().map(|&(u, v)| (pos(u), pos(v))).collect();
+        CsrGraph::from_unique_edges(order.iter().map(|&v| WEIGHTS[v as usize]).collect(), &edges)
+    }
+
+    /// Compacts `d` under `order` and checks the graph against the
+    /// reference and the id map against `order`.
+    fn assert_compacts_to(d: &DeltaGraph, order: &[NodeId], live_edges: &[(NodeId, NodeId)]) {
+        let (csr, map) = d.compact(order);
+        assert_eq!(csr, relabelled(order, live_edges), "order {order:?}");
+        assert_eq!(csr.edge_count(), d.edge_count(), "order {order:?}");
+        for v in 0..d.len() as NodeId {
+            let want = order
+                .iter()
+                .position(|&o| o == v)
+                .map_or(TOMBSTONED, |p| p as NodeId);
+            assert_eq!(map[v as usize], want, "order {order:?}: map[{v}]");
         }
-        b.finalize_csr()
     }
 
     #[test]
@@ -799,11 +568,7 @@ mod tests {
         assert_eq!(d.live_len(), 4);
         assert_eq!(d.edge_count(), 4);
         for v in 0..4u32 {
-            assert_eq!(d.neighbors(v), d.base().neighbors(v));
-            assert_eq!(GraphView::weight(&d, v), d.base().weight(v));
-            for u in 0..4u32 {
-                assert_eq!(d.has_edge(u, v), d.base().has_edge(u, v));
-            }
+            assert_eq!(d.weight(v), d.base().weight(v));
         }
         let (csr, map) = d.compact(&[0, 1, 2, 3]);
         assert_eq!(&csr, d.base(), "identity compaction reproduces the base");
@@ -811,83 +576,52 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_hides_node_and_edges() {
+    fn tombstone_drops_node_and_edges() {
         let mut d = DeltaGraph::new(base());
-        d.tombstone(2);
+        d.tombstone_batch_deferred(&[2]);
         assert!(d.is_dirty());
         assert_eq!(d.live_len(), 3);
         assert_eq!(d.dead_count(), 1);
         assert_eq!(d.edge_count(), 1, "edges 1-2, 2-3, 0-2 gone");
         assert!(d.is_dead(2));
-        assert_eq!(GraphView::weight(&d, 2), 0.0);
-        assert!(d.neighbors(2).is_empty());
-        assert_eq!(d.neighbors(0), &[1], "patched: 2 removed");
-        assert_eq!(d.neighbors(3), &[] as &[NodeId]);
-        assert!(!d.has_edge(1, 2));
-        assert!(d.has_edge(0, 1));
+        assert_eq!(d.weight(2), 0.0);
+        assert_compacts_to(&d, &[0, 1, 3], &[(0, 1)]);
     }
 
     #[test]
     fn append_and_connect() {
         let mut d = DeltaGraph::new(base());
-        let v = d.append_node(9.0);
+        let v = d.append_node(5.0);
         assert_eq!(v, 4);
         assert_eq!(d.live_len(), 5);
-        d.add_edge(v, 1);
-        d.add_edge(3, v);
+        d.add_edge_deferred(v, 3);
+        d.add_edge_deferred(v, 1);
         assert_eq!(d.edge_count(), 6);
         assert_eq!(d.staged_edge_count(), 2);
-        assert!(d.has_edge(1, v) && d.has_edge(v, 3));
-        assert_eq!(GraphView::weight(&d, v), 9.0);
-        assert_eq!(d.neighbors(v), &[1, 3], "appends in arrival order");
-        assert_eq!(d.neighbors(1), &[0, 2, 4], "sorted append kept order");
-    }
-
-    #[test]
-    fn overlay_equals_mutable_graph_reference() {
-        // Apply the same delta to a mutable adjacency-list Graph built on
-        // the live subgraph and compare view-for-view through a relabel.
-        let mut d = DeltaGraph::new(base());
-        d.tombstone(0);
-        let a = d.append_node(7.0);
-        let b = d.append_node(8.0);
-        d.add_edge(a, 1);
-        d.add_edge(a, b);
-        d.add_edge(3, b);
-
-        // Reference: live nodes {1, 2, 3, a, b} relabeled 0..5.
-        let mut g = Graph::with_weights(vec![2.0, 3.0, 4.0, 7.0, 8.0]);
-        g.add_edge(0, 1); // 1-2
-        g.add_edge(1, 2); // 2-3
-        g.add_edge(3, 0); // a-1
-        g.add_edge(3, 4); // a-b
-        g.add_edge(2, 4); // 3-b
-        let order = [1u32, 2, 3, a, b];
-        let (csr, map) = d.compact(&order);
-        assert_eq!(csr.len(), g.len());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        assert_eq!(csr.edge_count(), d.edge_count());
-        for (new, &old) in order.iter().enumerate() {
-            assert_eq!(map[old as usize], new as NodeId);
-            assert_eq!(csr.weight(new as NodeId), g.weight(new as NodeId));
-            let mut want = g.neighbors(new as NodeId).to_vec();
-            want.sort_unstable();
-            assert_eq!(csr.neighbors(new as NodeId), &want[..]);
-        }
-        assert_eq!(map[0], TOMBSTONED);
+        assert_eq!(d.weight(v), 5.0);
+        let (csr, _) = d.compact(&[0, 1, 2, 3, v]);
+        assert_eq!(
+            csr.neighbors(1),
+            &[0, 2, 4],
+            "synthesized half merged in order"
+        );
+        assert_eq!(csr.neighbors(4), &[1, 3], "out-of-order staging sorted");
+        assert_compacts_to(
+            &d,
+            &[0, 1, 2, 3, v],
+            &[(0, 1), (1, 2), (2, 3), (0, 2), (v, 3), (v, 1)],
+        );
     }
 
     #[test]
     fn compact_under_permuted_order_sorts_disturbed_slices() {
         let mut d = DeltaGraph::new(base());
         let v = d.append_node(5.0);
-        d.add_edge(v, 0);
+        d.add_edge_deferred(v, 0);
         // Interleave the append into the middle of the id space.
-        let (csr, map) = d.compact(&[3, v, 2, 1, 0]);
-        assert_eq!(csr.len(), 5);
-        // Edge {v, 0} is now {1, 4}; base edge {0, 2} is now {4, 2}.
-        assert!(csr.has_edge(map[v as usize], map[0]));
-        assert!(csr.has_edge(map[0], map[2]));
+        let order = [3, v, 2, 1, 0];
+        assert_compacts_to(&d, &order, &[(0, 1), (1, 2), (2, 3), (0, 2), (v, 0)]);
+        let (csr, _) = d.compact(&order);
         for p in 0..csr.len() as NodeId {
             assert!(
                 csr.neighbors(p).windows(2).all(|w| w[0] < w[1]),
@@ -897,60 +631,39 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_appended_node() {
+    fn tombstoned_append_leaves_no_trace() {
+        // An appended node retired before any staging, then a second
+        // append connected to the survivors.
         let mut d = DeltaGraph::new(base());
-        let v = d.append_node(5.0);
-        d.add_edge(v, 1);
-        d.tombstone(v);
+        let dead = d.append_node(5.0);
+        d.tombstone_batch_deferred(&[dead]);
         assert_eq!(d.live_len(), 4);
-        assert!(!d.has_edge(v, 1));
-        assert_eq!(d.neighbors(1), d.base().neighbors(1), "patch removed v");
         let (csr, _) = d.compact(&[0, 1, 2, 3]);
         assert_eq!(&csr, d.base());
-    }
-
-    #[test]
-    fn solvers_run_on_the_overlay_view() {
-        // Distinct weights avoid tie-degenerate selections; the overlay
-        // view and its compaction must agree modulo the relabel.
-        let mut d = DeltaGraph::new(base());
-        d.tombstone(1);
-        let v = d.append_node(10.0);
-        d.add_edge(v, 3);
-        let order = [0u32, 2, 3, v];
-        let (csr, map) = d.compact(&order);
-        let on_view = crate::mwis::gwmin(&d);
-        let on_csr = crate::mwis::gwmin(&csr);
-        // Dead nodes present as isolated weight-0 nodes, so a maximal
-        // solver may include them; they carry no weight and drop out of
-        // the relabel — the documented overlay-view convention.
-        let mut relabeled: Vec<NodeId> = on_view
-            .iter()
-            .filter(|&&x| !d.is_dead(x))
-            .map(|&x| map[x as usize])
-            .collect();
-        relabeled.sort_unstable();
-        assert_eq!(relabeled, on_csr);
-        let view_w: f64 = on_view.iter().map(|&x| GraphView::weight(&d, x)).sum();
-        let csr_w: f64 = on_csr.iter().map(|&x| csr.weight(x)).sum();
-        assert_eq!(view_w, csr_w);
+        let v = d.append_node(6.0);
+        d.add_edge_deferred(v, 1);
+        assert_compacts_to(
+            &d,
+            &[0, 1, 2, 3, v],
+            &[(0, 1), (1, 2), (2, 3), (0, 2), (v, 1)],
+        );
     }
 
     #[test]
     #[should_panic(expected = "already dead")]
     fn double_tombstone_panics() {
         let mut d = DeltaGraph::new(base());
-        d.tombstone(1);
-        d.tombstone(1);
+        d.tombstone_batch_deferred(&[1]);
+        d.tombstone_batch_deferred(&[1]);
     }
 
     #[test]
     #[should_panic(expected = "dead endpoint")]
     fn edge_to_dead_panics() {
         let mut d = DeltaGraph::new(base());
-        d.tombstone(1);
+        d.tombstone_batch_deferred(&[1]);
         let v = d.append_node(1.0);
-        d.add_edge(v, 1);
+        d.add_edge_deferred(v, 1);
     }
 
     #[test]
@@ -965,9 +678,10 @@ mod tests {
     #[should_panic(expected = "duplicate edge")]
     fn duplicate_staged_edge_panics_in_debug() {
         let mut d = DeltaGraph::new(base());
-        let v = d.append_node(1.0);
-        d.add_edge(v, 0);
-        d.add_edge(0, v);
+        let a = d.append_node(1.0);
+        let b = d.append_node(1.0);
+        d.add_edge_deferred(a, b);
+        d.add_edge_deferred(b, a);
     }
 
     #[test]
@@ -976,75 +690,48 @@ mod tests {
         assert!(d.is_empty());
         let a = d.append_node(1.5);
         let b = d.append_node(2.5);
-        d.add_edge(a, b);
+        d.add_edge_deferred(b, a);
         let (csr, _) = d.compact(&[a, b]);
-        assert_eq!(csr.len(), 2);
-        assert!(csr.has_edge(0, 1));
-        assert_eq!(csr.weight(0), 1.5);
+        assert_eq!(csr, CsrGraph::from_unique_edges(vec![1.5, 2.5], &[(0, 1)]));
     }
 
     #[test]
-    fn deferred_tombstone_compacts_like_eager() {
-        // The same retire-append-connect cycle through both tombstone
-        // forms must count edges identically and compact to the same
-        // CSR, even though the deferred overlay's live lists still hold
-        // the dead entries in between.
-        let run = |deferred: bool| {
-            let mut d = DeltaGraph::new(base());
-            if deferred {
-                d.tombstone_batch_deferred(&[0, 1]);
-            } else {
-                d.tombstone_batch(&[0, 1]);
-            }
-            let v = d.append_node(5.0);
-            d.add_edge(v, 2);
-            d.add_edge(3, v);
-            (d.edge_count(), d.compact(&[2, 3, v]))
-        };
-        let (eager_edges, (eager_csr, eager_map)) = run(false);
-        let (deferred_edges, (deferred_csr, deferred_map)) = run(true);
-        assert_eq!(eager_edges, deferred_edges);
-        assert_eq!(eager_csr, deferred_csr);
-        assert_eq!(eager_map, deferred_map);
-    }
-
-    #[test]
-    fn deferred_edges_compact_like_eager() {
-        // Retire, append two nodes, connect them to survivors and each
-        // other through both staging modes: identical edge counts and
-        // bit-identical compacted CSRs.
-        let run = |deferred: bool| {
-            let mut d = DeltaGraph::new(base());
-            d.tombstone_batch_deferred(&[0]);
-            let a = d.append_node(5.0);
-            let b = d.append_node(6.0);
-            let edge = |d: &mut DeltaGraph, x: NodeId, v: NodeId| {
-                if deferred {
-                    d.add_edge_deferred(x, v);
-                } else {
-                    d.add_edge(x, v);
-                }
-            };
-            edge(&mut d, a, 1);
-            edge(&mut d, a, 3);
-            edge(&mut d, b, 2);
-            edge(&mut d, b, a);
-            (d.edge_count(), d.compact(&[1, 2, a, 3, b]))
-        };
-        let (eager_edges, (eager_csr, eager_map)) = run(false);
-        let (deferred_edges, (deferred_csr, deferred_map)) = run(true);
-        assert_eq!(eager_edges, deferred_edges);
-        assert_eq!(eager_csr, deferred_csr);
-        assert_eq!(eager_map, deferred_map);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot mix eager and deferred staging")]
-    fn mixed_edge_staging_panics() {
+    fn deferred_tombstone_compacts_like_reference() {
+        // Retire a connected pair, append a node and connect it to both
+        // survivors: the dead entries still sit in the survivors' base
+        // slices until compaction filters them.
         let mut d = DeltaGraph::new(base());
+        d.tombstone_batch_deferred(&[0, 1]);
+        assert_eq!(d.edge_count(), 1, "only 2-3 survives");
+        let v = d.append_node(5.0);
+        d.add_edge_deferred(v, 2);
+        d.add_edge_deferred(v, 3);
+        assert_eq!(d.edge_count(), 3);
+        let live = [(2, 3), (v, 2), (v, 3)];
+        for order in [[2, 3, v], [v, 3, 2]] {
+            assert_compacts_to(&d, &order, &live);
+        }
+    }
+
+    #[test]
+    fn deferred_edges_compact_like_reference() {
+        // Retire, append two nodes, connect them to survivors and each
+        // other (one edge between two appends), then compact under an
+        // interleaved monotone order and a fully permuted one.
+        let mut d = DeltaGraph::new(base());
+        d.tombstone_batch_deferred(&[0]);
         let a = d.append_node(5.0);
-        d.add_edge(a, 1);
-        d.add_edge_deferred(a, 2);
+        let b = d.append_node(6.0);
+        d.add_edge_deferred(a, 1);
+        d.add_edge_deferred(a, 3);
+        d.add_edge_deferred(b, 2);
+        d.add_edge_deferred(b, a);
+        assert_eq!(d.edge_count(), 6);
+        assert_eq!(d.staged_edge_count(), 4);
+        let live = [(1, 2), (2, 3), (a, 1), (a, 3), (b, 2), (b, a)];
+        for order in [[1, 2, a, 3, b], [b, 3, a, 2, 1]] {
+            assert_compacts_to(&d, &order, &live);
+        }
     }
 
     #[test]
@@ -1053,7 +740,7 @@ mod tests {
         let mut d = DeltaGraph::new(base());
         let a = d.append_node(5.0);
         d.add_edge_deferred(a, 2);
-        d.tombstone(3);
+        d.tombstone_batch_deferred(&[3]);
     }
 
     #[test]

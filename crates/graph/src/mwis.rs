@@ -15,10 +15,9 @@
 //! * [`exact`] — branch-and-bound, the optimality oracle for tests and for
 //!   the paper's toy instances (Fig. 4).
 //!
-//! Every solver is generic over [`GraphView`], so it runs unchanged on the
-//! mutable adjacency-list [`Graph`](crate::graph::Graph) and on the frozen
-//! [`CsrGraph`](crate::csr::CsrGraph); the CSR layout is the fast path for
-//! build-once-solve-many conflict graphs (contiguous neighbor scans).
+//! Every solver reads a [`CsrGraph`]: contiguous sorted neighbor slices
+//! for the deletion cascades and a binary-search `has_edge` for the
+//! (1,2)-swaps.
 //!
 //! The greedy engine is a **monotone tournament tree** in a flat
 //! index-addressed layout: one `u128` slot per node packs an
@@ -46,7 +45,8 @@
 //! deterministic and directly comparable.
 
 use crate::bitset;
-use crate::graph::{GraphView, NodeId};
+use crate::csr::CsrGraph;
+use crate::NodeId;
 
 /// Default node budget for [`exact`] when callers have no tighter
 /// requirement — offline ablations and NPC harnesses fall back to GWMIN
@@ -65,16 +65,14 @@ pub const DEFAULT_NODE_LIMIT: usize = 128;
 /// # Examples
 ///
 /// ```
-/// use spindown_graph::graph::Graph;
 /// use spindown_graph::mwis::gwmin;
+/// use spindown_graph::CsrGraph;
 ///
 /// // Path 0-1-2 with a heavy middle: greedy takes the middle alone.
-/// let mut g = Graph::with_weights(vec![1.0, 10.0, 1.0]);
-/// g.add_edge(0, 1);
-/// g.add_edge(1, 2);
+/// let g = CsrGraph::from_unique_edges(vec![1.0, 10.0, 1.0], &[(0, 1), (1, 2)]);
 /// assert_eq!(gwmin(&g), vec![1]);
 /// ```
-pub fn gwmin<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
+pub fn gwmin(g: &CsrGraph) -> Vec<NodeId> {
     let mut scratch = GreedyScratch::new();
     let mut out = Vec::new();
     gwmin_into(g, &mut scratch, &mut out);
@@ -84,7 +82,7 @@ pub fn gwmin<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
 /// GWMIN2 greedy of Sakai et al.: select the alive vertex maximizing
 /// `w(v) / Σ_{u ∈ N(v) ∪ {v}} w(u)`. Carries the guarantee
 /// `Σ w(IS) ≥ Σ_v w(v)² / w(N(v) ∪ {v})`.
-pub fn gwmin2<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
+pub fn gwmin2(g: &CsrGraph) -> Vec<NodeId> {
     let mut scratch = GreedyScratch::new();
     let mut out = Vec::new();
     gwmin2_into(g, &mut scratch, &mut out);
@@ -97,21 +95,13 @@ pub fn gwmin2<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
 /// makes the whole solve allocation-free, which is what the
 /// rolling-window planner and the bench harness's `allocs_per_solve`
 /// gauge rely on.
-pub fn gwmin_into<G: GraphView + ?Sized>(
-    g: &G,
-    scratch: &mut GreedyScratch,
-    out: &mut Vec<NodeId>,
-) {
-    greedy_tree::<DegStat, G>(g, scratch, out);
+pub fn gwmin_into(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
+    greedy_tree::<DegStat>(g, scratch, out);
 }
 
 /// [`gwmin2`] with caller-owned buffers (see [`gwmin_into`]).
-pub fn gwmin2_into<G: GraphView + ?Sized>(
-    g: &G,
-    scratch: &mut GreedyScratch,
-    out: &mut Vec<NodeId>,
-) {
-    greedy_tree::<NbrWStat, G>(g, scratch, out);
+pub fn gwmin2_into(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
+    greedy_tree::<NbrWStat>(g, scratch, out);
 }
 
 fn gwmin2_score(w: f64, _deg: usize, nbr_w: f64) -> f64 {
@@ -171,7 +161,7 @@ trait GreedyStat: Copy {
     /// Whether the kill loop must gather the dying neighbor's weight.
     const NEEDS_DEAD_WEIGHT: bool;
 
-    fn init<G: GraphView + ?Sized>(g: &G, v: NodeId) -> Self;
+    fn init(g: &CsrGraph, v: NodeId) -> Self;
 
     fn on_neighbor_death(&mut self, dead_w: f64);
 
@@ -201,7 +191,7 @@ struct DegStat {
 impl GreedyStat for DegStat {
     const NEEDS_DEAD_WEIGHT: bool = false;
 
-    fn init<G: GraphView + ?Sized>(g: &G, v: NodeId) -> Self {
+    fn init(g: &CsrGraph, v: NodeId) -> Self {
         DegStat {
             deg: g.degree(v) as u32,
         }
@@ -235,7 +225,7 @@ struct NbrWStat {
 impl GreedyStat for NbrWStat {
     const NEEDS_DEAD_WEIGHT: bool = true;
 
-    fn init<G: GraphView + ?Sized>(g: &G, v: NodeId) -> Self {
+    fn init(g: &CsrGraph, v: NodeId) -> Self {
         NbrWStat {
             nbr_w: g.neighbors(v).iter().map(|&u| g.weight(u)).sum::<f64>(),
         }
@@ -327,11 +317,7 @@ fn tree_update(tree: &mut [u128], n: usize, v: usize, val: u128) {
 /// selection is one root read (never a stale pop), a kill writes [`DEAD`]
 /// into the node's slot, and a refresh overwrites the slot in place, each
 /// propagating upward only as far as winners actually change.
-fn greedy_tree<S: GreedyStat, G: GraphView + ?Sized>(
-    g: &G,
-    scratch: &mut GreedyScratch,
-    out: &mut Vec<NodeId>,
-) {
+fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
     let n = g.len();
     out.clear();
     if n == 0 {
@@ -417,15 +403,14 @@ fn greedy_tree<S: GreedyStat, G: GraphView + ?Sized>(
 ///
 /// Returns a set at least as heavy as `initial`.
 ///
-/// Swap candidates are scanned in ascending node order (not adjacency
-/// order), so the result is identical across graph backends regardless of
-/// how their neighbor lists are ordered; the pairwise non-adjacency test
-/// rides each backend's `has_edge` (binary search on sorted adjacency).
+/// Swap candidates are scanned in ascending node order (the order of the
+/// CSR neighbor slice they are filtered from), and the pairwise
+/// non-adjacency test is `has_edge`'s binary search.
 ///
 /// # Panics
 ///
 /// Panics if `initial` is not an independent set of `g`.
-pub fn local_search<G: GraphView + ?Sized>(g: &G, initial: &[NodeId]) -> Vec<NodeId> {
+pub fn local_search(g: &CsrGraph, initial: &[NodeId]) -> Vec<NodeId> {
     assert!(
         g.is_independent_set(initial),
         "local_search requires an independent starting set"
@@ -471,14 +456,14 @@ pub fn local_search<G: GraphView + ?Sized>(g: &G, initial: &[NodeId]) -> Vec<Nod
             if !in_set[v] {
                 continue;
             }
-            // Candidates: non-members whose only set-conflict is v.
-            let mut cands: Vec<NodeId> = g
+            // Candidates: non-members whose only set-conflict is v, in
+            // ascending order (a filtered sorted slice).
+            let cands: Vec<NodeId> = g
                 .neighbors(v as NodeId)
                 .iter()
                 .copied()
                 .filter(|&u| !in_set[u as usize] && conflicts[u as usize] == 1)
                 .collect();
-            cands.sort_unstable();
             let mut done = false;
             for (i, &a) in cands.iter().enumerate() {
                 for &b in &cands[i + 1..] {
@@ -550,7 +535,7 @@ enum NodeStep {
 /// clique). Both strictly dominate the sum-of-positive-weights bound of
 /// the recursive solver this replaced, which `tests/exact_differential.rs`
 /// keeps as a test-only reference.
-pub fn exact<G: GraphView + ?Sized>(g: &G, node_limit: usize) -> Option<Vec<NodeId>> {
+pub fn exact(g: &CsrGraph, node_limit: usize) -> Option<Vec<NodeId>> {
     if g.len() > node_limit {
         return None;
     }
@@ -766,30 +751,30 @@ fn clique_cover_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
 
-    fn path(weights: &[f64]) -> Graph {
-        let mut g = Graph::with_weights(weights.to_vec());
-        for i in 1..weights.len() {
-            g.add_edge((i - 1) as NodeId, i as NodeId);
-        }
-        g
+    fn graph(weights: &[f64], edges: &[(NodeId, NodeId)]) -> CsrGraph {
+        CsrGraph::from_unique_edges(weights.to_vec(), edges)
     }
 
-    fn clique(weights: &[f64]) -> Graph {
-        let mut g = Graph::with_weights(weights.to_vec());
-        for i in 0..weights.len() {
-            for j in (i + 1)..weights.len() {
-                g.add_edge(i as NodeId, j as NodeId);
-            }
-        }
-        g
+    fn path(weights: &[f64]) -> CsrGraph {
+        let edges: Vec<(NodeId, NodeId)> = (1..weights.len())
+            .map(|i| ((i - 1) as NodeId, i as NodeId))
+            .collect();
+        graph(weights, &edges)
+    }
+
+    fn clique(weights: &[f64]) -> CsrGraph {
+        let n = weights.len() as NodeId;
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect();
+        graph(weights, &edges)
     }
 
     #[test]
     fn gwmin_on_empty_graph() {
-        assert!(gwmin(&Graph::new(0)).is_empty());
-        assert_eq!(gwmin(&Graph::new(3)), vec![0, 1, 2]);
+        assert!(gwmin(&graph(&[], &[])).is_empty());
+        assert_eq!(gwmin(&graph(&[1.0; 3], &[])), vec![0, 1, 2]);
     }
 
     #[test]
@@ -815,10 +800,7 @@ mod tests {
     fn exact_beats_or_ties_greedy_on_crafted_instance() {
         // Star where the center is moderately heavy: greedy w/(d+1) picks
         // leaves; exact confirms leaves win.
-        let mut g = Graph::with_weights(vec![3.0, 2.0, 2.0, 2.0]);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
+        let g = graph(&[3.0, 2.0, 2.0, 2.0], &[(0, 1), (0, 2), (0, 3)]);
         let ex = exact(&g, 64).unwrap();
         assert_eq!(ex, vec![1, 2, 3]);
         let gr = gwmin(&g);
@@ -828,10 +810,10 @@ mod tests {
     #[test]
     fn gwmin_guarantee_holds() {
         // Sakai et al.: weight(IS) >= sum_v w(v)/(deg(v)+1).
-        let mut g = Graph::with_weights(vec![4.0, 1.0, 3.0, 2.0, 5.0, 1.0]);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)] {
-            g.add_edge(u, v);
-        }
+        let g = graph(
+            &[4.0, 1.0, 3.0, 2.0, 5.0, 1.0],
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
+        );
         let is = gwmin(&g);
         assert!(g.is_independent_set(&is));
         let bound: f64 = (0..g.len())
@@ -851,10 +833,7 @@ mod tests {
     #[test]
     fn local_search_swaps_one_for_two() {
         // Star: start from {center}, swap should reach the three leaves.
-        let mut g = Graph::with_weights(vec![3.0, 2.0, 2.0, 2.0]);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
+        let g = graph(&[3.0, 2.0, 2.0, 2.0], &[(0, 1), (0, 2), (0, 3)]);
         let improved = local_search(&g, &[0]);
         assert_eq!(improved, vec![1, 2, 3]);
     }
@@ -868,23 +847,21 @@ mod tests {
 
     #[test]
     fn exact_respects_node_limit() {
-        let g = Graph::new(100);
+        let g = graph(&[1.0; 100], &[]);
         assert!(exact(&g, 50).is_none());
         assert!(exact(&g, 100).is_some());
     }
 
     #[test]
     fn exact_skips_nonpositive_weights() {
-        let mut g = Graph::with_weights(vec![5.0, -2.0, 0.0]);
-        g.add_edge(0, 1);
+        let g = graph(&[5.0, -2.0, 0.0], &[(0, 1)]);
         let ex = exact(&g, 64).unwrap();
         assert_eq!(ex, vec![0], "zero/negative-weight isolated nodes skipped");
     }
 
     #[test]
     fn gwmin2_handles_zero_weights() {
-        let mut g = Graph::with_weights(vec![0.0, 0.0, 1.0]);
-        g.add_edge(0, 1);
+        let g = graph(&[0.0, 0.0, 1.0], &[(0, 1)]);
         let is = gwmin2(&g);
         assert!(g.is_independent_set(&is));
         assert!(g.set_weight_sum(&is) >= 1.0);
@@ -896,10 +873,7 @@ mod tests {
         // weight marked every entry of its neighbors stale forever and
         // the greedy silently dropped them. Epochs are NaN-proof: the
         // result must still be a maximal independent set.
-        let mut g = Graph::with_weights(vec![1.0, f64::NAN, 1.0, 1.0]);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
+        let g = graph(&[1.0, f64::NAN, 1.0, 1.0], &[(0, 1), (1, 2), (2, 3)]);
         let is = gwmin(&g);
         assert!(g.is_independent_set(&is));
         for v in 0..g.len() as NodeId {
@@ -922,17 +896,16 @@ mod tests {
         //   X(1,2,1) -- X(2,3,2)   (schedule-constraint on r2)
         // Weights per Eq. 3 with TB=5, PI=1:
         //   X(1,2,1)=5-(2-1)=4, X(1,3,1)=5-(3-1)=3... (paper's weights)
-        let mut g = Graph::with_weights(vec![
-            4.0, // 0: X(1,2,1)
-            2.0, // 1: X(1,3,1)
-            3.0, // 2: X(2,3,1)
-            3.0, // 3: X(2,3,2)
-            4.0, // 4: X(4,6,4) — isolated in the figure
-        ]);
-        g.add_edge(1, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g.add_edge(0, 3);
+        let g = graph(
+            &[
+                4.0, // 0: X(1,2,1)
+                2.0, // 1: X(1,3,1)
+                3.0, // 2: X(2,3,1)
+                3.0, // 3: X(2,3,2)
+                4.0, // 4: X(4,6,4) — isolated in the figure
+            ],
+            &[(1, 2), (1, 3), (2, 3), (0, 3)],
+        );
         let ex = exact(&g, 64).unwrap();
         // Paper's Step 3 selects {X(2,3,1), X(1,2,1), X(4,6,4)} = {2,0,4}.
         assert_eq!(ex, vec![0, 2, 4]);

@@ -1,4 +1,11 @@
-//! Test-only reference solvers: the engines the production solvers in
+//! Test-only instance builders and reference solvers.
+//!
+//! * [`csr_from_edges`] — a [`CsrGraph`] from an arbitrary edge list
+//!   (self-loops dropped, duplicates in either orientation collapsed by
+//!   a sort and dedup), and [`random_graph`] / [`random_edges`], the
+//!   seeded generator every suite draws its random instances from.
+//!
+//! The reference solvers are the engines the production solvers in
 //! `spindown_graph::mwis` and `spindown_graph::setcover` replaced, kept
 //! as they were (renamed, and reading instances through their public
 //! accessors) so the differential suites can pin the production engines
@@ -18,17 +25,61 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use spindown_graph::graph::{GraphView, NodeId};
 use spindown_graph::setcover::{Cover, SetCoverInstance};
+use spindown_graph::{CsrGraph, NodeId};
+use spindown_sim::rng::SimRng;
+
+/// Builds a [`CsrGraph`] from any edge list: each edge is oriented
+/// `(min, max)`, self-loops are dropped, and a sort plus dedup collapses
+/// repeats, so the list handed to `from_unique_edges` is unique.
+pub fn csr_from_edges(weights: Vec<f64>, edges: &[(NodeId, NodeId)]) -> CsrGraph {
+    let mut unique: Vec<(NodeId, NodeId)> = edges
+        .iter()
+        .filter(|&&(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    unique.sort_unstable();
+    unique.dedup();
+    CsrGraph::from_unique_edges(weights, &unique)
+}
+
+/// A random instance with tunable density: `2..=max_n` nodes,
+/// continuous weights in (0, 10], and up to `n * edge_factor` edge draws
+/// (self-loop draws skipped; repeats kept, in draw order and
+/// orientation). `edge_factor` sweeps sparse (1) to near-complete (12 at
+/// `max_n` ≈ 40).
+pub fn random_edges(
+    rng: &mut SimRng,
+    max_n: usize,
+    edge_factor: usize,
+) -> (Vec<f64>, Vec<(NodeId, NodeId)>) {
+    let n = 2 + rng.index(max_n - 1);
+    let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
+    let mut edges = Vec::new();
+    for _ in 0..rng.index(n * edge_factor) {
+        let u = rng.index(n) as NodeId;
+        let v = rng.index(n) as NodeId;
+        if u != v {
+            edges.push((u, v));
+        }
+    }
+    (weights, edges)
+}
+
+/// [`random_edges`] built into a graph by [`csr_from_edges`].
+pub fn random_graph(rng: &mut SimRng, max_n: usize, edge_factor: usize) -> CsrGraph {
+    let (weights, edges) = random_edges(rng, max_n, edge_factor);
+    csr_from_edges(weights, &edges)
+}
 
 /// `mwis::gwmin` driven by the eager cascade — one heap push per
 /// neighbor-of-neighbor decrement, the pre-CSR implementation.
-pub fn eager_gwmin<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
+pub fn eager_gwmin(g: &CsrGraph) -> Vec<NodeId> {
     greedy_by_eager(g, |w, deg, _nbr_w| w / (deg as f64 + 1.0))
 }
 
 /// `mwis::gwmin2` driven by the eager cascade.
-pub fn eager_gwmin2<G: GraphView + ?Sized>(g: &G) -> Vec<NodeId> {
+pub fn eager_gwmin2(g: &CsrGraph) -> Vec<NodeId> {
     greedy_by_eager(g, gwmin2_score)
 }
 
@@ -83,7 +134,7 @@ struct GreedyState {
 }
 
 impl GreedyState {
-    fn init<G: GraphView + ?Sized>(g: &G) -> GreedyState {
+    fn init(g: &CsrGraph) -> GreedyState {
         let n = g.len();
         GreedyState {
             alive: vec![true; n],
@@ -102,7 +153,7 @@ impl GreedyState {
 
     fn initial_heap(
         &self,
-        g: &(impl GraphView + ?Sized),
+        g: &CsrGraph,
         score: &impl Fn(f64, usize, f64) -> f64,
     ) -> BinaryHeap<Entry> {
         let mut heap = BinaryHeap::with_capacity(self.alive.len());
@@ -125,10 +176,7 @@ impl GreedyState {
 /// traffic. (Staleness here also uses the epoch
 /// counter: the historical `f64` equality test on the accumulated
 /// neighbor weight was exact-by-accident and fell apart on `NaN`.)
-fn greedy_by_eager<G: GraphView + ?Sized>(
-    g: &G,
-    score: impl Fn(f64, usize, f64) -> f64,
-) -> Vec<NodeId> {
+fn greedy_by_eager(g: &CsrGraph, score: impl Fn(f64, usize, f64) -> f64) -> Vec<NodeId> {
     let mut st = GreedyState::init(g);
     let mut heap = st.initial_heap(g, &score);
 
@@ -172,10 +220,7 @@ fn greedy_by_eager<G: GraphView + ?Sized>(
 /// positive-weight sum. The reference for `mwis::exact` — it recurses
 /// one stack frame per branch vertex, so keep it away from instances
 /// anywhere near `mwis::DEFAULT_NODE_LIMIT`.
-pub fn recursive_mwis_exact<G: GraphView + ?Sized>(
-    g: &G,
-    node_limit: usize,
-) -> Option<Vec<NodeId>> {
+pub fn recursive_mwis_exact(g: &CsrGraph, node_limit: usize) -> Option<Vec<NodeId>> {
     if g.len() > node_limit {
         return None;
     }
@@ -185,8 +230,8 @@ pub fn recursive_mwis_exact<G: GraphView + ?Sized>(
     let mut current: Vec<NodeId> = Vec::new();
     let alive: Vec<bool> = vec![true; n];
 
-    fn recurse<G: GraphView + ?Sized>(
-        g: &G,
+    fn recurse(
+        g: &CsrGraph,
         alive: Vec<bool>,
         current: &mut Vec<NodeId>,
         cur_w: f64,

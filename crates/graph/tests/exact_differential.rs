@@ -12,29 +12,13 @@
 
 mod common;
 
-use common::{recursive_cover_exact, recursive_mwis_exact};
-use spindown_graph::csr::CsrGraph;
-use spindown_graph::graph::{Graph, NodeId};
+use common::{
+    csr_from_edges, random_edges, random_graph, recursive_cover_exact, recursive_mwis_exact,
+};
 use spindown_graph::mwis;
 use spindown_graph::setcover::SetCoverInstance;
+use spindown_graph::NodeId;
 use spindown_sim::rng::SimRng;
-
-/// A random graph with tunable density: `2..=max_n` nodes, continuous
-/// weights in (0, 10], up to `n * edge_factor` edge draws (mirrors the
-/// `props.rs` generator).
-fn random_graph(rng: &mut SimRng, max_n: usize, edge_factor: usize) -> Graph {
-    let n = 2 + rng.index(max_n - 1);
-    let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-    let mut g = Graph::with_weights(weights);
-    for _ in 0..rng.index(n * edge_factor) {
-        let u = rng.index(n) as NodeId;
-        let v = rng.index(n) as NodeId;
-        if u != v {
-            g.add_edge(u, v);
-        }
-    }
-    g
-}
 
 /// A random coverable instance: one continuous-weight singleton per
 /// element (coverability and unique-optimum tie-breaking), plus a batch of
@@ -56,22 +40,15 @@ fn random_cover(rng: &mut SimRng, max_universe: usize) -> SetCoverInstance {
 }
 
 /// 125 seeded graphs, sparse to near-complete: the iterative solver must
-/// return the recursive reference's exact node set on both storage
-/// backends.
+/// return the recursive reference's exact node set.
 #[test]
 fn mwis_exact_bit_identical_to_recursive_reference() {
     let mut rng = SimRng::seed_from_u64(0x6717b0);
     for case in 0..125 {
         let g = random_graph(&mut rng, 24, [1, 2, 4, 8, 12][case % 5]);
-        let c = CsrGraph::from_graph(&g);
         let old = recursive_mwis_exact(&g, 24).expect("within limit");
         let new = mwis::exact(&g, 24).expect("within limit");
         assert_eq!(new, old, "case {case}: iterative vs recursive");
-        assert_eq!(
-            mwis::exact(&c, 24).expect("within limit"),
-            new,
-            "case {case}: CSR backend diverged"
-        );
         assert!(g.is_independent_set(&new), "case {case}: infeasible");
     }
 }
@@ -83,13 +60,14 @@ fn mwis_exact_bit_identical_to_recursive_reference() {
 fn mwis_exact_agrees_with_reference_under_nonpositive_weights() {
     let mut rng = SimRng::seed_from_u64(0x6717b1);
     for case in 0..40 {
-        let mut g = random_graph(&mut rng, 16, 3);
+        let (mut weights, edges) = random_edges(&mut rng, 16, 3);
         // Flip roughly a third of the weights negative.
-        for v in 0..g.len() {
+        for w in &mut weights {
             if rng.index(3) == 0 {
-                g.set_weight(v as NodeId, -g.weight(v as NodeId));
+                *w = -*w;
             }
         }
+        let g = csr_from_edges(weights, &edges);
         let old = recursive_mwis_exact(&g, 16).expect("within limit");
         let new = mwis::exact(&g, 16).expect("within limit");
         // The reference may pad its set with zero-weight vertices it
@@ -169,14 +147,15 @@ fn setcover_exact_none_matches_reference_on_uncoverable() {
 fn mwis_deep_branching_disjoint_cliques_at_old_limit() {
     let mut rng = SimRng::seed_from_u64(0x6717b4);
     let weights: Vec<f64> = (0..64).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-    let mut g = Graph::with_weights(weights.clone());
+    let mut edges = Vec::new();
     for clique in 0..8u32 {
         for a in 0..8u32 {
             for b in (a + 1)..8u32 {
-                g.add_edge(clique * 8 + a, clique * 8 + b);
+                edges.push((clique * 8 + a, clique * 8 + b));
             }
         }
     }
+    let g = csr_from_edges(weights.clone(), &edges);
     let expected: Vec<NodeId> = (0..8usize)
         .map(|q| {
             (0..8usize)
@@ -202,10 +181,8 @@ fn mwis_deep_branching_path_matches_dp_oracle() {
     let mut rng = SimRng::seed_from_u64(0x6717b5);
     let n = 64usize;
     let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-    let mut g = Graph::with_weights(weights.clone());
-    for i in 1..n {
-        g.add_edge((i - 1) as NodeId, i as NodeId);
-    }
+    let edges: Vec<(NodeId, NodeId)> = (1..n).map(|i| ((i - 1) as NodeId, i as NodeId)).collect();
+    let g = csr_from_edges(weights.clone(), &edges);
     // dp[i] = best IS weight on suffix i..; take w[i] + dp[i+2] or skip.
     let mut dp = vec![0.0f64; n + 2];
     for i in (0..n).rev() {

@@ -6,52 +6,31 @@
 //! `common/mod.rs`. Weights are continuous draws from the seeded
 //! `spindown_sim` RNG, so score ties are absent (almost surely,
 //! deterministically for these fixed seeds) apart from the engineered tie
-//! cases — the engines must return **bit-identical** selections on both
-//! storage backends, not merely equal weights.
+//! cases — the engines must return **bit-identical** selections, not
+//! merely equal weights.
 
 mod common;
 
-use common::{eager_gwmin, eager_gwmin2};
+use common::{csr_from_edges, eager_gwmin, eager_gwmin2, random_graph, recursive_mwis_exact};
 use spindown_graph::bitset;
-use spindown_graph::csr::CsrGraph;
-use spindown_graph::graph::{Graph, GraphBuilder, NodeId};
 use spindown_graph::mwis::{self, GreedyScratch};
+use spindown_graph::CsrGraph;
 use spindown_sim::rng::SimRng;
 
-/// A random graph with tunable density: `2..=max_n` nodes, continuous
-/// weights in (0, 10], up to `n * edge_factor` edge draws.
-fn random_graph(rng: &mut SimRng, max_n: usize, edge_factor: usize) -> Graph {
-    let n = 2 + rng.index(max_n - 1);
-    let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-    let mut g = Graph::with_weights(weights);
-    for _ in 0..rng.index(n * edge_factor) {
-        let u = rng.index(n) as NodeId;
-        let v = rng.index(n) as NodeId;
-        if u != v {
-            g.add_edge(u, v);
-        }
-    }
-    g
-}
-
 /// 150 seeded graphs, sparse to near-complete: the tournament engine
-/// must reproduce the eager cascade exactly, on the adjacency-list and
-/// the CSR backend.
+/// must reproduce the eager cascade exactly.
 #[test]
 fn greedy_tree_bit_identical_to_eager_sparse_to_dense() {
     let mut rng = SimRng::seed_from_u64(0x9a11e0);
     for case in 0..150 {
         let g = random_graph(&mut rng, 48, [1, 2, 4, 8, 16, 32][case % 6]);
-        let c = CsrGraph::from_graph(&g);
 
         let tree = mwis::gwmin(&g);
         assert_eq!(tree, eager_gwmin(&g), "case {case}: gwmin vs eager");
-        assert_eq!(tree, mwis::gwmin(&c), "case {case}: gwmin CSR diverged");
         assert!(g.is_independent_set(&tree), "case {case}: infeasible");
 
         let tree2 = mwis::gwmin2(&g);
         assert_eq!(tree2, eager_gwmin2(&g), "case {case}: gwmin2 vs eager");
-        assert_eq!(tree2, mwis::gwmin2(&c), "case {case}: gwmin2 CSR diverged");
         assert!(g.is_independent_set(&tree2), "case {case}: infeasible");
     }
 }
@@ -64,47 +43,38 @@ fn greedy_tree_matches_eager_under_total_ties() {
     let mut rng = SimRng::seed_from_u64(0x9a11e1);
     for case in 0..40 {
         let n = 2 + rng.index(31);
-        let mut g = Graph::with_weights(vec![1.0; n]);
+        let mut edges = Vec::new();
         for _ in 0..rng.index(n * 4) {
-            let u = rng.index(n) as NodeId;
-            let v = rng.index(n) as NodeId;
-            if u != v {
-                g.add_edge(u, v);
-            }
+            edges.push((rng.index(n) as u32, rng.index(n) as u32));
         }
-        let c = CsrGraph::from_graph(&g);
+        let g = csr_from_edges(vec![1.0; n], &edges);
         for (tree, eager) in [
-            (mwis::gwmin(&c), eager_gwmin(&g)),
-            (mwis::gwmin2(&c), eager_gwmin2(&g)),
+            (mwis::gwmin(&g), eager_gwmin(&g)),
+            (mwis::gwmin2(&g), eager_gwmin2(&g)),
         ] {
             assert_eq!(tree, eager, "case {case}: tie-break vs eager");
         }
     }
 }
 
-/// One small instance through both backends, the bulk builder and the
-/// eager reference: greedy, exact and local search all agree.
+/// One small instance through every solver and its reference: greedy
+/// against the eager cascade, exact against the recursive solver, and
+/// local search from the greedy start.
 #[test]
 fn solvers_run_identically_on_csr() {
-    let weights = vec![4.0, 1.0, 3.0, 2.0, 5.0, 1.0];
-    let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)];
-    let mut g = Graph::with_weights(weights.clone());
-    let mut b = GraphBuilder::with_weights(weights);
-    for &(u, v) in &edges {
-        g.add_edge(u, v);
-        b.add_edge(u, v);
-    }
-    let c = b.finalize_csr();
-    assert_eq!(mwis::gwmin(&g), mwis::gwmin(&c));
-    assert_eq!(mwis::gwmin2(&g), mwis::gwmin2(&c));
-    assert_eq!(mwis::gwmin(&g), eager_gwmin(&g));
-    assert_eq!(mwis::gwmin2(&c), eager_gwmin2(&c));
-    assert_eq!(mwis::exact(&g, 64), mwis::exact(&c, 64));
-    let start = mwis::gwmin(&g);
-    assert_eq!(
-        mwis::local_search(&g, &start),
-        mwis::local_search(&c, &start)
+    let c = CsrGraph::from_unique_edges(
+        vec![4.0, 1.0, 3.0, 2.0, 5.0, 1.0],
+        &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
     );
+    assert_eq!(mwis::gwmin(&c), eager_gwmin(&c));
+    assert_eq!(mwis::gwmin2(&c), eager_gwmin2(&c));
+    let ex = mwis::exact(&c, 64).expect("within limit");
+    assert_eq!(Some(ex.clone()), recursive_mwis_exact(&c, 64));
+    let start = mwis::gwmin(&c);
+    let improved = mwis::local_search(&c, &start);
+    assert!(c.is_independent_set(&improved));
+    assert!(c.set_weight_sum(&improved) >= c.set_weight_sum(&start));
+    assert!(c.set_weight_sum(&improved) <= c.set_weight_sum(&ex));
 }
 
 /// One scratch threaded through an interleaved gwmin/gwmin2 sequence of
@@ -114,7 +84,7 @@ fn solvers_run_identically_on_csr() {
 fn scratch_reuse_matches_fresh_across_instances() {
     let mut rng = SimRng::seed_from_u64(0x9a11e2);
     let graphs: Vec<CsrGraph> = (0..12)
-        .map(|i| CsrGraph::from_graph(&random_graph(&mut rng, [64, 6, 40, 3][i % 4], 6)))
+        .map(|i| random_graph(&mut rng, [64, 6, 40, 3][i % 4], 6))
         .collect();
     let mut warm = GreedyScratch::new();
     let mut out = Vec::new();

@@ -1,44 +1,23 @@
 //! Deterministic property checks for the MWIS and set-cover solvers: on
 //! pseudo-randomly generated instances (seeded `spindown_sim` RNG, so every
 //! run exercises the identical cases), every solver's output must be
-//! feasible, and the exact solvers must dominate the heuristics.
+//! feasible, and the exact solvers must dominate the heuristics. The CSR
+//! constructor itself is checked against an ordered edge set.
 
 mod common;
 
-use common::{eager_gwmin, eager_gwmin2};
-use spindown_graph::csr::CsrGraph;
-use spindown_graph::graph::{Graph, NodeId};
-use spindown_graph::mwis;
+use std::collections::BTreeSet;
+
+use common::{random_edges, random_graph};
 use spindown_graph::setcover::{harmonic, SetCoverInstance};
+use spindown_graph::{mwis, CsrGraph, NodeId};
 use spindown_sim::rng::SimRng;
-
-/// A random graph: `2..=max_n` nodes, weights in (0, 10], random edges.
-fn random_graph(rng: &mut SimRng, max_n: usize) -> Graph {
-    random_graph_with_density(rng, max_n, 2)
-}
-
-/// A random graph with tunable density: up to `n * edge_factor` edge
-/// draws, so `edge_factor` sweeps sparse (1) to near-complete (12 at
-/// `max_n` ≈ 40).
-fn random_graph_with_density(rng: &mut SimRng, max_n: usize, edge_factor: usize) -> Graph {
-    let n = 2 + rng.index(max_n - 1);
-    let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-    let mut g = Graph::with_weights(weights);
-    for _ in 0..rng.index(n * edge_factor) {
-        let u = rng.index(n) as NodeId;
-        let v = rng.index(n) as NodeId;
-        if u != v {
-            g.add_edge(u, v);
-        }
-    }
-    g
-}
 
 #[test]
 fn gwmin_output_is_independent_and_maximal() {
     let mut rng = SimRng::seed_from_u64(0x6717a1);
     for _ in 0..64 {
-        let g = random_graph(&mut rng, 40);
+        let g = random_graph(&mut rng, 40, 2);
         let is = mwis::gwmin(&g);
         assert!(g.is_independent_set(&is));
         // Maximality: no vertex outside the set is addable.
@@ -63,7 +42,7 @@ fn gwmin_output_is_independent_and_maximal() {
 fn gwmin2_output_is_independent() {
     let mut rng = SimRng::seed_from_u64(0x6717a2);
     for _ in 0..64 {
-        let g = random_graph(&mut rng, 40);
+        let g = random_graph(&mut rng, 40, 2);
         assert!(g.is_independent_set(&mwis::gwmin2(&g)));
     }
 }
@@ -72,7 +51,7 @@ fn gwmin2_output_is_independent() {
 fn gwmin_satisfies_sakai_bound() {
     let mut rng = SimRng::seed_from_u64(0x6717a3);
     for _ in 0..64 {
-        let g = random_graph(&mut rng, 30);
+        let g = random_graph(&mut rng, 30, 2);
         let is = mwis::gwmin(&g);
         let bound: f64 = (0..g.len())
             .map(|v| g.weight(v as NodeId) / (g.degree(v as NodeId) as f64 + 1.0))
@@ -85,7 +64,7 @@ fn gwmin_satisfies_sakai_bound() {
 fn exact_dominates_heuristics() {
     let mut rng = SimRng::seed_from_u64(0x6717a4);
     for _ in 0..64 {
-        let g = random_graph(&mut rng, 16);
+        let g = random_graph(&mut rng, 16, 2);
         let ex = mwis::exact(&g, 16).expect("within limit");
         assert!(g.is_independent_set(&ex));
         let exw = g.set_weight_sum(&ex);
@@ -107,7 +86,7 @@ fn exact_dominates_heuristics() {
 fn local_search_never_worsens() {
     let mut rng = SimRng::seed_from_u64(0x6717a5);
     for _ in 0..64 {
-        let g = random_graph(&mut rng, 30);
+        let g = random_graph(&mut rng, 30, 2);
         let start = mwis::gwmin(&g);
         let improved = mwis::local_search(&g, &start);
         assert!(g.is_independent_set(&improved));
@@ -168,149 +147,42 @@ fn uncoverable_instances_return_none() {
     }
 }
 
-/// The bulk [`GraphBuilder`] must be observationally identical to feeding
-/// the same edge sequence — duplicates, reversed duplicates, and
-/// self-loops included — through [`Graph::add_edge`]. Neighbor *order*
-/// matters, not just the neighbor sets: `gwmin2` and `local_search` are
-/// sensitive to adjacency-list order, so the builder guarantees
-/// first-occurrence insertion order.
+/// `CsrGraph::from_unique_edges` against an ordered edge set, across
+/// sparse, moderate, and dense instances: the unique edges go in in
+/// first-draw order and orientation, and the graph must report the
+/// set's edge count, each node's degree and sorted neighbors, the
+/// weights, and a `has_edge` answer for every ordered pair.
 #[test]
-fn builder_equivalent_to_incremental_on_random_sequences() {
-    use spindown_graph::graph::GraphBuilder;
-
-    let mut rng = SimRng::seed_from_u64(0x6717a8);
-    for case in 0..128 {
-        let n = 2 + rng.index(40);
-        let weights: Vec<f64> = (0..n).map(|_| 0.01 + rng.next_f64() * 9.99).collect();
-
-        // One shared edge sequence with deliberate duplicates (~1/4 of
-        // draws repeat an earlier edge, possibly flipped) and self-loops.
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for _ in 0..rng.index(n * 4) + 1 {
-            let (u, v) = if !edges.is_empty() && rng.index(4) == 0 {
-                let (a, b) = edges[rng.index(edges.len())];
-                if rng.index(2) == 0 {
-                    (a, b)
-                } else {
-                    (b, a)
-                }
-            } else {
-                (rng.index(n) as NodeId, rng.index(n) as NodeId)
-            };
-            edges.push((u, v));
-        }
-
-        let mut incremental = Graph::with_weights(weights.clone());
-        let mut builder = GraphBuilder::with_weights(weights);
-        for &(u, v) in &edges {
-            incremental.add_edge(u, v);
-            builder.add_edge(u, v);
-        }
-        let bulk = builder.finalize();
-
-        assert_eq!(bulk.len(), incremental.len(), "case {case}: node count");
-        assert_eq!(
-            bulk.edge_count(),
-            incremental.edge_count(),
-            "case {case}: edge count"
-        );
-        for v in 0..n as NodeId {
-            assert_eq!(
-                bulk.neighbors(v),
-                incremental.neighbors(v),
-                "case {case}: adjacency order of node {v} diverged"
-            );
-            assert_eq!(bulk.weight(v), incremental.weight(v));
-        }
-    }
-}
-
-/// The CSR backend must be structurally indistinguishable from the
-/// adjacency-list graph it was built from — same node count, edge count,
-/// degrees, (sorted) neighbor sets, weights, and `has_edge` answers —
-/// across sparse, moderate, and dense instances, and regardless of
-/// whether the CSR came from a snapshot or from the builder.
-#[test]
-fn csr_structure_matches_adjacency_list() {
-    use spindown_graph::graph::GraphBuilder;
-
+fn csr_structure_matches_edge_set() {
     let mut rng = SimRng::seed_from_u64(0x6717a9);
     for case in 0..60 {
-        let g = random_graph_with_density(&mut rng, 40, [1, 4, 12][case % 3]);
-        let n = g.len();
-        // Snapshot path and builder path must agree with each other too.
-        let snap = CsrGraph::from_graph(&g);
-        let mut b = GraphBuilder::with_weights(g.weights().to_vec());
-        for v in 0..n as NodeId {
-            for &u in g.neighbors(v) {
-                if v < u {
-                    b.add_edge(v, u);
-                }
+        let (weights, draws) = random_edges(&mut rng, 40, [1, 4, 12][case % 3]);
+        let n = weights.len();
+        let mut set: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let mut unique = Vec::new();
+        for &(u, v) in &draws {
+            if set.insert((u.min(v), u.max(v))) {
+                unique.push((u, v));
             }
         }
-        let built = b.finalize_csr();
-        assert_eq!(snap, built, "case {case}: snapshot vs builder CSR");
+        let g = CsrGraph::from_unique_edges(weights.clone(), &unique);
 
-        assert_eq!(snap.len(), g.len(), "case {case}: node count");
-        assert_eq!(snap.edge_count(), g.edge_count(), "case {case}: edges");
+        assert_eq!(g.len(), n, "case {case}: node count");
+        assert_eq!(g.edge_count(), set.len(), "case {case}: edges");
         for v in 0..n as NodeId {
-            assert_eq!(snap.weight(v), g.weight(v));
-            assert_eq!(snap.degree(v), g.degree(v), "case {case}: degree {v}");
-            let mut adj = g.neighbors(v).to_vec();
-            adj.sort_unstable();
-            assert_eq!(snap.neighbors(v), &adj[..], "case {case}: adjacency {v}");
+            let want: Vec<NodeId> = (0..n as NodeId)
+                .filter(|&u| set.contains(&(u.min(v), u.max(v))))
+                .collect();
+            assert_eq!(g.weight(v), weights[v as usize]);
+            assert_eq!(g.degree(v), want.len(), "case {case}: degree {v}");
+            assert_eq!(g.neighbors(v), &want[..], "case {case}: adjacency {v}");
             for u in 0..n as NodeId {
                 assert_eq!(
-                    snap.has_edge(v, u),
                     g.has_edge(v, u),
+                    set.contains(&(u.min(v), u.max(v))),
                     "case {case}: has_edge({v}, {u})"
                 );
             }
         }
-    }
-}
-
-/// Every MWIS solver must return the *identical* node set on both
-/// storage backends, and the production greedy engine must be
-/// bit-identical to the eager reference engine on each backend — across
-/// sparse-to-dense seeded instances.
-#[test]
-fn solvers_identical_across_backends_and_engines() {
-    let mut rng = SimRng::seed_from_u64(0x6717aa);
-    for case in 0..60 {
-        let g = random_graph_with_density(&mut rng, 40, [1, 4, 12][case % 3]);
-        let c = CsrGraph::from_graph(&g);
-
-        let gw = mwis::gwmin(&g);
-        assert_eq!(gw, mwis::gwmin(&c), "case {case}: gwmin backends");
-        assert_eq!(gw, eager_gwmin(&g), "case {case}: gwmin engines");
-        assert_eq!(gw, eager_gwmin(&c), "case {case}: gwmin cross");
-
-        let gw2 = mwis::gwmin2(&g);
-        assert_eq!(gw2, mwis::gwmin2(&c), "case {case}: gwmin2 backends");
-        assert_eq!(gw2, eager_gwmin2(&g), "case {case}: gwmin2 engines");
-        assert_eq!(gw2, eager_gwmin2(&c), "case {case}: gwmin2 cross");
-
-        assert_eq!(
-            mwis::local_search(&g, &gw),
-            mwis::local_search(&c, &gw),
-            "case {case}: local_search backends"
-        );
-    }
-}
-
-/// Exact branch-and-bound is backend-independent as well (kept to small
-/// instances; the solver is exponential).
-#[test]
-fn exact_identical_across_backends() {
-    let mut rng = SimRng::seed_from_u64(0x6717ab);
-    for case in 0..50 {
-        let g = random_graph_with_density(&mut rng, 14, [1, 4, 12][case % 3]);
-        let c = CsrGraph::from_graph(&g);
-        assert_eq!(
-            mwis::exact(&g, 16),
-            mwis::exact(&c, 16),
-            "case {case}: exact backends"
-        );
     }
 }
