@@ -139,21 +139,73 @@ impl Harness {
 pub fn table1() -> String {
     let mut t = Table::new(["paper variable", "meaning", "implementation"]);
     for (var, meaning, imp) in [
-        ("D = {d1..dK}", "disks in the system", "core::model::DiskId / system disks"),
-        ("B = {b1..bM}", "data items", "core::model::DataId (dense ids)"),
-        ("L = {l1..lM}", "placement: disks holding each item", "core::placement::PlacementMap::locations"),
-        ("R = {r1..rN}", "time-sorted request stream", "core::model::Request (index = i)"),
+        (
+            "D = {d1..dK}",
+            "disks in the system",
+            "core::model::DiskId / system disks",
+        ),
+        (
+            "B = {b1..bM}",
+            "data items",
+            "core::model::DataId (dense ids)",
+        ),
+        (
+            "L = {l1..lM}",
+            "placement: disks holding each item",
+            "core::placement::PlacementMap::locations",
+        ),
+        (
+            "R = {r1..rN}",
+            "time-sorted request stream",
+            "core::model::Request (index = i)",
+        ),
         ("t_i", "disk access time of r_i", "Request::at (SimTime)"),
-        ("ES(R,D,L,P)", "a scheduling problem", "core::experiment::ExperimentSpec"),
-        ("S_ES", "all feasible schedules", "(search space of Assignment)"),
-        ("S*_ES", "optimal schedule", "core::offline::brute_force_optimal"),
-        ("X(i,j,k)", "saving of r_i with successor r_j on d_k", "core::saving::SavingModel::pair_saving_j"),
-        ("X(S,r_i)", "saving of r_i under schedule S", "core::offline::evaluate_offline"),
-        ("X(S)", "total saving of schedule S", "MwisPlanner::plan (claimed saving)"),
+        (
+            "ES(R,D,L,P)",
+            "a scheduling problem",
+            "core::experiment::ExperimentSpec",
+        ),
+        (
+            "S_ES",
+            "all feasible schedules",
+            "(search space of Assignment)",
+        ),
+        (
+            "S*_ES",
+            "optimal schedule",
+            "core::offline::brute_force_optimal",
+        ),
+        (
+            "X(i,j,k)",
+            "saving of r_i with successor r_j on d_k",
+            "core::saving::SavingModel::pair_saving_j",
+        ),
+        (
+            "X(S,r_i)",
+            "saving of r_i under schedule S",
+            "core::offline::evaluate_offline",
+        ),
+        (
+            "X(S)",
+            "total saving of schedule S",
+            "MwisPlanner::plan (claimed saving)",
+        ),
         ("P_I", "disk idle power", "disk::power::PowerParams::idle_w"),
-        ("TB", "breakeven time / idleness threshold", "PowerParams::breakeven_secs"),
-        ("E_up/down", "spin-up/down energy", "PowerParams::spinup_j + spindown_j"),
-        ("T_up/down", "spin-up/down time", "PowerParams::spinup_s / spindown_s"),
+        (
+            "TB",
+            "breakeven time / idleness threshold",
+            "PowerParams::breakeven_secs",
+        ),
+        (
+            "E_up/down",
+            "spin-up/down energy",
+            "PowerParams::spinup_j + spindown_j",
+        ),
+        (
+            "T_up/down",
+            "spin-up/down time",
+            "PowerParams::spinup_s / spindown_s",
+        ),
     ] {
         t.row([var.to_string(), meaning.to_string(), imp.to_string()]);
     }
@@ -622,11 +674,23 @@ pub fn ablation_threshold(h: &Harness) -> String {
     let tb = spindown_disk::power::PowerParams::barracuda().breakeven_secs();
     let mut t = Table::new(["threshold", "norm energy", "spin cycles", "mean resp"]);
     for (name, policy) in [
-        ("TB/4".to_string(), PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb / 4.0))),
-        ("TB/2".to_string(), PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb / 2.0))),
+        (
+            "TB/4".to_string(),
+            PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb / 4.0)),
+        ),
+        (
+            "TB/2".to_string(),
+            PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb / 2.0)),
+        ),
         (format!("TB ({tb:.1}s, 2CPM)"), PolicyKind::Breakeven),
-        ("2*TB".to_string(), PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb * 2.0))),
-        ("4*TB".to_string(), PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb * 4.0))),
+        (
+            "2*TB".to_string(),
+            PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb * 2.0)),
+        ),
+        (
+            "4*TB".to_string(),
+            PolicyKind::FixedTimeout(SimDuration::from_secs_f64(tb * 4.0)),
+        ),
         ("adaptive".to_string(), PolicyKind::Adaptive),
         ("always-on".to_string(), PolicyKind::AlwaysOn),
     ] {

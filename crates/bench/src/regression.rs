@@ -325,6 +325,9 @@ mod tests {
         let gate = check(&report(vec![("fresh", 1000)]), &base, DEFAULT_TOLERANCE);
         assert!(!gate.passed());
         assert!(gate.regressions[0].contains("gone"));
-        assert!(gate.lines.iter().any(|l| l.contains("fresh") && l.contains("NEW")));
+        assert!(gate
+            .lines
+            .iter()
+            .any(|l| l.contains("fresh") && l.contains("NEW")));
     }
 }

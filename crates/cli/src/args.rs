@@ -569,10 +569,7 @@ mod tests {
         assert_eq!(cli.effective_jobs(), 4, "explicit flag wins");
         assert_eq!(cli.filter.as_deref(), Some("mwis_gwmin"));
         assert_eq!(cli.bench_out, PathBuf::from("/tmp/b.json"));
-        assert_eq!(
-            cli.bench_baseline,
-            Some(PathBuf::from("BENCH_core.json"))
-        );
+        assert_eq!(cli.bench_baseline, Some(PathBuf::from("BENCH_core.json")));
         let defaults = Cli::parse(&argv("bench")).unwrap();
         assert_eq!(defaults.iters, 5);
         assert_eq!(defaults.warmup, 1);

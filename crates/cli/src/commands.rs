@@ -22,13 +22,13 @@ use spindown_core::model::Request;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::{MwisPlanner, WindowedPlanner};
 use spindown_core::system::{run_system_streamed_with_jobs, PolicyKind, SystemConfig};
+use spindown_disk::power::PowerParams;
 use spindown_sim::time::SimDuration;
 use spindown_trace::record::{Trace, TraceRecord};
 use spindown_trace::spc::SpcStream;
 use spindown_trace::srt::SrtStream;
 use spindown_trace::stats::TraceStats;
 use spindown_trace::stream::{collect_trace, EnsureSorted, SkipCount};
-use spindown_disk::power::PowerParams;
 use spindown_trace::synth::arrivals::OnOffProcess;
 use spindown_trace::synth::{CelloLike, DiurnalLike, FinancialLike, FlashCrowdLike};
 use spindown_trace::{ParsePolicy, StreamError};
@@ -264,8 +264,7 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
             // scan summary, pass two feeds the event loop(s) directly —
             // one per placement island when --jobs allows.
             let mut pass1 = workload.open()?;
-            let scan =
-                scan_stream(&mut pass1).map_err(|e| CommandError::Parse(e.to_string()))?;
+            let scan = scan_stream(&mut pass1).map_err(|e| CommandError::Parse(e.to_string()))?;
             let skipped_scan = pass1.skipped();
             let reads = scan.reads();
             let span_s = scan.span_s();
@@ -448,8 +447,11 @@ fn bench_report(cli: &Cli) -> Result<String, CommandError> {
         let text = std::fs::read_to_string(baseline_path)
             .map_err(|e| CommandError::Io(baseline_path.clone(), e))?;
         let baseline = spindown_bench::parse_baseline(&text).map_err(CommandError::Parse)?;
-        let gate =
-            spindown_bench::check(&report, &baseline, spindown_bench::regression::DEFAULT_TOLERANCE);
+        let gate = spindown_bench::check(
+            &report,
+            &baseline,
+            spindown_bench::regression::DEFAULT_TOLERANCE,
+        );
         if !gate.passed() {
             return Err(CommandError::BenchRegression(gate.to_text()));
         }
@@ -706,10 +708,7 @@ mod tests {
         // Strict (default): the malformed line fails the run.
         let mut cli = small_cli("--disks 4 --replication 2");
         cli.source = SourceArg::TraceFile(path.clone());
-        assert!(matches!(
-            execute(&cli).unwrap_err(),
-            CommandError::Parse(_)
-        ));
+        assert!(matches!(execute(&cli).unwrap_err(), CommandError::Parse(_)));
 
         // Lenient: both bad lines are skipped and counted; blank/comment
         // lines are not counted as skipped.
@@ -826,10 +825,7 @@ mod tests {
 
         // Corrupt baseline: reported as a parse error, not a pass.
         std::fs::write(&base, "{}").unwrap();
-        assert!(matches!(
-            execute(&cli).unwrap_err(),
-            CommandError::Parse(_)
-        ));
+        assert!(matches!(execute(&cli).unwrap_err(), CommandError::Parse(_)));
         std::fs::remove_file(out).ok();
         std::fs::remove_file(base).ok();
     }

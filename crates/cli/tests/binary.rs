@@ -60,7 +60,11 @@ fn simulate_small_synthetic_workload() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("scheduler: wsc"));
     assert!(text.contains("vs always-on"));
@@ -113,7 +117,11 @@ fn replan_synthetic_workload() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("rolling-horizon replan report"), "{text}");
     assert!(text.contains("windows planned"), "{text}");
@@ -127,8 +135,19 @@ fn replan_output_is_jobs_invariant() {
     let run = |jobs: &str| {
         let out = bin()
             .args([
-                "replan", "--requests", "400", "--data-items", "150", "--disks", "8", "--rate",
-                "5", "--seed", "7", "--jobs", jobs,
+                "replan",
+                "--requests",
+                "400",
+                "--data-items",
+                "150",
+                "--disks",
+                "8",
+                "--rate",
+                "5",
+                "--seed",
+                "7",
+                "--jobs",
+                jobs,
             ])
             .output()
             .expect("binary runs");

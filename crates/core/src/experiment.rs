@@ -305,7 +305,9 @@ pub fn build_scheduler(kind: &SchedulerKind, seed: u64) -> Option<Box<dyn Schedu
         SchedulerKind::Static => Some(Box::new(StaticScheduler)),
         SchedulerKind::Heuristic(cost) => Some(Box::new(HeuristicScheduler::new(*cost))),
         SchedulerKind::LoadAware => Some(Box::new(LoadAwareScheduler)),
-        SchedulerKind::Wsc { cost, interval } => Some(Box::new(WscScheduler::new(*cost, *interval))),
+        SchedulerKind::Wsc { cost, interval } => {
+            Some(Box::new(WscScheduler::new(*cost, *interval)))
+        }
         SchedulerKind::Mwis { .. } => None,
     }
 }

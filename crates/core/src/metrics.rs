@@ -256,7 +256,11 @@ pub fn merge_islands(
     // differ in how long their chains stayed alive. Per global sample,
     // read each disk's watts from its island's row (or its frozen
     // drained value) and sum in global disk order.
-    let samples = parts.iter().map(|p| p.sample_times.len()).max().unwrap_or(0);
+    let samples = parts
+        .iter()
+        .map(|p| p.sample_times.len())
+        .max()
+        .unwrap_or(0);
     let mut power_timeline = Vec::with_capacity(samples);
     if samples > 0 {
         let mut watts = vec![0.0f64; n];
@@ -407,7 +411,10 @@ mod tests {
         assert_eq!(a.peak_in_flight, 9);
         assert_eq!(a.splitter_high_water, 3);
         // Timeline merged by sample index; unmatched tail preserved.
-        assert_eq!(a.power_timeline, vec![(0.0, 11.0), (5.0, 14.0), (10.0, 8.0)]);
+        assert_eq!(
+            a.power_timeline,
+            vec![(0.0, 11.0), (5.0, 14.0), (10.0, 8.0)]
+        );
     }
 
     #[test]

@@ -92,7 +92,9 @@ pub fn evaluate_offline_with_jobs(
 ) -> RunMetrics {
     let work = disks as u64 * requests.len() as u64;
     let jobs = if work < MIN_PARALLEL_WORK { 1 } else { jobs };
-    evaluate_offline_impl(requests, assignment, disks, params, horizon, mechanics, jobs)
+    evaluate_offline_impl(
+        requests, assignment, disks, params, horizon, mechanics, jobs,
+    )
 }
 
 /// [`evaluate_offline_with_jobs`] without the [`MIN_PARALLEL_WORK`]

@@ -43,10 +43,9 @@ impl Scheduler for RandomScheduler {
         out.clear();
         out.extend(reqs.iter().map(|r| {
             let locs = view.locations(r.data);
-            let x = SplitMix64::new(
-                self.seed ^ (r.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )
-            .next_u64();
+            let x =
+                SplitMix64::new(self.seed ^ (r.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .next_u64();
             // Unbiased-enough fixed-point scaling of x into 0..len
             // (Lemire's multiply-shift; bias is < len / 2^64).
             let pick = ((x as u128 * locs.len() as u128) >> 64) as usize;
@@ -157,6 +156,9 @@ mod tests {
             warm.assign(&[req(i, 0)], &v);
         }
         let mut cold = RandomScheduler::new(7);
-        assert_eq!(warm.assign(&[req(42, 0)], &v), cold.assign(&[req(42, 0)], &v));
+        assert_eq!(
+            warm.assign(&[req(42, 0)], &v),
+            cold.assign(&[req(42, 0)], &v)
+        );
     }
 }

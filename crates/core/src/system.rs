@@ -365,22 +365,23 @@ const QUANTILE_CONFIDENCE: f64 = 0.8;
 /// under any island-to-worker assignment.
 fn build_disk(config: &SystemConfig, disk: u32, rng: SimRng) -> Disk {
     let params = config.effective_power(disk);
-    let policy: Box<dyn IdlePolicy> = match &config.policy {
-        PolicyKind::AlwaysOn => Box::new(AlwaysOn),
-        PolicyKind::Breakeven => Box::new(FixedThreshold::breakeven(params)),
-        PolicyKind::FixedTimeout(t) => Box::new(FixedThreshold::new(*t)),
-        PolicyKind::Adaptive => Box::new(AdaptiveThreshold::new(
-            0.25,
-            1.0,
-            SimDuration::from_secs(1),
-            params.breakeven() * 4,
-        )),
-        PolicyKind::Quantile => Box::new(
-            QuantileThreshold::new(params, QUANTILE_CONFIDENCE).with_damper(
-                StormDamper::for_disk(params.breakeven() * 4, disk, config.disks),
+    let policy: Box<dyn IdlePolicy> =
+        match &config.policy {
+            PolicyKind::AlwaysOn => Box::new(AlwaysOn),
+            PolicyKind::Breakeven => Box::new(FixedThreshold::breakeven(params)),
+            PolicyKind::FixedTimeout(t) => Box::new(FixedThreshold::new(*t)),
+            PolicyKind::Adaptive => Box::new(AdaptiveThreshold::new(
+                0.25,
+                1.0,
+                SimDuration::from_secs(1),
+                params.breakeven() * 4,
+            )),
+            PolicyKind::Quantile => Box::new(
+                QuantileThreshold::new(params, QUANTILE_CONFIDENCE).with_damper(
+                    StormDamper::for_disk(params.breakeven() * 4, disk, config.disks),
+                ),
             ),
-        ),
-    };
+        };
     Disk::with_discipline(
         params.clone(),
         Mechanics::new(config.geometry.clone(), rng),
@@ -1156,8 +1157,10 @@ pub fn run_system_streamed_with_jobs(
                 break;
             }
         }
-        let finished: Vec<FinishedIsland> =
-            engines.into_iter().map(IslandEngine::into_finished).collect();
+        let finished: Vec<FinishedIsland> = engines
+            .into_iter()
+            .map(IslandEngine::into_finished)
+            .collect();
         return Ok(merge_finished(name, config, finished, 0));
     }
 
@@ -1915,8 +1918,7 @@ mod tests {
     fn with_jobs_propagates_source_error() {
         // Two singleton islands; the unsorted stream must surface the
         // same error the serial engine reports.
-        let placement =
-            ExplicitPlacement::new(vec![vec![DiskId(0)], vec![DiskId(1)]], 2);
+        let placement = ExplicitPlacement::new(vec![vec![DiskId(0)], vec![DiskId(1)]], 2);
         let config = small_config(2, PolicyKind::Breakeven);
         let reqs = requests(&[1.0, 0.5], &[0, 1]);
         let run = |jobs| {

@@ -131,9 +131,8 @@ fn assert_matrix(
     seed: u64,
 ) {
     for kind in scheduler_kinds() {
-        let factory = || {
-            build_scheduler(&kind, seed).expect("event-loop scheduler") as Box<dyn Scheduler>
-        };
+        let factory =
+            || build_scheduler(&kind, seed).expect("event-loop scheduler") as Box<dyn Scheduler>;
         let mut oracle = factory();
         let serial = run_system(requests, placement, oracle.as_mut(), config);
         let mut first_parallel: Option<RunMetrics> = None;
@@ -198,7 +197,7 @@ fn grouped_islands_match_serial_oracle() {
 /// point must equal the serial engine exactly — operational fields
 /// included, because it *is* the serial engine then.
 #[test]
-fn replicated_placement_falls_back_to_single_island()  {
+fn replicated_placement_falls_back_to_single_island() {
     let requests = workload(900, 300, 6.0, 41);
     let placement = PlacementMap::build(
         data_space(&requests),
@@ -306,9 +305,10 @@ fn in_flight_runs_match_recorded_digests() {
 fn empty_stream_is_jobs_invariant() {
     let placement = grouped_placement(64, 4, 2, 2);
     let cfg = config(8, 5, true);
-    let factory =
-        || build_scheduler(&SchedulerKind::Static, 5).expect("event-loop scheduler")
-            as Box<dyn Scheduler>;
+    let factory = || {
+        build_scheduler(&SchedulerKind::Static, 5).expect("event-loop scheduler")
+            as Box<dyn Scheduler>
+    };
     let mut oracle = factory();
     let serial = run_system(&[], &placement, oracle.as_mut(), &cfg);
     assert_eq!(serial.requests, 0);
@@ -378,9 +378,10 @@ fn always_on_policy_is_jobs_invariant() {
     let placement = grouped_placement(data_space(&requests), 7, 2, 2);
     let mut cfg = config(14, 83, true);
     cfg.policy = PolicyKind::AlwaysOn;
-    let factory =
-        || build_scheduler(&SchedulerKind::Static, 83).expect("event-loop scheduler")
-            as Box<dyn Scheduler>;
+    let factory = || {
+        build_scheduler(&SchedulerKind::Static, 83).expect("event-loop scheduler")
+            as Box<dyn Scheduler>
+    };
     let mut oracle = factory();
     let serial = run_system(&requests, &placement, oracle.as_mut(), &cfg);
     for jobs in JOBS {

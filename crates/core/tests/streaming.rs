@@ -140,19 +140,16 @@ fn streamed_event_queue_peak_is_independent_of_trace_length() {
         };
         let scan = scan_stream(gen.stream(2).map(Ok::<_, StreamError>)).unwrap();
         let placement = PlacementMap::build(scan.data_space(), &pcfg, 1);
-        let mut sched =
-            build_scheduler(&SchedulerKind::Heuristic(CostFunction::energy_only()), 1)
-                .expect("event-loop scheduler");
+        let mut sched = build_scheduler(&SchedulerKind::Heuristic(CostFunction::energy_only()), 1)
+            .expect("event-loop scheduler");
         let mut source = scan.requests(gen.stream(2).map(Ok::<_, StreamError>));
-        let m = run_system_streamed(
-            &mut source,
-            &placement,
-            sched.as_mut(),
-            &test_config(DISKS),
-        )
-        .unwrap();
+        let m = run_system_streamed(&mut source, &placement, sched.as_mut(), &test_config(DISKS))
+            .unwrap();
         assert_eq!(m.requests, n);
-        assert!(m.peak_in_flight < n, "in-flight never holds the whole trace");
+        assert!(
+            m.peak_in_flight < n,
+            "in-flight never holds the whole trace"
+        );
         m.peak_events
     };
     let peak_5k = run(5_000);
@@ -198,8 +195,11 @@ fn source_error_propagates_verbatim() {
         disks: 1,
         ..SystemConfig::default()
     };
-    let mut source = vec![Ok(req(0, 0.0)), Err(SourceError::new("mid-stream parse failure"))]
-        .into_iter();
+    let mut source = vec![
+        Ok(req(0, 0.0)),
+        Err(SourceError::new("mid-stream parse failure")),
+    ]
+    .into_iter();
     let err = run_system_streamed(&mut source, &placement, sched.as_mut(), &config)
         .expect_err("source error must surface");
     assert_eq!(err, SourceError::new("mid-stream parse failure"));

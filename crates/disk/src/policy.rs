@@ -191,9 +191,8 @@ impl StormDamper {
     /// early spin-downs spread over time instead of aligning.
     pub fn for_disk(period: SimDuration, disk: u32, fleet: u32) -> Self {
         let fleet = fleet.max(1);
-        let phase = SimDuration::from_secs_f64(
-            period.as_secs_f64() * (disk % fleet) as f64 / fleet as f64,
-        );
+        let phase =
+            SimDuration::from_secs_f64(period.as_secs_f64() * (disk % fleet) as f64 / fleet as f64);
         StormDamper::new(period, phase)
     }
 

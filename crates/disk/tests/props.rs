@@ -212,8 +212,7 @@ fn two_cpm_is_two_competitive() {
         );
         // 2-competitive bound with additive slack for the tail (one
         // breakeven of idling + one transition) and active-power service.
-        let slack =
-            params.max_request_energy_j() + arrivals.len() as f64 * 0.02 * params.active_w;
+        let slack = params.max_request_energy_j() + arrivals.len() as f64 * 0.02 * params.active_w;
         assert!(
             actual <= 2.0 * optimal + slack,
             "actual {actual} above 2x optimal {optimal} + slack {slack}"

@@ -432,9 +432,8 @@ impl DeltaGraph {
             };
             // A non-monotone `order` can break the extras run's ascent;
             // the check is O(|run|), far below the sort it dodges.
-            let extras_sorted = extras_ascending
-                || hi == lo
-                || extra_vals[lo..hi].windows(2).all(|w| w[0] < w[1]);
+            let extras_sorted =
+                extras_ascending || hi == lo || extra_vals[lo..hi].windows(2).all(|w| w[0] < w[1]);
             let mut e_i = lo;
             if extras_sorted && base_monotone && (v as usize) < n_base {
                 // Fast path: a base slice under a monotone remap is

@@ -367,7 +367,11 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
                 continue;
             }
             tree_update(tree, n, u as usize, DEAD);
-            let uw = if S::NEEDS_DEAD_WEIGHT { g.weight(u) } else { 0.0 };
+            let uw = if S::NEEDS_DEAD_WEIGHT {
+                g.weight(u)
+            } else {
+                0.0
+            };
             for &w2 in g.neighbors(u) {
                 let wi = w2 as usize;
                 if !bitset::test(alive, wi) {
@@ -678,7 +682,14 @@ fn exact_eval_node(
     scratch_unassigned: &mut [u64],
     scratch_cand: &mut [u64],
 ) -> NodeStep {
-    let ub = clique_cover_bound(alive, closed, weights, words, scratch_unassigned, scratch_cand);
+    let ub = clique_cover_bound(
+        alive,
+        closed,
+        weights,
+        words,
+        scratch_unassigned,
+        scratch_cand,
+    );
     // Inflate by the relative slack so summation-order rounding can never
     // prune the float-achievable optimum (cur_w and ub are both ≥ 0 here).
     if cur_w + ub + (cur_w + ub) * BOUND_SLACK <= *best_w {

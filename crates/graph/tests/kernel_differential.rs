@@ -102,7 +102,9 @@ fn scratch_reuse_matches_fresh_across_instances() {
 /// Scalar reference for the fused word kernels, built from single-bit
 /// primitives only.
 fn bits_of(words: &[u64]) -> Vec<bool> {
-    (0..words.len() * 64).map(|i| bitset::test(words, i)).collect()
+    (0..words.len() * 64)
+        .map(|i| bitset::test(words, i))
+        .collect()
 }
 
 fn random_words(rng: &mut SimRng, len: usize, density_num: u64) -> Vec<u64> {
@@ -132,14 +134,22 @@ fn bitset_kernels_match_bitwise_reference() {
         let mut dst = a.clone();
         bitset::and_not_assign(&mut dst, &b);
         for i in 0..len * 64 {
-            assert_eq!(bitset::test(&dst, i), abits[i] && !bbits[i], "case {case} andnot {i}");
+            assert_eq!(
+                bitset::test(&dst, i),
+                abits[i] && !bbits[i],
+                "case {case} andnot {i}"
+            );
         }
 
         // or_assign / and_assign / and_into.
         let mut dst = a.clone();
         bitset::or_assign(&mut dst, &b);
         for i in 0..len * 64 {
-            assert_eq!(bitset::test(&dst, i), abits[i] || bbits[i], "case {case} or {i}");
+            assert_eq!(
+                bitset::test(&dst, i),
+                abits[i] || bbits[i],
+                "case {case} or {i}"
+            );
         }
         let mut dst = a.clone();
         bitset::and_assign(&mut dst, &b);
@@ -147,7 +157,11 @@ fn bitset_kernels_match_bitwise_reference() {
         bitset::and_into(&mut into, &a, &b);
         assert_eq!(dst, into, "case {case}: and_assign vs and_into");
         for i in 0..len * 64 {
-            assert_eq!(bitset::test(&dst, i), abits[i] && bbits[i], "case {case} and {i}");
+            assert_eq!(
+                bitset::test(&dst, i),
+                abits[i] && bbits[i],
+                "case {case} and {i}"
+            );
         }
 
         // extract_and_clear: slot = set & mask, set &= !mask.
@@ -155,15 +169,33 @@ fn bitset_kernels_match_bitwise_reference() {
         let mut slot = vec![0u64; len];
         bitset::extract_and_clear(&mut set, &b, &mut slot);
         for i in 0..len * 64 {
-            assert_eq!(bitset::test(&slot, i), abits[i] && bbits[i], "case {case} slot {i}");
-            assert_eq!(bitset::test(&set, i), abits[i] && !bbits[i], "case {case} set {i}");
+            assert_eq!(
+                bitset::test(&slot, i),
+                abits[i] && bbits[i],
+                "case {case} slot {i}"
+            );
+            assert_eq!(
+                bitset::test(&set, i),
+                abits[i] && !bbits[i],
+                "case {case} set {i}"
+            );
         }
 
         // Popcount-accumulate reductions.
         let expect_count = (0..len * 64).filter(|&i| abits[i] && bbits[i]).count();
-        assert_eq!(bitset::intersection_count(&a, &b), expect_count, "case {case}");
-        let expect_wsum: f64 = (0..len * 64).filter(|&i| abits[i]).map(|i| weights[i]).sum();
-        assert!((bitset::weight_sum(&a, &weights) - expect_wsum).abs() < 1e-9, "case {case}");
+        assert_eq!(
+            bitset::intersection_count(&a, &b),
+            expect_count,
+            "case {case}"
+        );
+        let expect_wsum: f64 = (0..len * 64)
+            .filter(|&i| abits[i])
+            .map(|i| weights[i])
+            .sum();
+        assert!(
+            (bitset::weight_sum(&a, &weights) - expect_wsum).abs() < 1e-9,
+            "case {case}"
+        );
         let expect_iw: f64 = (0..len * 64)
             .filter(|&i| abits[i] && bbits[i])
             .map(|i| weights[i])
@@ -175,7 +207,11 @@ fn bitset_kernels_match_bitwise_reference() {
 
         // Masked first-set and masked iteration.
         let expect_first = (0..len * 64).find(|&i| abits[i] && bbits[i]);
-        assert_eq!(bitset::first_set_masked(&a, &b), expect_first, "case {case}");
+        assert_eq!(
+            bitset::first_set_masked(&a, &b),
+            expect_first,
+            "case {case}"
+        );
         let got: Vec<usize> = bitset::ones_masked(&a, &b).collect();
         let expect: Vec<usize> = (0..len * 64).filter(|&i| abits[i] && bbits[i]).collect();
         assert_eq!(got, expect, "case {case}: ones_masked order");

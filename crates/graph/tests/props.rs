@@ -29,10 +29,7 @@ fn gwmin_output_is_independent_and_maximal() {
             if inset[v] {
                 continue;
             }
-            let addable = g
-                .neighbors(v as NodeId)
-                .iter()
-                .all(|&u| !inset[u as usize]);
+            let addable = g.neighbors(v as NodeId).iter().all(|&u| !inset[u as usize]);
             assert!(!addable, "vertex {v} was addable");
         }
     }

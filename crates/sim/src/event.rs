@@ -238,7 +238,8 @@ impl<T> EventQueue<T> {
         let bits0 = self.occupied[0] & (!0u64 << cur0);
         if bits0 != 0 {
             // Next event lives in the current window: step within level 0.
-            self.now_tick = (self.now_tick & !(SLOTS as u64 - 1)) | u64::from(bits0.trailing_zeros());
+            self.now_tick =
+                (self.now_tick & !(SLOTS as u64 - 1)) | u64::from(bits0.trailing_zeros());
             return;
         }
         for level in 1..LEVELS {
@@ -525,8 +526,19 @@ mod tests {
         // level; drain order must stay globally sorted and FIFO at ties.
         let mut q = EventQueue::new();
         let boundaries = [
-            63u64, 64, 65, 4095, 4096, 4097, 262_143, 262_144, 262_145,
-            16_777_215, 16_777_216, 1_073_741_824, 68_719_476_736,
+            63u64,
+            64,
+            65,
+            4095,
+            4096,
+            4097,
+            262_143,
+            262_144,
+            262_145,
+            16_777_215,
+            16_777_216,
+            1_073_741_824,
+            68_719_476_736,
         ];
         let mut i = 0u64;
         for &b in &boundaries {

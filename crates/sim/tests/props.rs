@@ -56,8 +56,14 @@ fn histogram_quantiles_bracket_exact() {
         // Bucket growth is 1.25: the reported (upper-edge) quantile may
         // exceed the exact value by one bucket and never undershoots by
         // more than one bucket.
-        assert!(approx >= exact / 1.26, "approx {approx} far below exact {exact}");
-        assert!(approx <= exact * 1.26, "approx {approx} far above exact {exact}");
+        assert!(
+            approx >= exact / 1.26,
+            "approx {approx} far below exact {exact}"
+        );
+        assert!(
+            approx <= exact * 1.26,
+            "approx {approx} far above exact {exact}"
+        );
     }
 }
 

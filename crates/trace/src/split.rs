@@ -195,8 +195,7 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
                             // and pops under this same lock, so the wait
                             // always terminates.
                             while g != group
-                                && st.groups[g].buffered - st.groups[g].open.len()
-                                    >= self.capacity
+                                && st.groups[g].buffered - st.groups[g].open.len() >= self.capacity
                             {
                                 st = self.ready.wait(st).expect("splitter lock poisoned");
                             }
@@ -321,7 +320,12 @@ mod tests {
         let mut items: Vec<Result<i32, String>> = (0..200).map(|i| Ok(i * 2 + 1)).collect();
         items.push(Ok(0));
         let cap = 16;
-        let s = StreamSplitter::new(vec_source(items), Box::new(|x: &i32| (*x % 2) as usize), 2, cap);
+        let s = StreamSplitter::new(
+            vec_source(items),
+            Box::new(|x: &i32| (*x % 2) as usize),
+            2,
+            cap,
+        );
         std::thread::scope(|scope| {
             let s0 = &s;
             let slow = scope.spawn(move || pull_all(s0, 1));

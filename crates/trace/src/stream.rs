@@ -65,7 +65,10 @@ impl std::fmt::Display for StreamError {
                 write!(f, "line {line}: {message}")
             }
             StreamError::OutOfOrder { index } => {
-                write!(f, "record {index} is out of time order (stream must be time-sorted)")
+                write!(
+                    f,
+                    "record {index} is out of time order (stream must be time-sorted)"
+                )
             }
         }
     }
@@ -119,9 +122,7 @@ impl Iterator for TraceStream<'_> {
 
 /// Drains a stream into a materialized [`Trace`] (records are re-sorted
 /// by time, like any [`Trace::from_records`] construction).
-pub fn collect_trace<E>(
-    stream: impl Iterator<Item = Result<TraceRecord, E>>,
-) -> Result<Trace, E> {
+pub fn collect_trace<E>(stream: impl Iterator<Item = Result<TraceRecord, E>>) -> Result<Trace, E> {
     let records: Result<Vec<_>, E> = stream.collect();
     Ok(Trace::from_records(records?))
 }
@@ -533,13 +534,10 @@ mod tests {
         // An infinite stream proves the early exit: only records < `to`
         // are pulled.
         let endless = (0..).map(|i| Ok(rec(i as f64, i)));
-        let windowed: Vec<_> = WindowStream::new(
-            endless,
-            SimTime::from_secs(2),
-            SimTime::from_secs(5),
-        )
-        .map(|r| r.unwrap())
-        .collect();
+        let windowed: Vec<_> =
+            WindowStream::new(endless, SimTime::from_secs(2), SimTime::from_secs(5))
+                .map(|r| r.unwrap())
+                .collect();
         assert_eq!(windowed.len(), 3);
         assert_eq!(windowed[0].at, SimTime::ZERO);
         assert_eq!(windowed[2].at, SimTime::from_secs(2));
@@ -630,10 +628,7 @@ mod tests {
             ErasedStream::new(SpcStream::new(a.as_bytes(), ParsePolicy::Lenient)),
             ErasedStream::new(SpcStream::new(b.as_bytes(), ParsePolicy::Lenient)),
         ]);
-        let times: Vec<f64> = m
-            .by_ref()
-            .map(|r| r.unwrap().at.as_secs_f64())
-            .collect();
+        let times: Vec<f64> = m.by_ref().map(|r| r.unwrap().at.as_secs_f64()).collect();
         assert_eq!(times, vec![0.5, 1.0, 2.0]);
         assert_eq!(m.skipped_lines(), 3, "summed across inputs, not dropped");
         assert_eq!(m.streams()[0].skipped_lines(), 1);

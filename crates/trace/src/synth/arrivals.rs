@@ -159,7 +159,11 @@ impl OnOffProcess {
         }
         let mut fallback = Vec::new();
         if produced < n {
-            let mut t = if produced > 0 { last.as_secs_f64() } else { 0.0 };
+            let mut t = if produced > 0 {
+                last.as_secs_f64()
+            } else {
+                0.0
+            };
             while produced + fallback.len() < n {
                 t += rng.exponential(self.mean_rate().max(1e-6));
                 fallback.push(SimTime::from_secs_f64(t));

@@ -94,7 +94,9 @@ fn greedy_mwis_is_feasible_and_bounded() {
             let (assignment, claimed) = planner.plan(&requests, &placement);
             // Feasibility: every request on one of its locations.
             for (r, req) in requests.iter().enumerate() {
-                assert!(placement.locations(req.data).contains(&assignment.disk_of(r)));
+                assert!(placement
+                    .locations(req.data)
+                    .contains(&assignment.disk_of(r)));
             }
             // Bounded by the optimum from below, by N·E_max from above.
             let planned = evaluate_offline(&requests, &assignment, 4, &params, None, None);
@@ -102,8 +104,7 @@ fn greedy_mwis_is_feasible_and_bounded() {
                 .expect("tiny instance");
             assert!(planned.energy_j >= optimal - 1e-9);
             assert!(
-                planned.energy_j
-                    <= requests.len() as f64 * params.max_request_energy_j() + 1e-9
+                planned.energy_j <= requests.len() as f64 * params.max_request_energy_j() + 1e-9
             );
             // Soundness of the claimed saving: the schedule realizes at
             // least what the independent set promised (Eq. 1 as an
