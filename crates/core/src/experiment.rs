@@ -15,8 +15,8 @@ use crate::model::{DataId, Request};
 use crate::offline::evaluate_offline_with_jobs;
 use crate::placement::{PlacementConfig, PlacementMap};
 use crate::sched::{
-    HeuristicScheduler, LoadAwareScheduler, MwisPlanner, MwisSolver, RandomScheduler, Scheduler,
-    StaticScheduler, WscScheduler,
+    HeuristicScheduler, MwisPlanner, MwisSolver, RandomScheduler, Scheduler, StaticScheduler,
+    WscScheduler,
 };
 use crate::system::{run_system_with_jobs, PolicyKind, SourceError, SystemConfig};
 
@@ -29,9 +29,6 @@ pub enum SchedulerKind {
     Static,
     /// Online Eq. 6 cost minimization.
     Heuristic(CostFunction),
-    /// Join-the-shortest-queue latency baseline (extension, not in the
-    /// paper).
-    LoadAware,
     /// Batch weighted set cover.
     Wsc {
         /// Disk-weight cost function (the paper reuses the heuristic's).
@@ -72,7 +69,6 @@ impl SchedulerKind {
             SchedulerKind::Random => "random",
             SchedulerKind::Static => "static",
             SchedulerKind::Heuristic(_) => "heuristic",
-            SchedulerKind::LoadAware => "load-aware",
             SchedulerKind::Wsc { .. } => "wsc",
             SchedulerKind::Mwis { .. } => "mwis",
         }
@@ -304,7 +300,6 @@ pub fn build_scheduler(kind: &SchedulerKind, seed: u64) -> Option<Box<dyn Schedu
         SchedulerKind::Random => Some(Box::new(RandomScheduler::new(seed))),
         SchedulerKind::Static => Some(Box::new(StaticScheduler)),
         SchedulerKind::Heuristic(cost) => Some(Box::new(HeuristicScheduler::new(*cost))),
-        SchedulerKind::LoadAware => Some(Box::new(LoadAwareScheduler)),
         SchedulerKind::Wsc { cost, interval } => {
             Some(Box::new(WscScheduler::new(*cost, *interval)))
         }

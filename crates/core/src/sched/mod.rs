@@ -5,7 +5,6 @@
 //! | [`RandomScheduler`] | online | §4.3 | baseline |
 //! | [`StaticScheduler`] | online | §4.3 | baseline |
 //! | [`HeuristicScheduler`] | online | §3.3 | energy-aware (Eq. 6 cost) |
-//! | [`LoadAwareScheduler`] | online | extension | join-the-shortest-queue baseline |
 //! | [`WscScheduler`] | batch | §3.2 | energy-aware (weighted set cover) |
 //! | [`MwisPlanner`] | offline | §3.1 | energy-aware (max-weight independent set) |
 //!
@@ -15,14 +14,12 @@
 //! analytically), so it lives behind its own API in [`mwis`].
 
 mod heuristic;
-mod load_aware;
 pub mod mwis;
 mod random;
 mod static_;
 mod wsc;
 
 pub use heuristic::HeuristicScheduler;
-pub use load_aware::LoadAwareScheduler;
 pub use mwis::{MwisPlanner, MwisSolver, PlanScratch, ReplanStats, WindowedPlanner};
 pub use random::RandomScheduler;
 pub use static_::StaticScheduler;

@@ -95,7 +95,6 @@ fn scheduler_kinds() -> Vec<SchedulerKind> {
         SchedulerKind::Random,
         SchedulerKind::Static,
         SchedulerKind::Heuristic(CostFunction::default()),
-        SchedulerKind::LoadAware,
         SchedulerKind::Wsc {
             cost: CostFunction::default(),
             interval: SimDuration::from_millis(100),
@@ -281,11 +280,10 @@ fn in_flight_runs_match_recorded_digests() {
     let requests = workload(1_000, 320, 8.0, 71);
     let placement = grouped_placement(data_space(&requests), 8, 3, 2);
     let cfg = config(24, 71, true);
-    let recorded: [(&str, u64); 5] = [
+    let recorded: [(&str, u64); 4] = [
         ("random", 0xb5e9_46bf_0177_4b6d),
         ("static", 0x0217_dd5c_7bef_3cd6),
         ("heuristic", 0x894e_9992_3ac6_4d9e),
-        ("load-aware", 0x83bd_13ba_8eb0_cc5a),
         ("wsc", 0x1000_2894_d95c_20ab),
     ];
     for (kind, (label, want)) in scheduler_kinds().iter().zip(recorded) {

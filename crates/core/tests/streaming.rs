@@ -25,7 +25,6 @@ fn event_loop_schedulers() -> Vec<SchedulerKind> {
         SchedulerKind::Random,
         SchedulerKind::Static,
         SchedulerKind::Heuristic(CostFunction::energy_only()),
-        SchedulerKind::LoadAware,
         SchedulerKind::Wsc {
             cost: CostFunction::energy_only(),
             interval: SimDuration::from_millis(100),

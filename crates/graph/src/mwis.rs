@@ -19,26 +19,22 @@
 //! for the deletion cascades and a binary-search `has_edge` for the
 //! (1,2)-swaps.
 //!
-//! The greedy engine is a **monotone tournament tree** in a flat
-//! index-addressed layout: one `u128` slot per node packs an
-//! order-preserving integer score key and the complemented node id, the
-//! implicit segment tree above the slots holds each subtree's winner, the
-//! current maximum is a single root read, and an update is a bottom-up
-//! walk that stops at the first ancestor whose stored winner did not
-//! change. A deletion cascade kills the selected node's neighborhood,
-//! applies every degree/neighbor-weight decrement, and refreshes each
-//! touched survivor's slot once. There are no stale entries, no epochs,
-//! and no pop/sift churn — instrumenting the lazy heap this replaced on
-//! dense conflict graphs showed ~98 % of pops stale, with the sift
-//! traffic those garbage entries drag along dominating the whole solve.
-//! Around the tree, the cascade state is SoA: one hot record per node
-//! holding only the statistic the score family reads (GWMIN a degree,
-//! GWMIN2 a neighbor-weight — never both) plus the cascade stamp, and
-//! liveness as a word-packed bitset from [`crate::bitset`]. All of it
-//! lives in a caller-owned [`GreedyScratch`], so a warm repeated solve
-//! performs zero allocations. The engine selects exactly the sets of the
-//! eager-heap cascade it replaced; `tests/kernel_differential.rs` pins
-//! the two against each other with that engine kept as a test-only
+//! The greedy engine is a **word-blocked tournament tree**: a block is
+//! the 64 nodes of one word of the alive bitset (from [`crate::bitset`]),
+//! and the tree holds only the block maxima, each a `u128` packing an
+//! order-preserving integer score key over the complemented node id. The
+//! current maximum is a single root read; an update walks up only while
+//! winners change. No per-node priority is stored: a block whose maximum
+//! may have gone stale is rescanned once at the end of the cascade (see
+//! `greedy_tree`), so the tree takes half a byte per node where a
+//! per-node tree takes 32, and unlike a lazy heap it never pops a stale
+//! entry. Per node there is one hot record holding only the statistic
+//! the score family reads (GWMIN a degree, GWMIN2 a neighbor-weight)
+//! plus the cascade stamp. All of it lives in a caller-owned
+//! [`GreedyScratch`], so a warm repeated solve performs zero
+//! allocations. The engine selects exactly the sets of the eager-heap
+//! cascade; `tests/kernel_differential.rs` pins the two against each
+//! other, over one block and many, with that engine kept as a test-only
 //! reference.
 //!
 //! All solvers return node lists sorted ascending, so results are
@@ -59,8 +55,9 @@ pub const DEFAULT_NODE_LIMIT: usize = 128;
 /// maximizing `w(v) / (deg(v)+1)` (degree in the *remaining* graph), add it
 /// to the independent set, and delete it and its neighbors.
 ///
-/// Runs in `O((n + m) log n)` using a tournament tree keyed by the ratio.
-/// Ties break toward the smaller node id, making the result deterministic.
+/// Runs in `O((n + m) log n)` using a tournament tree over 64-node
+/// blocks keyed by the ratio. Ties break toward the smaller node id,
+/// making the result deterministic.
 ///
 /// # Examples
 ///
@@ -113,11 +110,11 @@ fn gwmin2_score(w: f64, _deg: usize, nbr_w: f64) -> f64 {
     }
 }
 
-/// Reusable working memory of the tournament-tree greedy engine: the
+/// Reusable working memory of the blocked tournament greedy engine: the
 /// word-packed alive set, the cascade's touched-survivor staging list,
-/// the flat `u128` tournament tree, and one hot-record lane per score
-/// family (only the lane the solver uses is ever populated; the other
-/// stays empty).
+/// the block tournament tree with its per-block dirty stamps and dirty
+/// list, and one hot-record lane per score family (only the lane the
+/// solver uses is ever populated; the other stays empty).
 ///
 /// Buffers are grown on first use and retained across solves, so a
 /// scratch that has been warmed on an instance performs **zero
@@ -126,9 +123,7 @@ fn gwmin2_score(w: f64, _deg: usize, nbr_w: f64) -> f64 {
 /// through one scratch return exactly what fresh scratches would.
 #[derive(Default)]
 pub struct GreedyScratch {
-    alive: Vec<u64>,
-    touched: Vec<NodeId>,
-    tree: Vec<u128>,
+    bufs: EngineBufs,
     deg_lane: Vec<Hot<DegStat>>,
     nbr_lane: Vec<Hot<NbrWStat>>,
 }
@@ -140,13 +135,25 @@ impl GreedyScratch {
     }
 }
 
-/// Per-node hot record of the tournament engine: the score-specific
-/// statistic and the cascade stamp that dedups touched-survivor staging.
-/// One 8-byte (GWMIN) or 16-byte (GWMIN2) record per node, so the
-/// cascade's random access to a survivor touches a single cache line
-/// instead of the three parallel arrays the predecessor engine
-/// dereferenced. The tournament tree needs no staleness epoch: each node
-/// owns exactly one priority slot, so there is nothing to go stale.
+/// The buffers both score families share. A block is the 64 nodes of one
+/// `alive` word; `tree` holds `2 × blocks` slots, and a block whose
+/// stored maximum may be stale carries the current cascade number in
+/// `block_stamp` and sits once in `dirty` until its rescan.
+#[derive(Default)]
+struct EngineBufs {
+    alive: Vec<u64>,
+    touched: Vec<NodeId>,
+    tree: Vec<u128>,
+    block_stamp: Vec<u32>,
+    dirty: Vec<u32>,
+}
+
+/// Per-node hot record of the engine: the score-specific statistic and
+/// the cascade stamp that dedups touched-survivor staging. One 8-byte
+/// (GWMIN) or 16-byte (GWMIN2) record per node, so the cascade's random
+/// access to a survivor touches a single cache line. No per-node
+/// priority is stored anywhere: a node's score is recomputed from this
+/// record and its weight whenever its block's maximum is needed.
 #[derive(Copy, Clone)]
 struct Hot<S> {
     stat: S,
@@ -168,18 +175,10 @@ trait GreedyStat: Copy {
     fn score(&self, w: f64) -> f64;
 
     /// Selects this stat's hot-record lane out of the shared scratch,
-    /// handing back the engine's other buffers in the same borrow.
-    fn lanes(scratch: &mut GreedyScratch) -> EngineLanes<'_, Self>
+    /// handing back the shared buffers in the same borrow.
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs)
     where
         Self: Sized;
-}
-
-/// The field borrows one engine run works on (see [`GreedyStat::lanes`]).
-struct EngineLanes<'a, S> {
-    hot: &'a mut Vec<Hot<S>>,
-    alive: &'a mut Vec<u64>,
-    touched: &'a mut Vec<NodeId>,
-    tree: &'a mut Vec<u128>,
 }
 
 /// GWMIN's statistic: the remaining-graph degree (`w / (deg + 1)`).
@@ -205,13 +204,8 @@ impl GreedyStat for DegStat {
         w / (self.deg as f64 + 1.0)
     }
 
-    fn lanes(scratch: &mut GreedyScratch) -> EngineLanes<'_, Self> {
-        EngineLanes {
-            hot: &mut scratch.deg_lane,
-            alive: &mut scratch.alive,
-            touched: &mut scratch.touched,
-            tree: &mut scratch.tree,
-        }
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs) {
+        (&mut scratch.deg_lane, &mut scratch.bufs)
     }
 }
 
@@ -239,13 +233,8 @@ impl GreedyStat for NbrWStat {
         gwmin2_score(w, 0, self.nbr_w)
     }
 
-    fn lanes(scratch: &mut GreedyScratch) -> EngineLanes<'_, Self> {
-        EngineLanes {
-            hot: &mut scratch.nbr_lane,
-            alive: &mut scratch.alive,
-            touched: &mut scratch.touched,
-            tree: &mut scratch.tree,
-        }
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs) {
+        (&mut scratch.nbr_lane, &mut scratch.bufs)
     }
 }
 
@@ -261,38 +250,41 @@ fn ord_key(score: f64) -> u64 {
     bits ^ (((bits as i64 >> 63) as u64) | (1u64 << 63))
 }
 
-/// The tournament slot of a dead node: `0`, strictly below every live
-/// priority — a live pack carries `!node` in its low word, nonzero for
-/// every node id a real graph can hold, and a nonzero key for every
-/// non-NaN score.
+/// The tournament slot of a block with no alive node: `0`, strictly
+/// below every live priority — a live pack carries `!node` in its low
+/// word, nonzero for every node id a real graph can hold, and a nonzero
+/// key for every non-NaN score.
 const DEAD: u128 = 0;
 
 /// Packs a score key and node id into one tournament priority: the key
 /// in the high word so the larger score wins, the complemented node id
 /// in the low word so equal scores resolve toward the **smaller** node
 /// id — the historical heap engines' tie-break — all in a single `u128`
-/// compare.
+/// compare. The low word also names a block maximum's holder.
 #[inline]
 fn pack(key: u64, node: u32) -> u128 {
     ((key as u128) << 64) | (!node) as u128
 }
 
-/// Point update of the tournament tree with change-propagation early
-/// exit: write the leaf slot, then recompute each ancestor's winner
-/// bottom-up, stopping at the first ancestor whose stored winner is
-/// unchanged (nothing above it can change either). A killed node that
-/// was not winning any match and a refreshed score that loses its first
-/// match both stop after O(1) levels; only the reigning maximum pays the
-/// full `log n` walk. That early exit is what keeps the tree's total
-/// maintenance traffic an order of magnitude below the lazy heap's
-/// stale-entry sift churn.
-///
-/// The tree is the standard implicit layout for arbitrary `n`: leaves at
-/// `n + v`, parent of `i` at `i >> 1`, winners in `1..n`, the overall
-/// maximum at the root `tree[1]` (slot 0 is unused).
+/// Whether the priority `slot` is held by node `v`.
 #[inline]
-fn tree_update(tree: &mut [u128], n: usize, v: usize, val: u128) {
-    let mut i = n + v;
+fn holds(slot: u128, v: u32) -> bool {
+    slot as u32 == !v
+}
+
+/// Point update of the block tournament tree with change-propagation
+/// early exit: write block `b`'s leaf slot, then recompute each
+/// ancestor's winner bottom-up, stopping at the first ancestor whose
+/// stored winner is unchanged (nothing above it can change either). A
+/// refreshed block maximum that loses its first match stops after O(1)
+/// levels; only the reigning maximum pays the full `log(n / 64)` walk.
+///
+/// The tree is the standard implicit layout over `blocks` leaves: leaves
+/// at `blocks + b`, parent of `i` at `i >> 1`, winners in `1..blocks`,
+/// the overall maximum at the root `tree[1]` (slot 0 is unused).
+#[inline]
+fn tree_update(tree: &mut [u128], blocks: usize, b: usize, val: u128) {
+    let mut i = blocks + b;
     if tree[i] == val {
         return;
     }
@@ -308,44 +300,87 @@ fn tree_update(tree: &mut [u128], n: usize, v: usize, val: u128) {
     }
 }
 
+/// The maximum priority among block `b`'s alive nodes (`word` is the
+/// block's alive word), or [`DEAD`] when none is alive — each score
+/// recomputed from the node's hot record and weight.
+#[inline]
+fn block_max<S: GreedyStat>(g: &CsrGraph, hot: &[Hot<S>], b: usize, mut word: u64) -> u128 {
+    let mut best = DEAD;
+    while word != 0 {
+        let v = b * 64 + word.trailing_zeros() as usize;
+        word &= word - 1;
+        let key = ord_key(hot[v].stat.score(g.weight(v as NodeId)));
+        best = best.max(pack(key, v as u32));
+    }
+    best
+}
+
+/// Marks block `b` for a rescan at the end of cascade `cascade`, once.
+#[inline]
+fn mark_dirty(block_stamp: &mut [u32], dirty: &mut Vec<u32>, b: usize, cascade: u32) {
+    if block_stamp[b] != cascade {
+        block_stamp[b] = cascade;
+        dirty.push(b as u32);
+    }
+}
+
 /// The greedy engine, monomorphized per score family. Same cascade
 /// semantics as the heap engines it replaced — select the
-/// maximum-priority node, kill its
-/// neighborhood, decrement each survivor once per dead neighbor, refresh
-/// each touched survivor's priority once per cascade — but the priority
-/// structure is a monotone tournament tree instead of a lazy heap:
-/// selection is one root read (never a stale pop), a kill writes [`DEAD`]
-/// into the node's slot, and a refresh overwrites the slot in place, each
-/// propagating upward only as far as winners actually change.
+/// maximum-priority node, kill its neighborhood, decrement each survivor
+/// once per dead neighbor, re-score each touched survivor once per
+/// cascade — over a tournament tree whose leaves are the maxima of
+/// 64-node blocks (one `alive` word each). Selection is one root read.
+/// Within a cascade:
+///
+/// * the selected node held its block's maximum, and a kill that removes
+///   its block's stored maximum (the slot's low word names the holder)
+///   marks that block dirty;
+/// * a re-scored survivor that beats its block's maximum updates the
+///   tree at once; one that held the maximum and fell (only a
+///   non-positive or NaN weight makes a score fall) marks its block
+///   dirty; survivors of blocks already dirty are skipped;
+/// * every dirty block is rescanned once, after the refreshes, from its
+///   alive bits, hot records and weights.
+///
+/// Each leaf then again equals the maximum over its block's alive nodes
+/// of `key << 64 | !node`, so the root is the maximum of the same total
+/// order a per-node tree holds, and the selections are identical.
 fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
     let n = g.len();
     out.clear();
     if n == 0 {
         return;
     }
-    let EngineLanes {
-        hot,
+    let (hot, bufs) = S::lanes(scratch);
+    let EngineBufs {
         alive,
         touched,
         tree,
-    } = S::lanes(scratch);
+        block_stamp,
+        dirty,
+    } = bufs;
 
     hot.clear();
     hot.extend((0..n).map(|v| Hot {
         stat: S::init(g, v as NodeId),
         stamp: 0,
     }));
+    let blocks = bitset::words_for(n);
     alive.clear();
-    alive.resize(bitset::words_for(n), u64::MAX);
+    alive.resize(blocks, u64::MAX);
+    // A rescan walks alive bits, so the last word's bits past `n` must
+    // be clear.
+    alive[blocks - 1] = u64::MAX >> (blocks * 64 - n);
+    block_stamp.clear();
+    block_stamp.resize(blocks, 0);
 
-    // Initial tree: every node's slot from its starting score, winners
-    // filled bottom-up in O(n).
+    // Initial tree: every block's maximum, winners filled bottom-up.
     tree.clear();
-    tree.resize(2 * n, DEAD);
-    for v in 0..n {
-        tree[n + v] = pack(ord_key(hot[v].stat.score(g.weight(v as NodeId))), v as u32);
+    tree.resize(2 * blocks, DEAD);
+    for b in 0..blocks {
+        tree[blocks + b] = block_max(g, hot, b, alive[b]);
     }
-    for i in (1..n).rev() {
+    for i in (1..blocks).rev() {
         tree[i] = tree[2 * i].max(tree[2 * i + 1]);
     }
 
@@ -358,15 +393,19 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
         let v = !(top as u32) as usize;
         out.push(v as NodeId);
         bitset::clear(alive, v);
-        tree_update(tree, n, v, DEAD);
         cascade += 1;
         touched.clear();
+        dirty.clear();
+        mark_dirty(block_stamp, dirty, v / 64, cascade);
         // Kill neighbors; decrement the stat of *their* survivors.
         for &u in g.neighbors(v as NodeId) {
             if !bitset::take(alive, u as usize) {
                 continue;
             }
-            tree_update(tree, n, u as usize, DEAD);
+            let ub = u as usize / 64;
+            if holds(tree[blocks + ub], u) {
+                mark_dirty(block_stamp, dirty, ub, cascade);
+            }
             let uw = if S::NEEDS_DEAD_WEIGHT {
                 g.weight(u)
             } else {
@@ -385,15 +424,25 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
                 }
             }
         }
-        // One priority refresh per surviving touched node, now that every
+        // One re-score per surviving touched node, now that every
         // decrement of this cascade has landed.
         for &t in touched.iter() {
             let ti = t as usize;
-            if !bitset::test(alive, ti) {
+            let tb = ti / 64;
+            if !bitset::test(alive, ti) || block_stamp[tb] == cascade {
                 continue;
             }
-            let key = ord_key(hot[ti].stat.score(g.weight(t)));
-            tree_update(tree, n, ti, pack(key, t));
+            let key = pack(ord_key(hot[ti].stat.score(g.weight(t))), t);
+            let leaf = tree[blocks + tb];
+            if key > leaf {
+                tree_update(tree, blocks, tb, key);
+            } else if key < leaf && holds(leaf, t) {
+                mark_dirty(block_stamp, dirty, tb, cascade);
+            }
+        }
+        for &b in dirty.iter() {
+            let b = b as usize;
+            tree_update(tree, blocks, b, block_max(g, hot, b, alive[b]));
         }
     }
     out.sort_unstable();
@@ -882,8 +931,10 @@ mod tests {
     fn nan_weight_no_longer_wedges_staleness() {
         // With the old `f64`-equality staleness test, a NaN neighbor
         // weight marked every entry of its neighbors stale forever and
-        // the greedy silently dropped them. Epochs are NaN-proof: the
-        // result must still be a maximal independent set.
+        // the greedy silently dropped them. The engine keeps no stale
+        // entries to test — a NaN score orders by its integer key like
+        // any other — so the result must still be a maximal independent
+        // set.
         let g = graph(&[1.0, f64::NAN, 1.0, 1.0], &[(0, 1), (1, 2), (2, 3)]);
         let is = gwmin(&g);
         assert!(g.is_independent_set(&is));

@@ -124,8 +124,9 @@ impl Ord for Entry {
 /// and neighbor-weight per node, plus the epoch counters backing
 /// staleness. (The production engine replaced this parallel-`Vec`s
 /// layout with one hot record per node carrying only the statistic
-/// its score family reads, and dropped the epochs entirely — a
-/// tournament slot cannot go stale.)
+/// its score family reads, and dropped the epochs entirely — its
+/// tournament tree holds block maxima, rescanned when they may be
+/// stale, never per-node entries.)
 struct GreedyState {
     alive: Vec<bool>,
     deg: Vec<u32>,

@@ -1,13 +1,14 @@
 //! Differential pinning of the tournament-tree greedy engine and the
 //! word-at-a-time bitset kernels against their predecessors.
 //!
-//! The production greedy engine (`gwmin`/`gwmin2`) is a monotone
-//! tournament tree; its reference is the eager-heap cascade kept in
+//! The production greedy engine (`gwmin`/`gwmin2`) is a tournament tree
+//! over 64-node blocks; its reference is the eager-heap cascade kept in
 //! `common/mod.rs`. Weights are continuous draws from the seeded
 //! `spindown_sim` RNG, so score ties are absent (almost surely,
 //! deterministically for these fixed seeds) apart from the engineered tie
 //! cases — the engines must return **bit-identical** selections, not
-//! merely equal weights.
+//! merely equal weights. Graphs of at most 64 nodes are one block; the
+//! multi-block cases reach the engine's dirty-block rescans.
 
 mod common;
 
@@ -53,6 +54,44 @@ fn greedy_tree_matches_eager_under_total_ties() {
             (mwis::gwmin2(&g), eager_gwmin2(&g)),
         ] {
             assert_eq!(tree, eager, "case {case}: tie-break vs eager");
+        }
+    }
+}
+
+/// Instances of many 64-node blocks: sizes at the block boundaries
+/// (63–65, 127–129, 191–193) plus random sizes up to ~1,000, each under
+/// three weight modes — continuous positive; a mix of zero, negative and
+/// positive (the only way a re-scored survivor's score falls); and
+/// all-equal, so ties cross block boundaries. One warm scratch runs the
+/// whole sequence.
+#[test]
+fn greedy_tree_matches_eager_across_blocks() {
+    let mut rng = SimRng::seed_from_u64(0x9a11e4);
+    let mut sizes = vec![63, 64, 65, 127, 128, 129, 191, 192, 193];
+    sizes.extend((0..12).map(|_| 2 + rng.index(1_000)));
+    let mut warm = GreedyScratch::new();
+    let mut out = Vec::new();
+    for (case, &n) in sizes.iter().enumerate() {
+        for mode in 0..3 {
+            let weights: Vec<f64> = (0..n)
+                .map(|_| {
+                    let positive = 0.01 + rng.next_f64() * 9.99;
+                    match mode {
+                        0 => positive,
+                        1 => [0.0, -positive, positive][rng.index(3)],
+                        _ => 1.0,
+                    }
+                })
+                .collect();
+            let draws = n * [1, 2, 4, 8][(case + mode) % 4];
+            let edges: Vec<(u32, u32)> = (0..draws)
+                .map(|_| (rng.index(n) as u32, rng.index(n) as u32))
+                .collect();
+            let g = csr_from_edges(weights, &edges);
+            mwis::gwmin_into(&g, &mut warm, &mut out);
+            assert_eq!(out, eager_gwmin(&g), "n {n} mode {mode}: gwmin vs eager");
+            mwis::gwmin2_into(&g, &mut warm, &mut out);
+            assert_eq!(out, eager_gwmin2(&g), "n {n} mode {mode}: gwmin2 vs eager");
         }
     }
 }

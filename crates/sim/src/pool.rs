@@ -233,26 +233,6 @@ where
     })
 }
 
-/// Sharded map-then-concatenate: runs `f` over [`shard_ranges`]`(len,
-/// shards)` with up to `jobs` workers and flattens the per-shard outputs
-/// in shard-index order.
-///
-/// This is the shape of any producer whose serial output is a
-/// concatenation of independent contiguous chunks. Because the flatten
-/// order is the shard order and the shard order is the index order, the
-/// result equals the serial `(0..len)` emission byte for byte.
-pub fn map_sharded<T, F>(jobs: usize, len: usize, shards: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    let ranges = shard_ranges(len, shards);
-    map_indexed(jobs, ranges.len(), |s| f(ranges[s].clone()))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Default shard multiplier: sharding finer than the worker count lets
 /// the work queue absorb per-shard cost imbalance (dense disks, hot
 /// request buckets) without a scheduling heuristic. Four shards per
@@ -342,17 +322,6 @@ mod tests {
             assert_eq!(map_indexed(jobs, 100, |i| i * i), serial, "jobs {jobs}");
         }
         assert!(map_indexed::<usize, _>(4, 0, |_| unreachable!()).is_empty());
-    }
-
-    #[test]
-    fn map_sharded_equals_serial_concatenation() {
-        let serial: Vec<usize> = (0..97).map(|i| i * 3).collect();
-        for jobs in [1usize, 2, 8] {
-            for shards in [1usize, 2, 5, 97, 500] {
-                let got = map_sharded(jobs, 97, shards, |r| r.map(|i| i * 3).collect());
-                assert_eq!(got, serial, "jobs {jobs} shards {shards}");
-            }
-        }
     }
 
     #[test]
