@@ -450,17 +450,17 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
     }
 
     // Rolling-horizon re-planning: the same sliding-window schedule run
-    // through the delta-maintained WindowedPlanner (tombstone retire +
-    // resume-region re-emission + new-endpoint bucket scan + compact to
-    // canonical CSR) versus a from-scratch conflict-graph rebuild (full
-    // Step 1/2 + CSR finalization) per window. Each window's solve is
-    // identical on both paths (the maintained graph is bit-identical to
-    // the rebuilt one, and `mwis_*` already times it), so the fixtures
-    // time graph maintenance alone — the work the delta layer actually
-    // replaces — and the derived `incremental_replan_speedup` is their
-    // ratio. The schedule ramps from empty (cold start admits only the
-    // first step) and then slides at full width, the production regime
-    // where window >> step.
+    // through the incrementally maintained WindowedPlanner (resume-region
+    // Step 1 re-emission + one pass that copies surviving rows and runs
+    // Step 2 for the new nodes only) versus a from-scratch conflict-graph
+    // rebuild (full Step 1/2 + CSR finalization) per window. Each
+    // window's solve is identical on both paths (the maintained graph is
+    // bit-identical to the rebuilt one, and `mwis_*` already times it),
+    // so the fixtures time graph maintenance alone — the work the
+    // incremental path replaces — and the derived
+    // `incremental_replan_speedup` is their ratio. The schedule ramps
+    // from empty (cold start admits only the first step) and then slides
+    // at full width, the production regime where window >> step.
     if want("window_replan_incremental_medium") || want("window_replan_rebuild_medium") {
         let scale = Scale {
             requests: 1_400,
@@ -486,10 +486,10 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         let mut rebuild_medium = None;
         if want("window_replan_incremental_medium") {
             let stats = time_ns(warmup, iters, || {
-                let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
+                let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks, 1);
                 for (r, h) in &schedule {
                     w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
-                    black_box(w.graph().edge_count());
+                    black_box(w.graph().graph.edge_count());
                 }
             });
             entries.push(BenchEntry {
@@ -539,14 +539,14 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         // invariant (DESIGN §12).
         #[cfg(feature = "bench-alloc")]
         if want("window_replan_incremental_medium") {
-            let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
+            let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks, 1);
             for (r, h) in &schedule {
                 w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
             }
             let mut scratch = PlanScratch::new();
-            fix.planner.solve_view_into(w.graph(), &mut scratch); // warm
+            fix.planner.solve_into(w.graph(), &mut scratch); // warm
             spindown_alloctrack::reset_thread_allocs();
-            fix.planner.solve_view_into(w.graph(), &mut scratch);
+            fix.planner.solve_into(w.graph(), &mut scratch);
             derived.push(DerivedEntry {
                 name: "window_replan_allocs_per_solve",
                 value: spindown_alloctrack::thread_allocs() as f64,

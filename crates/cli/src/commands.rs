@@ -338,8 +338,7 @@ fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError
         solver,
         max_successors,
     };
-    let jobs = cli.effective_jobs();
-    let mut w = WindowedPlanner::new(planner, cli.disks);
+    let mut w = WindowedPlanner::new(planner, cli.disks, cli.effective_jobs());
 
     // FNV-1a over (window, position, disk) triples and the claimed
     // saving's bit pattern: any divergence in any window's plan flips
@@ -369,8 +368,7 @@ fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError
         let frontier = t0 + SimDuration::from_secs(elapsed);
         let horizon = t0 + SimDuration::from_secs(elapsed.saturating_sub(cli.window_s));
         let feed_to = requests.partition_point(|r| r.at < frontier);
-        let (assignment, saving) =
-            w.advance_with_jobs(&requests[fed..feed_to], horizon, &placement, jobs);
+        let (assignment, saving) = w.advance(&requests[fed..feed_to], horizon, &placement);
         fed = feed_to;
         total_saving += saving;
         peak_window = peak_window.max(w.window().len());

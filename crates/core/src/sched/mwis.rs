@@ -31,16 +31,18 @@
 //! buckets of node ids, with no edge list in between: a count pass sizes
 //! every neighbor slice and a fill pass writes it, already sorted, into
 //! one exactly-sized array. Steps 3–4 read that graph and nothing else.
-//! The rolling-horizon [`WindowedPlanner`] keeps the same canonical CSR
-//! per window, staging each window's delta on a [`DeltaGraph`] and
-//! compacting it back before the solve.
+//! The rolling-horizon [`WindowedPlanner`] keeps the same canonical
+//! graph per window: it re-runs Step 1 only where arrivals can add
+//! nodes, and rebuilds the rows in one serial pass that copies the
+//! surviving rows and applies the same Step 2 rule
+//! (`MwisPlanner::step2_conflicts`) to the new nodes.
 
 use spindown_disk::power::PowerParams;
 use spindown_sim::pool;
 use spindown_sim::time::SimTime;
 
 use spindown_graph::mwis as solvers;
-use spindown_graph::{CsrGraph, DeltaGraph, NodeId};
+use spindown_graph::{CsrGraph, NodeId};
 
 use crate::model::{Assignment, DiskId, Request};
 use crate::saving::SavingModel;
@@ -172,6 +174,28 @@ where
     (start, values)
 }
 
+/// Per-disk time-ordered request lists of `requests` under `placement`:
+/// disk `k`'s run is `list[start[k]..start[k + 1]]`.
+fn disk_lists(requests: &[Request], placement: &dyn LocationProvider) -> (Vec<usize>, Vec<u32>) {
+    counting_sort(placement.disks() as usize, || {
+        requests.iter().flat_map(|r| {
+            let locations = placement.locations(r.data);
+            locations.iter().map(move |d| (d.index(), r.index))
+        })
+    })
+}
+
+/// Per-request buckets of every node touching the request, ascending by
+/// id: request `r`'s bucket is `bucket[start[r]..start[r + 1]]`.
+fn request_buckets(requests: usize, nodes: &[(u32, u32, DiskId)]) -> (Vec<usize>, Vec<NodeId>) {
+    counting_sort(requests, || {
+        nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(v, &(i, j, _))| [(i as usize, v as NodeId), (j as usize, v as NodeId)])
+    })
+}
+
 /// The offline scheduler.
 #[derive(Debug, Clone)]
 pub struct MwisPlanner {
@@ -243,14 +267,7 @@ impl MwisPlanner {
             "requests must be sorted by time"
         );
         let model = SavingModel::new(&self.params);
-        // Per-disk time-ordered request lists: disk k's run is
-        // `list[start[k]..start[k + 1]]`.
-        let (start, list) = counting_sort(placement.disks() as usize, || {
-            requests.iter().flat_map(|r| {
-                let locations = placement.locations(r.data);
-                locations.iter().map(move |d| (d.index(), r.index))
-            })
-        });
+        let (start, list) = disk_lists(requests, placement);
         let disks = start.len() - 1;
         let ranges = pool::shard_ranges(disks, build_shards(jobs, disks));
         let ms = self.max_successors;
@@ -272,9 +289,10 @@ impl MwisPlanner {
     }
 
     /// Step 2's conflict rule for node `v`: reports, in ascending id
-    /// order, every node that conflicts with `v`. Walks the buckets of
-    /// `v`'s two requests (`bucket[start[r]..start[r + 1]]`, ascending
-    /// node ids) as one sorted merge, so a node that shares both requests
+    /// order, every node in `bucket` that conflicts with `v` (every node
+    /// when the buckets hold them all). Walks the buckets of `v`'s two
+    /// requests (`bucket[start[r]..start[r + 1]]`, ascending node ids)
+    /// as one sorted merge, so a node that shares both requests
     /// (the same `(i, j)` on another disk) is met once and `v` itself is
     /// skipped. Two nodes sharing a request conflict unless they chain on
     /// the same disk (`j == i'`): same primary request (both claim
@@ -368,13 +386,7 @@ impl MwisPlanner {
         };
         let (weights, nodes) = self.step1_nodes(requests, placement, jobs);
 
-        // Per-request buckets of touching nodes, ascending by id.
-        let (start, bucket) = counting_sort(requests.len(), || {
-            nodes
-                .iter()
-                .enumerate()
-                .flat_map(|(v, &(i, j, _))| [(i as usize, v as NodeId), (j as usize, v as NodeId)])
-        });
+        let (start, bucket) = request_buckets(requests.len(), &nodes);
 
         // Step 2 count pass: node v's degree into `offsets[v + 1]`.
         let n = nodes.len();
@@ -439,14 +451,7 @@ impl MwisPlanner {
     /// carries no state between solves — results are identical to a
     /// fresh [`solve`](MwisPlanner::solve) call.
     pub fn solve_into(&self, cg: &ConflictGraph, scratch: &mut PlanScratch) {
-        self.solve_view_into(&cg.graph, scratch);
-    }
-
-    /// [`solve_into`](MwisPlanner::solve_into) on a bare graph — the
-    /// entry point for callers that hold the graph and its node metadata
-    /// separately, like the rolling-horizon [`WindowedPlanner`] solving
-    /// the compacted window graph in place.
-    pub fn solve_view_into(&self, graph: &CsrGraph, scratch: &mut PlanScratch) {
+        let graph = &cg.graph;
         let PlanScratch { greedy, selected } = scratch;
         match self.solver {
             MwisSolver::GwMin => solvers::gwmin_into(graph, greedy, selected),
@@ -484,28 +489,13 @@ impl MwisPlanner {
         placement: &dyn LocationProvider,
         jobs: usize,
     ) -> (Assignment, f64) {
-        self.plan_with_scratch(requests, placement, jobs, &mut PlanScratch::new())
-    }
-
-    /// [`plan_with_jobs`](MwisPlanner::plan_with_jobs) solving out of a
-    /// caller-owned [`PlanScratch`], so a rolling-horizon driver that
-    /// re-plans window after window pays the greedy engine's working-set
-    /// allocations once. The plan is identical to a fresh-scratch call
-    /// for any reuse pattern.
-    pub fn plan_with_scratch(
-        &self,
-        requests: &[Request],
-        placement: &dyn LocationProvider,
-        jobs: usize,
-        scratch: &mut PlanScratch,
-    ) -> (Assignment, f64) {
         let cg = self.build_graph_with_jobs(requests, placement, jobs);
-        self.solve_into(&cg, scratch);
-        self.derive_plan(requests, placement, &cg.graph, &cg.nodes, &scratch.selected)
+        let selected = self.solve(&cg);
+        self.derive_plan(requests, placement, &cg.graph, &cg.nodes, &selected)
     }
 
     /// Step 4 plus the claimed-saving sum, shared verbatim by
-    /// [`plan_with_scratch`](MwisPlanner::plan_with_scratch) and the
+    /// [`plan_with_jobs`](MwisPlanner::plan_with_jobs) and the
     /// rolling-horizon [`WindowedPlanner`]: walks `selected` in id order
     /// (fixing the float-accumulation order of the claimed saving), pins
     /// each selected node's request pair, and routes leftovers to their
@@ -576,26 +566,28 @@ impl MwisPlanner {
 }
 
 /// Counters kept by [`WindowedPlanner`]: cumulative delta sizes across
-/// every [`advance`](WindowedPlanner::advance) plus gauges describing
-/// the most recent window. The ratio of `appended_nodes_total` to
-/// `graph_nodes × windows` is the turnover the incremental path paid
-/// for, versus the full rebuild a from-scratch planner would have run.
+/// every advance plus gauges describing the most recent window. The
+/// ratio of `appended_nodes_total` to `graph_nodes × windows` is the
+/// turnover the incremental path paid for, versus the full rebuild a
+/// from-scratch planner would have run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplanStats {
-    /// Windows planned so far (every `advance` call).
+    /// Windows planned so far (every advance call).
     pub windows: u64,
-    /// Advances that flattened a non-empty delta back to flat CSR;
-    /// empty-delta advances skip compaction and re-solve the base.
+    /// Advances that rebuilt the graph because a node retired or was
+    /// appended (the cold start always counts one); any other advance
+    /// keeps the graph as it is.
     pub compactions: u64,
     /// Requests retired across all advances.
     pub retired_requests_total: u64,
     /// Requests arrived across all advances.
     pub arrived_requests_total: u64,
-    /// Conflict-graph nodes tombstoned across all advances.
+    /// Conflict-graph nodes retired across all advances.
     pub retired_nodes_total: u64,
     /// Conflict-graph nodes appended across all advances.
     pub appended_nodes_total: u64,
-    /// Conflict edges staged through the overlay across all advances.
+    /// Conflict edges with at least one appended endpoint, each counted
+    /// once, across all advances.
     pub staged_edges_total: u64,
     /// Requests in the current window.
     pub window_requests: usize,
@@ -605,37 +597,35 @@ pub struct ReplanStats {
     pub graph_edges: usize,
 }
 
-/// High bit of a bucket entry's packed disk word: set on nodes appended
-/// by the in-flight advance, cleared on survivors. Valid only within one
-/// advance — buckets are rebuilt (and the flag reset) every window.
-const NEW_BIT: u32 = 1 << 31;
-
-/// Rolling-horizon incremental re-planner (ROADMAP; the paper's WSC
-/// batch mode run as a sliding window).
+/// Rolling-horizon incremental re-planner (ROADMAP; the paper's offline
+/// planner run as a sliding window).
 ///
-/// Holds one planning window of requests and its conflict graph, and
+/// Holds one planning window of requests and its [`ConflictGraph`], and
 /// [`advance`](WindowedPlanner::advance)s the window by retiring
 /// everything before a new horizon and admitting a batch of arrivals.
-/// Instead of re-running Steps 1–2 over the whole window, an advance
-/// computes the **delta**:
+/// The first advance into an empty window is a from-scratch
+/// [`MwisPlanner::build_graph_with_jobs`]; every later one computes the
+/// **delta**:
 ///
-/// * retired requests tombstone their nodes in a [`DeltaGraph`] overlay
-///   over the previous window's CSR graph;
-/// * arriving requests extend the per-disk lists, and only the *resume
-///   region* — the last `max_successors` surviving positions of each
-///   disk, the only ones whose successor enumeration can grow — is
-///   re-run through the shared Step 1 helper
-///   (`MwisPlanner::step1_disk`), appending the genuinely new nodes;
-/// * only the request buckets of new nodes are scanned, pairing each new
-///   node with the other occupants under the Step 2 conflict rule
-///   (collapsed by the role each node plays in the bucket), staging
-///   exactly the conflict edges that involve a new node.
+/// * **Step 1.** A node retires iff its earlier request does. Arrivals
+///   extend the per-disk lists, and only each disk's *resume region* —
+///   its last `max_successors` surviving positions, the only ones whose
+///   successor enumeration can grow — is re-run through the shared
+///   Step 1 helper (`MwisPlanner::step1_disk`), which yields the new
+///   nodes. A walk merging each disk's surviving nodes with that
+///   re-emission gives the next node table in the canonical disk-major
+///   order of a from-scratch build, plus an old→new id map.
+/// * **Step 2.** One serial pass writes the next CSR graph into the
+///   previous generation's arenas. A new node's row is the one Step 2
+///   rule (`MwisPlanner::step2_conflicts`) over the request buckets of
+///   every node. A surviving node's row is its previous row, renumbered
+///   with retired nodes dropped (still ascending: survivors keep their
+///   relative order), merged with the same rule over buckets holding
+///   only the new nodes.
 ///
-/// The overlay is then compacted back to flat CSR under the canonical
-/// disk-major emission order — the same id sequence a from-scratch
-/// [`MwisPlanner::build_graph`] over the new window produces — so the
-/// compacted graph is **bit-identical** to the full rebuild, and the
-/// warm-scratch solve plus shared Step 4 derivation
+/// The graph is therefore **bit-identical** to
+/// [`MwisPlanner::build_graph`] over the new window, and the
+/// warm-scratch solve plus the shared Step 4 derivation
 /// ([`MwisPlanner::derive_plan`]) yield the bit-identical plan. The
 /// from-scratch path is retained as the per-window oracle, pinned by
 /// `core/tests/window_replan_differential.rs`.
@@ -647,43 +637,35 @@ const NEW_BIT: u32 = 1 << 31;
 pub struct WindowedPlanner {
     planner: MwisPlanner,
     disks: u32,
+    /// Workers for the cold-start build.
+    jobs: usize,
     /// Current window, time-sorted, `index == position`.
     requests: Vec<Request>,
-    /// Per-disk time-ordered request ids over the current window.
-    per_disk: Vec<Vec<u32>>,
-    /// Canonical `(i, j, k)` per node of the current window's graph.
-    nodes: Vec<(u32, u32, DiskId)>,
-    /// Per-request buckets of touching nodes, in emission order, split
-    /// by the role the request plays: `bucket_i[r]` holds nodes whose
-    /// *earlier* request is `r`, `bucket_j[r]` those whose *later*
-    /// request is `r`. Each entry packs the node id with its disk (and,
-    /// during an advance, a new-node flag in [`NEW_BIT`]) so the Step 2
-    /// delta scan reads buckets sequentially with no node-table gathers.
-    bucket_i: Vec<Vec<(NodeId, u32)>>,
-    bucket_j: Vec<Vec<(NodeId, u32)>>,
-    /// Overlay whose base is the current window's canonical CSR graph.
-    delta: DeltaGraph,
+    /// The current window's canonical conflict graph.
+    graph: ConflictGraph,
     scratch: PlanScratch,
-    /// Retired CSR arenas recycled into the next compaction.
-    csr_buffers: (Vec<f64>, Vec<u32>, Vec<NodeId>),
+    /// The previous graph's CSR arenas, recycled into the next one.
+    spare: (Vec<f64>, Vec<u32>, Vec<NodeId>),
     stats: ReplanStats,
 }
 
 impl WindowedPlanner {
     /// An empty window over a fleet of `disks` disks. The first
-    /// [`advance`](WindowedPlanner::advance) loads the first window.
-    pub fn new(planner: MwisPlanner, disks: u32) -> Self {
+    /// [`advance`](WindowedPlanner::advance) loads the first window with
+    /// a build over `jobs` workers, bit-identical for any count; later
+    /// advances are delta-sized and serial.
+    pub fn new(planner: MwisPlanner, disks: u32, jobs: usize) -> Self {
         WindowedPlanner {
             planner,
             disks,
+            jobs,
             requests: Vec::new(),
-            per_disk: vec![Vec::new(); disks as usize],
-            nodes: Vec::new(),
-            bucket_i: Vec::new(),
-            bucket_j: Vec::new(),
-            delta: DeltaGraph::new(CsrGraph::default()),
+            graph: ConflictGraph {
+                graph: CsrGraph::default(),
+                nodes: Vec::new(),
+            },
             scratch: PlanScratch::new(),
-            csr_buffers: (Vec::new(), Vec::new(), Vec::new()),
+            spare: (Vec::new(), Vec::new(), Vec::new()),
             stats: ReplanStats::default(),
         }
     }
@@ -698,14 +680,11 @@ impl WindowedPlanner {
         &self.requests
     }
 
-    /// The current window's conflict graph (canonical CSR).
-    pub fn graph(&self) -> &CsrGraph {
-        self.delta.base()
-    }
-
-    /// The current window's node table (`(i, j, k)` per graph node).
-    pub fn node_table(&self) -> &[(u32, u32, DiskId)] {
-        &self.nodes
+    /// The current window's conflict graph and node table, as
+    /// [`MwisPlanner::build_graph`] over [`window`](WindowedPlanner::window)
+    /// would build them.
+    pub fn graph(&self) -> &ConflictGraph {
+        &self.graph
     }
 
     /// Counters across all advances plus current-window gauges.
@@ -713,12 +692,30 @@ impl WindowedPlanner {
         &self.stats
     }
 
-    /// Slides the window: retires every request with `at <
-    /// expired_horizon`, admits `arrivals` at the tail, maintains the
-    /// conflict graph by delta, and plans the new window. Returns the
-    /// plan — assignment indexed by the new window's request positions
-    /// ([`window`](WindowedPlanner::window)) plus the claimed saving —
-    /// bit-identical to `MwisPlanner::plan` over the same window.
+    /// Slides the window ([`advance_window`](WindowedPlanner::advance_window))
+    /// and plans it ([`plan_current`](WindowedPlanner::plan_current)).
+    /// Returns the plan — assignment indexed by the new window's request
+    /// positions ([`window`](WindowedPlanner::window)) plus the claimed
+    /// saving — bit-identical to `MwisPlanner::plan` over the same window.
+    ///
+    /// # Panics
+    ///
+    /// As [`advance_window`](WindowedPlanner::advance_window).
+    pub fn advance(
+        &mut self,
+        arrivals: &[Request],
+        expired_horizon: SimTime,
+        placement: &dyn LocationProvider,
+    ) -> (Assignment, f64) {
+        self.advance_window(arrivals, expired_horizon, placement);
+        self.plan_current(placement)
+    }
+
+    /// Retires every request with `at < expired_horizon`, admits
+    /// `arrivals` at the tail and maintains the conflict graph by delta,
+    /// without solving it. Callers that only need the graph (or time
+    /// maintenance apart from the solve) pair this with
+    /// [`plan_current`](WindowedPlanner::plan_current).
     ///
     /// `placement` must be the same provider on every call (placements
     /// are keyed by data id, so it is window-independent).
@@ -727,56 +724,13 @@ impl WindowedPlanner {
     ///
     /// Panics if `arrivals` are not time-sorted, start before the
     /// surviving window tail, or `placement` disagrees with the
-    /// configured disk count.
-    pub fn advance(
-        &mut self,
-        arrivals: &[Request],
-        expired_horizon: SimTime,
-        placement: &dyn LocationProvider,
-    ) -> (Assignment, f64) {
-        self.advance_with_jobs(arrivals, expired_horizon, placement, 1)
-    }
-
-    /// [`advance`](WindowedPlanner::advance) with an explicit worker
-    /// count. Only the cold start benefits: loading a first window into
-    /// an empty planner is a full from-scratch build, so it goes through
-    /// the sharded [`MwisPlanner::build_graph_with_jobs`] path
-    /// (bit-identical for any count). Warm advances are delta-sized and
-    /// inherently serial — `jobs` is ignored there.
-    pub fn advance_with_jobs(
-        &mut self,
-        arrivals: &[Request],
-        expired_horizon: SimTime,
-        placement: &dyn LocationProvider,
-        jobs: usize,
-    ) -> (Assignment, f64) {
-        self.advance_window_with_jobs(arrivals, expired_horizon, placement, jobs);
-        self.plan_current(placement)
-    }
-
-    /// The maintenance half of [`advance`](WindowedPlanner::advance):
-    /// slides the window and delta-maintains the canonical conflict
-    /// graph without solving it. Callers that only need the graph (or
-    /// want to time maintenance apart from the solve) pair this with
-    /// [`plan_current`](WindowedPlanner::plan_current).
+    /// configured disk count, and if the window graph's half-edge count
+    /// overflows the `u32` CSR offsets.
     pub fn advance_window(
         &mut self,
         arrivals: &[Request],
         expired_horizon: SimTime,
         placement: &dyn LocationProvider,
-    ) {
-        self.advance_window_with_jobs(arrivals, expired_horizon, placement, 1)
-    }
-
-    /// [`advance_window`](WindowedPlanner::advance_window) with an
-    /// explicit worker count for the cold-start build (see
-    /// [`advance_with_jobs`](WindowedPlanner::advance_with_jobs)).
-    pub fn advance_window_with_jobs(
-        &mut self,
-        arrivals: &[Request],
-        expired_horizon: SimTime,
-        placement: &dyn LocationProvider,
-        jobs: usize,
     ) {
         assert_eq!(
             placement.disks(),
@@ -801,113 +755,35 @@ impl WindowedPlanner {
         self.stats.arrived_requests_total += arrivals.len() as u64;
 
         if retired == 0 && arrivals.is_empty() {
-            // Empty delta: the window and its graph are unchanged — skip
-            // maintenance and compaction entirely.
+            // Empty delta: the window and its graph are unchanged.
             return;
         }
 
+        // Rebase the survivors and admit the arrivals.
+        let reqs: Vec<Request> = self.requests[retired..]
+            .iter()
+            .chain(arrivals)
+            .enumerate()
+            .map(|(p, r)| Request {
+                index: p as u32,
+                ..*r
+            })
+            .collect();
+
         if self.requests.is_empty() {
-            // Cold start: every request is an arrival and the delta *is*
-            // the whole window, so run the from-scratch sharded build
-            // directly. Counters mirror the delta path exactly (all
-            // nodes appended, all edges staged, one flatten to
-            // canonical CSR), keeping stats invariant in `jobs`.
-            let reqs: Vec<Request> = arrivals
-                .iter()
-                .enumerate()
-                .map(|(p, r)| Request {
-                    index: p as u32,
-                    ..*r
-                })
-                .collect();
-            let cg = self.planner.build_graph_with_jobs(&reqs, placement, jobs);
-            self.stats.appended_nodes_total += cg.nodes.len() as u64;
-            self.stats.staged_edges_total += cg.graph.edge_count() as u64;
+            // Cold start: the delta is the whole window, so run the
+            // sharded from-scratch build. Every node counts as
+            // appended and every edge as staged.
+            self.graph = self
+                .planner
+                .build_graph_with_jobs(&reqs, placement, self.jobs);
+            self.stats.appended_nodes_total += self.graph.nodes.len() as u64;
+            self.stats.staged_edges_total += self.graph.graph.edge_count() as u64;
             self.stats.compactions += 1;
-            for list in &mut self.per_disk {
-                list.clear();
-            }
-            for r in &reqs {
-                for d in placement.locations(r.data) {
-                    self.per_disk[d.index()].push(r.index);
-                }
-            }
-            // Buckets are reconstructed from the node table: canonical
-            // emission pushes each node into its two request buckets in
-            // increasing id order, so an id-order sweep reproduces them.
-            let (mut bucket_i, mut bucket_j) = (
-                std::mem::take(&mut self.bucket_i),
-                std::mem::take(&mut self.bucket_j),
-            );
-            for bucket in bucket_i.iter_mut().chain(bucket_j.iter_mut()) {
-                bucket.clear();
-            }
-            bucket_i.resize_with(reqs.len(), Vec::new);
-            bucket_j.resize_with(reqs.len(), Vec::new);
-            for (id, &(i, j, k)) in cg.nodes.iter().enumerate() {
-                bucket_i[i as usize].push((id as NodeId, k.0));
-                bucket_j[j as usize].push((id as NodeId, k.0));
-            }
-            self.bucket_i = bucket_i;
-            self.bucket_j = bucket_j;
-            self.delta = DeltaGraph::new(cg.graph);
-            self.nodes = cg.nodes;
             self.requests = reqs;
             self.refresh_gauges();
             return;
         }
-
-        // ---- Request bookkeeping: rebase survivors, admit arrivals ----
-        let mut reqs: Vec<Request> = Vec::with_capacity(survivors + arrivals.len());
-        for (p, r) in self.requests[retired..].iter().enumerate() {
-            reqs.push(Request {
-                index: p as u32,
-                ..*r
-            });
-        }
-        for (p, r) in arrivals.iter().enumerate() {
-            reqs.push(Request {
-                index: (survivors + p) as u32,
-                ..*r
-            });
-        }
-
-        // Per-disk lists: retired ids are a prefix of every list (lists
-        // are time-ordered and retirement is a time prefix); drop it,
-        // rebase the survivors, and append the arrivals. `s_k` records
-        // each list's survivor count — the boundary of the resume
-        // region below.
-        let mut survivors_per_disk: Vec<u32> = Vec::with_capacity(self.per_disk.len());
-        for list in &mut self.per_disk {
-            let cut = list.partition_point(|&i| (i as usize) < retired);
-            list.drain(..cut);
-            for i in list.iter_mut() {
-                *i -= retired as u32;
-            }
-            survivors_per_disk.push(list.len() as u32);
-        }
-        for r in &reqs[survivors..] {
-            for d in placement.locations(r.data) {
-                self.per_disk[d.index()].push(r.index);
-            }
-        }
-
-        // ---- Tombstone retired nodes ----
-        // A node retires iff its *earlier* request does (i < j, and the
-        // retired set is a time prefix), so the victims are exactly the
-        // nodes whose `i` retired — a prefix of each disk's run.
-        let old_nodes = std::mem::take(&mut self.nodes);
-        let mut victims: Vec<NodeId> = Vec::new();
-        for (id, &(i, _, _)) in old_nodes.iter().enumerate() {
-            if (i as usize) < retired {
-                victims.push(id as NodeId);
-            }
-        }
-        // The victims' entries linger in surviving base slices until
-        // the next compaction filters them; nothing reads the overlay's
-        // adjacency in between.
-        self.delta.tombstone_batch_deferred(&victims);
-        self.stats.retired_nodes_total += victims.len() as u64;
 
         // ---- Step 1 delta: re-enumerate each disk's resume region ----
         // Only the last `max_successors` surviving positions can gain
@@ -915,202 +791,167 @@ impl WindowedPlanner {
         // broke on the saving window), plus every arrival position.
         // Re-running the shared Step 1 helper over that suffix
         // reproduces the from-scratch emission for those positions:
-        // pairs among survivors are the nodes we already hold (consumed
-        // 1:1 below), pairs with an arrival are genuinely new.
+        // pairs among survivors are nodes we already hold, pairs with an
+        // arrival are new.
+        let (dstart, dlist) = disk_lists(&reqs, placement);
+        let disks = dstart.len() - 1;
         let model = SavingModel::new(&self.planner.params);
         let ms = self.planner.max_successors;
-        let mut tmp_weights: Vec<f64> = Vec::new();
-        let mut tmp_nodes: Vec<(u32, u32, DiskId)> = Vec::new();
-        let mut tmp_bounds: Vec<usize> = Vec::with_capacity(self.per_disk.len() + 1);
+        let (mut tmp_weights, mut tmp_nodes) = (Vec::new(), Vec::new());
+        let mut tmp_bounds = Vec::with_capacity(disks + 1);
         tmp_bounds.push(0);
-        for (k, list) in self.per_disk.iter().enumerate() {
-            let resume = (survivors_per_disk[k] as usize).saturating_sub(ms);
+        // Per disk: the first request id of the resume region.
+        let mut resume_req = Vec::with_capacity(disks);
+        for k in 0..disks {
+            let run = &dlist[dstart[k]..dstart[k + 1]];
+            let kept = run.partition_point(|&i| (i as usize) < survivors);
+            let resume = kept.saturating_sub(ms);
             MwisPlanner::step1_disk(
                 &model,
                 &reqs,
                 ms,
                 k,
-                &list[resume..],
+                &run[resume..],
                 &mut tmp_weights,
                 &mut tmp_nodes,
             );
             tmp_bounds.push(tmp_nodes.len());
+            resume_req.push(run.get(resume).copied().unwrap_or(u32::MAX));
         }
 
-        // ---- Canonical walk: rebuild the id order, interleaving ----
+        // ---- Canonical walk: the next node table and id map ----
         // From-scratch ids follow disk-major emission: per disk, nodes
         // grouped by the position of `i`, arrivals extending a survivor
         // group right after its surviving pairs. Surviving nodes keep
-        // their relative order, so the overlay→canonical map is built in
-        // one pass that merges each disk's surviving run with its resume
-        // re-emission.
-        let mut nodes_new: Vec<(u32, u32, DiskId)> =
-            Vec::with_capacity(old_nodes.len() - victims.len() + tmp_nodes.len());
-        let mut order: Vec<NodeId> = Vec::with_capacity(nodes_new.capacity());
-        let (mut bucket_i, mut bucket_j) = (
-            std::mem::take(&mut self.bucket_i),
-            std::mem::take(&mut self.bucket_j),
-        );
-        for bucket in bucket_i.iter_mut().chain(bucket_j.iter_mut()) {
-            bucket.clear();
-        }
-        bucket_i.resize_with(reqs.len(), Vec::new);
-        bucket_j.resize_with(reqs.len(), Vec::new);
-        // One `(request, bucket position)` record per bucket entry of
-        // each *new* node — the seeds of the Step 2 delta scan below,
-        // one list per bucket family.
-        let mut new_entries_i: Vec<(u32, u32)> = Vec::new();
-        let mut new_entries_j: Vec<(u32, u32)> = Vec::new();
-
-        let mut op = 0usize; // cursor over `old_nodes`
-        let appended_before = self.delta.appended_count();
-        for (k, list) in self.per_disk.iter().enumerate() {
+        // their relative order, so one pass merging each disk's
+        // surviving run with its resume re-emission numbers them all.
+        let old = &self.graph;
+        let (mut weights, mut offsets, mut neighbors) = std::mem::take(&mut self.spare);
+        weights.clear();
+        let mut nodes = Vec::with_capacity(old.nodes.len() + tmp_nodes.len());
+        // Old id → new id; `NodeId::MAX` marks a retired node.
+        let mut remap = vec![NodeId::MAX; old.nodes.len()];
+        let mut fresh: Vec<NodeId> = Vec::new();
+        let rebased = |(i, j, k): (u32, u32, DiskId)| (i - retired as u32, j - retired as u32, k);
+        let mut op = 0usize; // cursor over the old node table
+        for k in 0..disks {
             let dk = DiskId(k as u32);
-            // Skip this disk's tombstoned prefix.
-            while op < old_nodes.len()
-                && old_nodes[op].2 == dk
-                && (old_nodes[op].0 as usize) < retired
+            // Skip this disk's retired prefix.
+            while op < old.nodes.len() && old.nodes[op].2 == dk && old.nodes[op].0 < retired as u32
             {
                 op += 1;
             }
-            // First request id of the resume region (everything at or
-            // past it is re-emitted through `tmp`).
-            let resume = (survivors_per_disk[k] as usize).saturating_sub(ms);
-            let resume_req = list.get(resume).copied().unwrap_or(u32::MAX);
             // (a) Surviving nodes whose `i` precedes the resume region.
-            while op < old_nodes.len()
-                && old_nodes[op].2 == dk
-                && old_nodes[op].0 - (retired as u32) < resume_req
+            while op < old.nodes.len()
+                && old.nodes[op].2 == dk
+                && old.nodes[op].0 - (retired as u32) < resume_req[k]
             {
-                let (oi, oj, _) = old_nodes[op];
-                let (i, j) = (oi - retired as u32, oj - retired as u32);
-                let id = nodes_new.len() as NodeId;
-                order.push(op as NodeId);
-                nodes_new.push((i, j, dk));
-                bucket_i[i as usize].push((id, dk.0));
-                bucket_j[j as usize].push((id, dk.0));
+                remap[op] = nodes.len() as NodeId;
+                nodes.push(rebased(old.nodes[op]));
+                weights.push(old.graph.weight(op as NodeId));
                 op += 1;
             }
             // (b) The resume region, replayed from the re-emission:
             // survivor pairs consume their existing node, arrival pairs
-            // append a fresh overlay node.
+            // are new.
             for t in tmp_bounds[k]..tmp_bounds[k + 1] {
-                let (i, j, _) = tmp_nodes[t];
-                let id = nodes_new.len() as NodeId;
-                let mut flags = dk.0;
-                if (j as usize) < survivors {
+                if (tmp_nodes[t].1 as usize) < survivors {
                     debug_assert!(
-                        op < old_nodes.len()
-                            && old_nodes[op].2 == dk
-                            && old_nodes[op].0 - retired as u32 == i
-                            && old_nodes[op].1 - retired as u32 == j,
+                        op < old.nodes.len() && rebased(old.nodes[op]) == tmp_nodes[t],
                         "resume re-emission diverged from the stored node run"
                     );
-                    debug_assert_eq!(self.delta.base().weight(op as NodeId), tmp_weights[t]);
-                    order.push(op as NodeId);
+                    debug_assert_eq!(old.graph.weight(op as NodeId), tmp_weights[t]);
+                    remap[op] = nodes.len() as NodeId;
                     op += 1;
                 } else {
-                    let overlay = self.delta.append_node(tmp_weights[t]);
-                    order.push(overlay);
-                    flags |= NEW_BIT;
-                    // The node's bucket positions are the lengths right
-                    // before the pushes just below.
-                    new_entries_i.push((i, bucket_i[i as usize].len() as u32));
-                    new_entries_j.push((j, bucket_j[j as usize].len() as u32));
+                    fresh.push(nodes.len() as NodeId);
                 }
-                nodes_new.push((i, j, dk));
-                bucket_i[i as usize].push((id, flags));
-                bucket_j[j as usize].push((id, flags));
+                nodes.push(tmp_nodes[t]);
+                weights.push(tmp_weights[t]);
             }
             debug_assert!(
-                op >= old_nodes.len() || old_nodes[op].2 != dk,
+                op >= old.nodes.len() || old.nodes[op].2 != dk,
                 "disk {k} left surviving nodes unconsumed"
             );
         }
-        debug_assert_eq!(op, old_nodes.len());
-        let appended = self.delta.appended_count() - appended_before;
-        self.stats.appended_nodes_total += appended as u64;
+        debug_assert_eq!(op, old.nodes.len());
+        let retired_nodes = old.nodes.len() + fresh.len() - nodes.len();
+        self.stats.retired_nodes_total += retired_nodes as u64;
+        self.stats.appended_nodes_total += fresh.len() as u64;
 
-        // ---- Step 2 delta: scan only pairs with a new endpoint ----
-        // Every new edge involves a new node, and a new node touches
-        // exactly its two request buckets, so pairing each new node
-        // against every other occupant of those buckets covers exactly
-        // the pairs Step 2 would newly consider — `O(Σ bucket × new)`
-        // instead of re-scanning whole buckets pairwise. The role split
-        // collapses the generic conflict test (`ix == iy || jx == jy ||
-        // kx != ky`): two nodes sharing their earlier request always
-        // conflict; two sharing their later request conflict too, with
-        // the pair that shares *both* requests staged from bucket `i`
-        // only, so it stages once although it meets in both; a
-        // pred–succ pair shares exactly the scanned request and
-        // conflicts iff the disks differ. Each edge stages once: a
-        // new–new pair inside one family is claimed by its earlier
-        // position, a new–new pred–succ pair by its pred-side entry.
-        // Staging puts the edge on the appended endpoint only;
-        // compaction synthesizes the partner half.
-        let staged_before = self.delta.staged_edge_count();
-        for &(r, p) in &new_entries_i {
-            let preds = &bucket_i[r as usize];
-            let succs = &bucket_j[r as usize];
-            let (x, xf) = preds[p as usize];
-            let ox = order[x as usize];
-            for (q, &(y, yf)) in preds.iter().enumerate() {
-                if q == p as usize || (q < p as usize && yf & NEW_BIT != 0) {
-                    continue;
-                }
-                self.delta.add_edge_deferred(ox, order[y as usize]);
-            }
-            for &(y, yf) in succs.iter() {
-                if yf & !NEW_BIT != xf & !NEW_BIT {
-                    self.delta.add_edge_deferred(ox, order[y as usize]);
-                }
-            }
+        if retired_nodes == 0 && fresh.is_empty() {
+            // Only request ids moved: the graph itself is unchanged.
+            self.spare = (weights, offsets, neighbors);
+            self.graph.nodes = nodes;
+            self.requests = reqs;
+            self.refresh_gauges();
+            return;
         }
-        for &(r, p) in &new_entries_j {
-            let succs = &bucket_j[r as usize];
-            let preds = &bucket_i[r as usize];
-            let (x, xf) = succs[p as usize];
-            let ox = order[x as usize];
-            let ix = nodes_new[x as usize].0;
-            for (q, &(y, yf)) in succs.iter().enumerate() {
-                if q == p as usize || (q < p as usize && yf & NEW_BIT != 0) {
-                    continue;
-                }
-                if nodes_new[y as usize].0 == ix {
-                    continue;
-                }
-                self.delta.add_edge_deferred(ox, order[y as usize]);
-            }
-            for &(y, yf) in preds.iter() {
-                if yf & NEW_BIT != 0 {
-                    continue;
-                }
-                if yf & !NEW_BIT != xf & !NEW_BIT {
-                    self.delta.add_edge_deferred(ox, order[y as usize]);
-                }
-            }
-        }
-        self.stats.staged_edges_total += (self.delta.staged_edge_count() - staged_before) as u64;
 
-        // ---- Compact back to flat CSR under the canonical order ----
-        if self.delta.is_dirty() {
-            let buffers = std::mem::take(&mut self.csr_buffers);
-            let (csr, _) = self.delta.compact_into(&order, buffers);
-            let retired_delta = std::mem::replace(&mut self.delta, DeltaGraph::new(csr));
-            self.csr_buffers = retired_delta.into_base().into_parts();
-            self.stats.compactions += 1;
+        // ---- Step 2: one pass writes every row of the next graph ----
+        let (start, bucket) = request_buckets(reqs.len(), &nodes);
+        let (fresh_start, fresh_bucket) = counting_sort(reqs.len(), || {
+            fresh.iter().flat_map(|&v| {
+                let (i, j, _) = nodes[v as usize];
+                [(i as usize, v), (j as usize, v)]
+            })
+        });
+        offsets.clear();
+        offsets.push(0);
+        neighbors.clear();
+        // Half-edges copied from surviving rows: twice the edges between
+        // two survivors, the only edges not staged by this advance.
+        let mut kept_half = 0usize;
+        let mut fresh_row: Vec<NodeId> = Vec::new();
+        let mut op = 0usize; // next surviving old id
+        for v in 0..nodes.len() {
+            while op < remap.len() && remap[op] == NodeId::MAX {
+                op += 1;
+            }
+            if op < remap.len() && remap[op] as usize == v {
+                // A survivor: its renumbered old row merged with its
+                // conflicts among the new nodes (usually none).
+                fresh_row.clear();
+                MwisPlanner::step2_conflicts(&nodes, &fresh_start, &fresh_bucket, v, |u| {
+                    fresh_row.push(u)
+                });
+                let row = neighbors.len();
+                let mut f = 0;
+                for &u in old.graph.neighbors(op as NodeId) {
+                    let m = remap[u as usize];
+                    if m == NodeId::MAX {
+                        continue;
+                    }
+                    while f < fresh_row.len() && fresh_row[f] < m {
+                        neighbors.push(fresh_row[f]);
+                        f += 1;
+                    }
+                    neighbors.push(m);
+                }
+                neighbors.extend_from_slice(&fresh_row[f..]);
+                kept_half += neighbors.len() - row - fresh_row.len();
+                op += 1;
+            } else {
+                MwisPlanner::step2_conflicts(&nodes, &start, &bucket, v, |u| neighbors.push(u));
+            }
+            offsets.push(u32::try_from(neighbors.len()).expect("CSR offsets are u32"));
         }
-        self.nodes = nodes_new;
-        self.bucket_i = bucket_i;
-        self.bucket_j = bucket_j;
+        let half = neighbors.len();
+        self.stats.staged_edges_total += ((half - kept_half) / 2) as u64;
+        self.stats.compactions += 1;
+        let next = ConflictGraph {
+            graph: CsrGraph::from_sorted_parts(weights, offsets, neighbors, half / 2),
+            nodes,
+        };
+        self.spare = std::mem::replace(&mut self.graph, next).graph.into_parts();
         self.requests = reqs;
         self.refresh_gauges();
     }
 
     fn refresh_gauges(&mut self) {
         self.stats.window_requests = self.requests.len();
-        self.stats.graph_nodes = self.delta.base().len();
-        self.stats.graph_edges = self.delta.base().edge_count();
+        self.stats.graph_nodes = self.graph.graph.len();
+        self.stats.graph_edges = self.graph.graph.edge_count();
     }
 
     /// Warm-scratch solve + shared Step 4 derivation over the current
@@ -1118,13 +959,13 @@ impl WindowedPlanner {
     /// is [`advance_window`](WindowedPlanner::advance_window) followed
     /// by this.
     pub fn plan_current(&mut self, placement: &dyn LocationProvider) -> (Assignment, f64) {
-        let graph = self.delta.base();
-        self.planner.solve_view_into(graph, &mut self.scratch);
+        let cg = &self.graph;
+        self.planner.solve_into(cg, &mut self.scratch);
         self.planner.derive_plan(
             &self.requests,
             placement,
-            graph,
-            &self.nodes,
+            &cg.graph,
+            &cg.nodes,
             &self.scratch.selected,
         )
     }
@@ -1357,7 +1198,7 @@ mod tests {
         }
     }
 
-    /// One [`PlanScratch`] threaded through consecutive plans of
+    /// One [`PlanScratch`] threaded through consecutive solves of
     /// *different* instances (the paper window, a shifted copy, the
     /// empty stream, then the paper window again) must reproduce what
     /// fresh planners with fresh scratches produce — the rolling-horizon
@@ -1377,7 +1218,10 @@ mod tests {
             let mut scratch = PlanScratch::new();
             let windows: [&[Request]; 4] = [&reqs, &shifted, &[], &reqs];
             for (w, window) in windows.iter().enumerate() {
-                let warm = p.plan_with_scratch(window, &placement, 1, &mut scratch);
+                let cg = p.build_graph(window, &placement);
+                p.solve_into(&cg, &mut scratch);
+                let warm =
+                    p.derive_plan(window, &placement, &cg.graph, &cg.nodes, &scratch.selected);
                 let fresh = p.plan(window, &placement);
                 assert_eq!(warm.0.disks, fresh.0.disks, "window {w}");
                 assert_eq!(warm.1, fresh.1, "window {w}");
@@ -1421,7 +1265,7 @@ mod tests {
         let (reqs, placement) = paper_instance();
         for solver in [MwisSolver::GwMin, MwisSolver::GwMin2] {
             let p = planner(solver);
-            let mut w = WindowedPlanner::new(p.clone(), 4);
+            let mut w = WindowedPlanner::new(p.clone(), 4, 1);
             // Load the full instance, then slide the horizon forward one
             // request at a time with no arrivals.
             let horizons: Vec<(usize, u64)> =
@@ -1439,11 +1283,15 @@ mod tests {
                 assert_eq!(w.window(), &window[..], "{solver:?} horizon {h}");
                 // The maintained graph is the canonical from-scratch one.
                 let oracle = p.build_graph(&window, &placement);
-                assert_eq!(w.graph(), &oracle.graph, "{solver:?} horizon {h}");
-                assert_eq!(w.node_table(), &oracle.nodes[..], "{solver:?} horizon {h}");
+                assert_eq!(w.graph().graph, oracle.graph, "{solver:?} horizon {h}");
+                assert_eq!(w.graph().nodes, oracle.nodes, "{solver:?} horizon {h}");
             }
             assert_eq!(w.stats().windows, 7);
             assert!(w.stats().retired_requests_total == 6);
+            // The slides to 6 s and 14 s retire only r4 and r6, which
+            // start no node, so they keep the graph and count no
+            // compaction.
+            assert_eq!(w.stats().compactions, 5);
         }
     }
 
@@ -1451,7 +1299,7 @@ mod tests {
     fn windowed_empty_delta_skips_compaction() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4);
+        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
         let first = w.advance(&reqs, SimTime::from_secs(0), &placement);
         let compactions = w.stats().compactions;
         let again = w.advance(&[], SimTime::from_secs(0), &placement);
@@ -1464,18 +1312,18 @@ mod tests {
     fn fresh_planner_empty_advance_reports_the_built_empty_graph() {
         let (_, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4);
+        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
         let (a, saving) = w.advance(&[], SimTime::from_secs(0), &placement);
         assert!(a.is_empty());
         assert_eq!(saving, 0.0);
-        assert_eq!(w.graph(), &p.build_graph(w.window(), &placement).graph);
+        assert_eq!(w.graph().graph, p.build_graph(w.window(), &placement).graph);
     }
 
     #[test]
     fn windowed_full_turnover_matches_fresh_window() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4);
+        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
         w.advance(&reqs, SimTime::from_secs(0), &placement);
         // Retire everything, admit a shifted copy of the whole instance.
         let shifted: Vec<Request> = reqs
@@ -1496,12 +1344,12 @@ mod tests {
     fn windowed_cold_start_is_jobs_invariant() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w1 = WindowedPlanner::new(p.clone(), 4);
+        let mut w1 = WindowedPlanner::new(p.clone(), 4, 1);
         let a1 = w1.advance(&reqs, SimTime::from_secs(0), &placement);
-        let mut w8 = WindowedPlanner::new(p, 4);
-        let a8 = w8.advance_with_jobs(&reqs, SimTime::from_secs(0), &placement, 8);
+        let mut w8 = WindowedPlanner::new(p, 4, 8);
+        let a8 = w8.advance(&reqs, SimTime::from_secs(0), &placement);
         assert_eq!(a1, a8);
-        assert_eq!(w1.graph(), w8.graph());
+        assert_eq!(w1.graph().graph, w8.graph().graph);
         assert_eq!(w1.stats(), w8.stats(), "counters must be jobs-invariant");
     }
 
@@ -1510,7 +1358,7 @@ mod tests {
     fn windowed_rejects_out_of_order_arrivals() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p, 4);
+        let mut w = WindowedPlanner::new(p, 4, 1);
         w.advance(&reqs, SimTime::from_secs(0), &placement);
         let early = rebase(&reqs[..1]); // t = 0, before the tail at t = 13
         w.advance(&early, SimTime::from_secs(0), &placement);

@@ -2,13 +2,14 @@
 //! re-planner.
 //!
 //! `WindowedPlanner::advance` maintains the window's conflict graph by
-//! delta (tombstoned retirements + appended arrivals over a frozen CSR
-//! base, compacted back to canonical order before each solve). Its
-//! contract is **bit-identity**: after every advance, the maintained
-//! graph must equal `MwisPlanner::build_graph` on the same window —
-//! same node triples, same CSR offsets/neighbors/weights — and the
-//! returned plan must equal `MwisPlanner::plan` exactly (assignment and
-//! the claimed-saving `f64`, no tolerance).
+//! delta: it re-runs Step 1 only over each disk's resume region, then
+//! rewrites the CSR in one pass that renumbers every surviving row and
+//! applies the Step 2 rule to the new nodes. Its contract is
+//! **bit-identity**: after every advance, the maintained graph must
+//! equal `MwisPlanner::build_graph` on the same window — same node
+//! triples, same CSR offsets/neighbors/weights — and the returned plan
+//! must equal `MwisPlanner::plan` exactly (assignment and the
+//! claimed-saving `f64`, no tolerance).
 //!
 //! The suite slides 100+ windows across seeded traces spanning sparse
 //! to dense conflict structure and checks windows against two
@@ -20,19 +21,25 @@
 //!   node table that states the Step 2 conflict rule directly — no
 //!   request buckets, no Step 1 helpers — compared edge for edge.
 //!
+//! Every advance's node and edge counters (`ReplanStats`, which the
+//! `replan` report prints) are checked against the node sets of the
+//! windows on either side of it.
+//!
 //! Special windows are exercised explicitly: empty deltas (no retire,
-//! no arrivals — must skip compaction), full turnover (every request
-//! retires while a fresh batch arrives), and compaction boundaries
-//! (every dirty advance compacts exactly once; the counter pins the
-//! policy).
+//! no arrivals — must keep the graph and count no compaction), full
+//! turnover (every request retires while a fresh batch arrives), and
+//! compaction boundaries (every advance that retires or appends a node
+//! counts exactly one; the counter pins the policy).
 
 mod common;
+
+use std::collections::HashSet;
 
 use common::{brute_force_conflicts, edge_list};
 use spindown_core::experiment::{data_space, requests_from_trace};
 use spindown_core::model::Request;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
-use spindown_core::sched::{MwisPlanner, MwisSolver, WindowedPlanner};
+use spindown_core::sched::{MwisPlanner, MwisSolver, ReplanStats, WindowedPlanner};
 use spindown_disk::power::PowerParams;
 use spindown_sim::time::{SimDuration, SimTime};
 use spindown_trace::synth::arrivals::OnOffProcess;
@@ -175,8 +182,8 @@ fn check_window(
 
     // CSR backend: graph and plan, exact equality.
     let oracle = planner.build_graph(window, placement);
-    assert_eq!(w.node_table(), &oracle.nodes[..], "{ctx}: node table");
-    assert_eq!(w.graph(), &oracle.graph, "{ctx}: CSR graph");
+    assert_eq!(w.graph().nodes, oracle.nodes, "{ctx}: node table");
+    assert_eq!(w.graph().graph, oracle.graph, "{ctx}: CSR graph");
     let sel = planner.solve(&oracle);
     let (want_a, want_s) =
         planner.derive_plan(window, placement, &oracle.graph, &oracle.nodes, &sel);
@@ -189,10 +196,58 @@ fn check_window(
     // Step 2 by brute force over every node pair, O(n²), so sampled
     // rather than run on every window.
     assert_eq!(
-        edge_list(w.graph()),
-        brute_force_conflicts(w.node_table()),
+        edge_list(&w.graph().graph),
+        brute_force_conflicts(&w.graph().nodes),
         "{ctx}: conflict edges vs all-pairs brute force"
     );
+}
+
+/// A node triple keyed by absolute request positions, so triples of
+/// consecutive windows compare.
+type Triple = (usize, usize, u32);
+
+/// Checks one advance's node and edge counters against the node sets of
+/// the windows on either side of it (`first` is the new window's first
+/// absolute position): a node is appended iff its triple was not in the
+/// previous window, retired iff it left, and an edge is staged iff it
+/// has an appended endpoint. Returns the new window's triples.
+fn check_counters(
+    inst: &Instance,
+    w: &WindowedPlanner,
+    before: &ReplanStats,
+    prev: &HashSet<Triple>,
+    first: usize,
+) -> HashSet<Triple> {
+    let cg = w.graph();
+    let triples: Vec<Triple> = cg
+        .nodes
+        .iter()
+        .map(|&(i, j, k)| (first + i as usize, first + j as usize, k.0))
+        .collect();
+    let appended: Vec<bool> = triples.iter().map(|t| !prev.contains(t)).collect();
+    let new_nodes = appended.iter().filter(|&&a| a).count();
+    let staged = edge_list(&cg.graph)
+        .iter()
+        .filter(|&&(u, v)| appended[u as usize] || appended[v as usize])
+        .count();
+    let now = w.stats();
+    let name = inst.name;
+    assert_eq!(
+        now.appended_nodes_total - before.appended_nodes_total,
+        new_nodes as u64,
+        "{name}: appended nodes"
+    );
+    assert_eq!(
+        now.retired_nodes_total - before.retired_nodes_total,
+        (prev.len() + new_nodes - triples.len()) as u64,
+        "{name}: retired nodes"
+    );
+    assert_eq!(
+        now.staged_edges_total - before.staged_edges_total,
+        staged as u64,
+        "{name}: staged edges"
+    );
+    triples.into_iter().collect()
 }
 
 /// Slides the full schedule over one instance, checking every window.
@@ -200,20 +255,23 @@ fn check_window(
 fn drive(inst: &Instance) -> u64 {
     let (reqs, placement) = inst.workload();
     let planner = inst.planner();
-    let mut w = WindowedPlanner::new(planner.clone(), inst.disks);
+    let mut w = WindowedPlanner::new(planner.clone(), inst.disks, 1);
     let mut fed = 0usize;
     let mut dirty_advances = 0u64;
+    let mut prev = HashSet::new();
     while fed < reqs.len() {
         let feed_to = (fed + inst.step).min(reqs.len());
         let arrivals = rebase(&reqs[fed..feed_to]);
         fed = feed_to;
         let horizon = reqs[fed.saturating_sub(inst.cap)].at;
+        let before = *w.stats();
         let got = w.advance(&arrivals, horizon, &placement);
         dirty_advances += 1;
 
         // Oracle window: the fed prefix minus the retired time-prefix.
         let start = reqs.partition_point(|r| r.at < horizon);
         let window = rebase(&reqs[start..fed]);
+        prev = check_counters(inst, &w, &before, &prev, start);
         check_window(
             inst,
             &planner,
@@ -226,7 +284,7 @@ fn drive(inst: &Instance) -> u64 {
         );
 
         // Compaction boundary: every dirty advance compacts exactly
-        // once (the maintained base is always the canonical CSR).
+        // once (each one here retires or appends a node).
         assert_eq!(
             w.stats().compactions,
             dirty_advances,
@@ -259,8 +317,11 @@ fn drive(inst: &Instance) -> u64 {
         })
         .collect();
     let horizon = last + SimDuration::from_secs(1);
+    let before = *w.stats();
     let got = w.advance(&turnover, horizon, &placement);
     let window = rebase(&turnover);
+    // The shifted copy sits past every fed position.
+    check_counters(inst, &w, &before, &prev, reqs.len());
     check_window(
         inst, &planner, &placement, &w, &window, &got, true, "turnover",
     );

@@ -10,12 +10,12 @@
 //!
 //! The layout is immutable by design. A producer that can write sorted
 //! neighbor slices directly — the MWIS conflict-graph build, which fills
-//! them node by node, and the delta compaction — hands the finished
-//! arrays to [`CsrGraph::from_sorted_parts`]; tests and small callers
-//! build from a list of unique edges with
-//! [`CsrGraph::from_unique_edges`]. A graph that changes between solves
-//! goes through the [`DeltaGraph`](crate::delta::DeltaGraph) overlay,
-//! which stages the change and compacts back to a fresh `CsrGraph`.
+//! them node by node, and the rolling-horizon re-planner, which writes
+//! each window's graph row by row — hands the finished arrays to
+//! [`CsrGraph::from_sorted_parts`]; tests and small callers build from a
+//! list of unique edges with [`CsrGraph::from_unique_edges`]. A graph
+//! that changes between solves is rebuilt as a fresh `CsrGraph`, reusing
+//! the previous one's arenas through [`CsrGraph::into_parts`].
 
 use crate::NodeId;
 
@@ -135,7 +135,7 @@ impl CsrGraph {
     /// non-decreasing entries from 0 to `neighbors.len() == 2 * edges`,
     /// each slice is strictly ascending with in-range, non-self entries,
     /// and the adjacency is symmetric. Producers that write sorted slices
-    /// directly (the conflict-graph build, the delta compaction) use this
+    /// directly (the conflict-graph build, the windowed re-planner) use this
     /// to skip any re-sort or per-node allocation.
     ///
     /// Debug builds check every invariant, symmetry by a binary search
@@ -196,9 +196,8 @@ impl CsrGraph {
 
     /// Disassembles the graph into its `(weights, offsets, neighbors)`
     /// arenas so a caller that cycles through graph generations (the
-    /// rolling-horizon planner) can hand the capacity back to the next
-    /// [`DeltaGraph::compact_into`](crate::delta::DeltaGraph::compact_into)
-    /// instead of re-faulting fresh pages every window.
+    /// rolling-horizon planner) can write the next generation into their
+    /// capacity instead of re-faulting fresh pages every window.
     pub fn into_parts(self) -> (Vec<f64>, Vec<u32>, Vec<NodeId>) {
         (self.weights, self.offsets, self.neighbors)
     }

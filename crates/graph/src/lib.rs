@@ -6,12 +6,9 @@
 //! * [`csr`] — [`CsrGraph`], the one graph type: a frozen node-weighted
 //!   undirected graph (the `X(i,j,k)` conflict graph of paper §3.1) in
 //!   compressed-sparse-row layout — flat offset/neighbor arrays with
-//!   sorted adjacency, built in one shot from a unique edge list.
-//! * [`delta`] — the [`DeltaGraph`] staging overlay over a frozen CSR
-//!   base: deferred tombstones for retirements, appended nodes with
-//!   their edges recorded on the appended endpoint, flattened back to
-//!   flat CSR by [`DeltaGraph::compact`] under a caller-chosen live
-//!   order. The substrate of the rolling-horizon incremental re-planner.
+//!   sorted adjacency, assembled in one shot from sorted neighbor slices
+//!   or a unique edge list. A graph that changes between solves (the
+//!   rolling-horizon re-planner's window) is rebuilt, not patched.
 //! * [`mwis`] — maximum-weight-independent-set solvers on [`CsrGraph`]:
 //!   the paper's GMIN greedy ([`mwis::gwmin`], Sakai et al. \[22\]), the
 //!   stronger [`mwis::gwmin2`], a [`mwis::local_search`] improver, and an
@@ -28,12 +25,10 @@
 
 pub mod bitset;
 pub mod csr;
-pub mod delta;
 pub mod mwis;
 pub mod setcover;
 
 pub use csr::CsrGraph;
-pub use delta::DeltaGraph;
 pub use setcover::{Cover, CoverScratch, SetCoverInstance, WeightedSet};
 
 /// Node identifier (dense, `0..n`).
