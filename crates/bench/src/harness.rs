@@ -657,35 +657,34 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             spindown_alloctrack::thread_allocs()
         };
         if want("mwis_gwmin") {
-            solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected);
+            solvers::gwmin_into(&cg, &mut scratch, &mut selected);
             entries.push(BenchEntry {
                 name: "mwis_gwmin",
                 stats: time_ns(warmup, iters, || {
-                    solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected);
+                    solvers::gwmin_into(&cg, &mut scratch, &mut selected);
                     black_box(&selected);
                 }),
             });
             #[cfg(feature = "bench-alloc")]
             {
-                let allocs = count_warm_solve(&mut || {
-                    solvers::gwmin_into(&cg.graph, &mut scratch, &mut selected)
-                });
+                let allocs =
+                    count_warm_solve(&mut || solvers::gwmin_into(&cg, &mut scratch, &mut selected));
                 max_allocs_per_solve = max_allocs_per_solve.max(allocs);
             }
         }
         if want("mwis_gwmin2") {
-            solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected);
+            solvers::gwmin2_into(&cg, &mut scratch, &mut selected);
             entries.push(BenchEntry {
                 name: "mwis_gwmin2",
                 stats: time_ns(warmup, iters, || {
-                    solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected);
+                    solvers::gwmin2_into(&cg, &mut scratch, &mut selected);
                     black_box(&selected);
                 }),
             });
             #[cfg(feature = "bench-alloc")]
             {
                 let allocs = count_warm_solve(&mut || {
-                    solvers::gwmin2_into(&cg.graph, &mut scratch, &mut selected)
+                    solvers::gwmin2_into(&cg, &mut scratch, &mut selected)
                 });
                 max_allocs_per_solve = max_allocs_per_solve.max(allocs);
             }
@@ -698,11 +697,11 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             });
         }
         if want("mwis_local_search") {
-            let start = solvers::gwmin(&cg.graph);
+            let start = solvers::gwmin(&cg);
             entries.push(BenchEntry {
                 name: "mwis_local_search",
                 stats: time_ns(warmup, iters, || {
-                    black_box(solvers::local_search(&cg.graph, &start));
+                    black_box(solvers::local_search(&cg, &start));
                 }),
             });
         }
@@ -725,7 +724,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "mwis_exact_small",
             stats: time_ns(warmup, iters, || {
-                black_box(solvers::exact(&tiny_cg.graph, usize::MAX));
+                black_box(solvers::exact(&tiny_cg, usize::MAX));
             }),
         });
     }
@@ -745,7 +744,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "mwis_exact_medium",
             stats: time_ns(warmup, iters, || {
-                black_box(solvers::exact(&mid_cg.graph, usize::MAX));
+                black_box(solvers::exact(&mid_cg, usize::MAX));
             }),
         });
     }

@@ -117,6 +117,7 @@ mod tests {
     use crate::offline::{brute_force_optimal, evaluate_offline};
     use crate::sched::{LocationProvider, MwisPlanner, MwisSolver};
     use spindown_disk::power::PowerParams;
+    use spindown_graph::Adjacency;
 
     fn toy_graph() -> InputGraph {
         // Path 0-1-2 plus pendant 3 on vertex 0.
@@ -166,7 +167,7 @@ mod tests {
         assert_eq!(cg.graph.len(), 2 * toy_graph().edges.len());
         let sel = planner.solve(&cg);
         assert_eq!(sel.len(), toy_graph().edges.len());
-        assert!(cg.graph.is_independent_set(&sel));
+        assert!(cg.is_independent_set(&sel));
     }
 
     #[test]

@@ -26,23 +26,25 @@
 //!
 //! ### Conflict-graph storage
 //!
-//! Step 1 emits the node table; Step 2 fills a frozen [`CsrGraph`]
-//! ([`ConflictGraph`]) node by node, straight from flat per-request
-//! buckets of node ids, with no edge list in between: a count pass sizes
-//! every neighbor slice and a fill pass writes it, already sorted, into
-//! one exactly-sized array. Steps 3–4 read that graph and nothing else.
-//! The rolling-horizon [`WindowedPlanner`] keeps the same canonical
-//! graph per window: it re-runs Step 1 only where arrivals can add
-//! nodes, and rebuilds the rows in one serial pass that copies the
-//! surviving rows and applies the same Step 2 rule
-//! (`MwisPlanner::step2_conflicts`) to the new nodes.
+//! No conflict edge is stored. Step 1 emits the node table, one counting
+//! sort files every node under its two requests (flat per-request
+//! buckets of node ids), and a [`ConflictGraph`] keeps the node table,
+//! the weights, the buckets and one degree per node. Step 2 is a rule
+//! over two node triples, so the graph derives a node's neighborhood on
+//! every walk from the buckets of its two requests, and answers
+//! `has_edge` from the two triples alone; the build's one Step 2 pass
+//! only counts the degrees. Steps 3–4 read that graph through
+//! [`Adjacency`] and nothing else. The rolling-horizon
+//! [`WindowedPlanner`] keeps the same canonical graph per window: it
+//! re-runs Step 1 only where arrivals can add nodes, re-sorts the
+//! buckets, and updates the degrees by delta.
 
 use spindown_disk::power::PowerParams;
 use spindown_sim::pool;
 use spindown_sim::time::SimTime;
 
 use spindown_graph::mwis as solvers;
-use spindown_graph::{CsrGraph, NodeId};
+use spindown_graph::{Adjacency, NodeId};
 
 use crate::model::{Assignment, DiskId, Request};
 use crate::saving::SavingModel;
@@ -84,17 +86,161 @@ impl MwisSolver {
     }
 }
 
-/// A constructed Step 1/2 graph plus the metadata to interpret its nodes.
+/// A constructed Step 1/2 graph: the node table and the
+/// [`ImplicitGraph`] that derives every conflict from it.
 ///
-/// The graph is frozen CSR, built once and solved many times — sorted
-/// flat adjacency gives the MWIS cascades contiguous neighbor scans and
-/// `has_edge` a binary search.
-#[derive(Debug)]
+/// The solvers read the whole `ConflictGraph` through [`Adjacency`]. A
+/// neighbor walk applies the Step 2 rule to the nodes in the buckets of
+/// the node's two requests, and `has_edge` applies it to two node
+/// triples, so no edge is ever stored.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConflictGraph {
-    /// The node-weighted conflict graph.
-    pub graph: CsrGraph,
+    /// Weights, degrees and per-request node buckets.
+    pub graph: ImplicitGraph,
     /// Per node: the `(i, j, k)` triple it encodes.
     pub nodes: Vec<(u32, u32, DiskId)>,
+}
+
+/// What a [`ConflictGraph`] stores besides its node table: each node's
+/// Eq. 3 weight and degree, and, per request, the ascending ids of the
+/// nodes that name it. Memory is linear in nodes and requests; Step 2
+/// derives the edges from these buckets on demand.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ImplicitGraph {
+    weights: Vec<f64>,
+    degrees: Vec<u32>,
+    /// Request `r`'s bucket is `bucket[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+    bucket: Vec<NodeId>,
+    edges: usize,
+}
+
+/// The graph of the empty window, equal to the one a build over no
+/// requests returns.
+impl Default for ImplicitGraph {
+    fn default() -> Self {
+        ImplicitGraph {
+            weights: Vec::new(),
+            degrees: Vec::new(),
+            start: vec![0],
+            bucket: Vec::new(),
+            edges: 0,
+        }
+    }
+}
+
+impl ImplicitGraph {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// `true` if the graph has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Number of (undirected) conflict edges.
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+
+    /// Weight of node `v`: its Eq. 3 saving.
+    pub fn weight(&self, v: NodeId) -> f64 {
+        self.weights[v as usize]
+    }
+
+    /// Number of conflicts of node `v`.
+    pub fn degree(&self, v: NodeId) -> usize {
+        self.degrees[v as usize] as usize
+    }
+}
+
+/// Step 2's rule for two distinct nodes that share a request: they
+/// conflict unless they chain on the same disk (`j == i'`). Same primary
+/// request (both claim `r_i`'s saving), same successor (`r_j` can
+/// immediately succeed only one request per disk — the Fig. 4 edge set,
+/// where X(1,3,1) and X(2,3,1) conflict "because of the
+/// energy-constraint of request r3"), or a shared request pinned to
+/// different disks (the schedule-constraint).
+#[inline]
+fn conflict((iu, ju, ku): (u32, u32, DiskId), (iv, jv, kv): (u32, u32, DiskId)) -> bool {
+    iu == iv || ju == jv || ku != kv
+}
+
+impl ConflictGraph {
+    /// Request `r`'s bucket: every node naming `r`, ascending.
+    #[inline]
+    fn bucket(&self, r: u32) -> &[NodeId] {
+        let start = &self.graph.start;
+        &self.graph.bucket[start[r as usize]..start[r as usize + 1]]
+    }
+}
+
+impl Adjacency for ConflictGraph {
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn weight(&self, v: NodeId) -> f64 {
+        self.graph.weight(v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        self.graph.degree(v)
+    }
+
+    /// Walks the buckets of `v`'s two requests as one sorted merge, so a
+    /// node that shares both requests (the same `(i, j)` on another
+    /// disk) is met once and `v` itself is skipped, and reports every
+    /// node the Step 2 rule joins to `v`.
+    #[inline]
+    fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        let node = self.nodes[v as usize];
+        let (a, b) = (self.bucket(node.0), self.bucket(node.1));
+        let mut check = |u: NodeId| {
+            if u != v && conflict(self.nodes[u as usize], node) {
+                f(u);
+            }
+        };
+        // Merge while both buckets have entries, taking the smaller id
+        // (both cursors advance on a shared id), then drain the tails.
+        let (mut x, mut y) = (0, 0);
+        while x < a.len() && y < b.len() {
+            let (p, q) = (a[x], b[y]);
+            x += usize::from(p <= q);
+            y += usize::from(q <= p);
+            check(p.min(q));
+        }
+        a[x..].iter().chain(&b[y..]).for_each(|&u| check(u));
+    }
+
+    /// Walks the bucket of `v`'s earlier request, then that of its later
+    /// one. A node in both buckets names both requests: `v` itself or the
+    /// same `(i, j)` on another disk, already met in the first bucket, so
+    /// the second skips every node whose earlier request is `v`'s.
+    #[inline]
+    fn for_each_neighbor_unordered(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
+        let node = self.nodes[v as usize];
+        for &u in self.bucket(node.0) {
+            if u != v && conflict(self.nodes[u as usize], node) {
+                f(u);
+            }
+        }
+        for &u in self.bucket(node.1) {
+            let other = self.nodes[u as usize];
+            if other.0 != node.0 && conflict(other, node) {
+                f(u);
+            }
+        }
+    }
+
+    /// The Step 2 rule on the two node triples: `O(1)`.
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        let (a, b) = (self.nodes[u as usize], self.nodes[v as usize]);
+        let share = a.0 == b.0 || a.0 == b.1 || a.1 == b.0 || a.1 == b.1;
+        u != v && share && conflict(a, b)
+    }
 }
 
 /// Reusable working memory for repeated planner solves: the greedy
@@ -123,9 +269,9 @@ impl PlanScratch {
 /// max_successors` — below which [`MwisPlanner::build_graph_with_jobs`]
 /// stays serial regardless of the requested worker count.
 ///
-/// Sharding a build costs three pool spawns (Step 1 over disk ranges,
-/// then the Step 2 count and fill passes over node ranges) plus the
-/// Step 1 concatenation; on builds enumerating fewer than ~2 k candidate
+/// Sharding a build costs two pool spawns (Step 1 over disk ranges, then
+/// the Step 2 degree count over node ranges) plus the Step 1
+/// concatenation; on builds enumerating fewer than ~2 k candidate
 /// pairs the whole serial build finishes in tens of microseconds, below
 /// the spawn overhead alone, which is how
 /// `graph_build_parallel_speedup` regressed under 1.0 on few-core hosts.
@@ -288,48 +434,6 @@ impl MwisPlanner {
         (weights, nodes)
     }
 
-    /// Step 2's conflict rule for node `v`: reports, in ascending id
-    /// order, every node in `bucket` that conflicts with `v` (every node
-    /// when the buckets hold them all). Walks the buckets of `v`'s two
-    /// requests (`bucket[start[r]..start[r + 1]]`, ascending node ids)
-    /// as one sorted merge, so a node that shares both requests
-    /// (the same `(i, j)` on another disk) is met once and `v` itself is
-    /// skipped. Two nodes sharing a request conflict unless they chain on
-    /// the same disk (`j == i'`): same primary request (both claim
-    /// `r_i`'s saving), same successor (`r_j` can immediately succeed
-    /// only one request per disk — the Fig. 4 edge set, where X(1,3,1)
-    /// and X(2,3,1) conflict "because of the energy-constraint of
-    /// request r3"), or a shared request pinned to different disks (the
-    /// schedule-constraint).
-    #[inline]
-    fn step2_conflicts(
-        nodes: &[(u32, u32, DiskId)],
-        start: &[usize],
-        bucket: &[NodeId],
-        v: usize,
-        mut emit: impl FnMut(NodeId),
-    ) {
-        let (iv, jv, kv) = nodes[v];
-        let a = &bucket[start[iv as usize]..start[iv as usize + 1]];
-        let b = &bucket[start[jv as usize]..start[jv as usize + 1]];
-        let mut check = |u: NodeId| {
-            let (iu, ju, ku) = nodes[u as usize];
-            if u as usize != v && (iu == iv || ju == jv || ku != kv) {
-                emit(u);
-            }
-        };
-        // Merge while both buckets have entries, taking the smaller id
-        // (both cursors advance on a shared id), then drain the tails.
-        let (mut x, mut y) = (0, 0);
-        while x < a.len() && y < b.len() {
-            let (p, q) = (a[x], b[y]);
-            x += usize::from(p <= q);
-            y += usize::from(q <= p);
-            check(p.min(q));
-        }
-        a[x..].iter().chain(&b[y..]).for_each(|&u| check(u));
-    }
-
     /// Builds the Step 1/2 conflict graph for `requests` (sorted by
     /// time) under `placement`; the same as
     /// [`build_graph_with_jobs`](MwisPlanner::build_graph_with_jobs) at
@@ -347,31 +451,28 @@ impl MwisPlanner {
     }
 
     /// Builds the Step 1/2 conflict graph for `requests` (sorted by
-    /// time) under `placement`, straight into CSR with no edge list.
+    /// time) under `placement`, storing no edges.
     ///
-    /// Step 1 emits the nodes only. One counting sort over the node
-    /// table gives flat per-request buckets of ascending node ids, and
-    /// Step 2 walks each node's two buckets as one sorted merge twice: a
-    /// count pass writes every degree, the prefix-summed degrees become
-    /// the CSR offsets, and a fill pass writes every neighbor slice,
-    /// already sorted, into one exactly-sized neighbor array. Each pass
-    /// is `O(Σ_r |bucket_r|²)`, every node walking the buckets of its
-    /// two requests, and the build makes a constant number of
-    /// allocations whatever the stream length.
+    /// Step 1 emits the nodes. One counting sort over the node table
+    /// gives flat per-request buckets of ascending node ids, which the
+    /// [`ConflictGraph`] keeps: its Step 2 walks read them on every
+    /// visit. The one Step 2 pass here counts each node's conflicts into
+    /// its degree, `O(Σ_r |bucket_r|²)` with every node walking the
+    /// buckets of its two requests. The build makes a constant number of
+    /// allocations whatever the stream length, and nothing it allocates
+    /// grows with the edge count.
     ///
-    /// Step 1 shards over contiguous disk ranges and both Step 2 passes
+    /// Step 1 shards over contiguous disk ranges and the degree count
     /// over contiguous node ranges, each shard writing only its own
-    /// disjoint chunk of the offsets or the neighbors
-    /// ([`pool::map_chunks_mut`]), so the graph is **bit-identical** for
-    /// any worker count. `jobs <= 1` spawns nothing, and neither do
-    /// builds smaller than [`MIN_PARALLEL_BUILD_WORK`] candidate pairs —
-    /// too little work to amortize the pool spawns.
+    /// disjoint chunk of the degrees ([`pool::map_chunks_mut`]), so the
+    /// graph is **bit-identical** for any worker count. `jobs <= 1`
+    /// spawns nothing, and neither do builds smaller than
+    /// [`MIN_PARALLEL_BUILD_WORK`] candidate pairs — too little work to
+    /// amortize the pool spawns.
     ///
     /// # Panics
     ///
-    /// Panics if the half-edge count overflows the `u32` CSR offsets
-    /// (before the neighbor array is allocated), and in debug builds if
-    /// `requests` is not time-sorted.
+    /// Panics in debug builds if `requests` is not time-sorted.
     pub fn build_graph_with_jobs(
         &self,
         requests: &[Request],
@@ -385,56 +486,39 @@ impl MwisPlanner {
             jobs.max(1)
         };
         let (weights, nodes) = self.step1_nodes(requests, placement, jobs);
-
         let (start, bucket) = request_buckets(requests.len(), &nodes);
+        let mut cg = ConflictGraph {
+            graph: ImplicitGraph {
+                weights,
+                degrees: Vec::new(),
+                start,
+                bucket,
+                edges: 0,
+            },
+            nodes,
+        };
 
-        // Step 2 count pass: node v's degree into `offsets[v + 1]`.
-        let n = nodes.len();
+        // Step 2 degree count: each shard counts its nodes' conflicts
+        // into its own chunk of the degrees.
+        let n = cg.nodes.len();
         let ranges = pool::shard_ranges(n, build_shards(jobs, n));
         let node_bounds: Vec<usize> = std::iter::once(0)
             .chain(ranges.iter().map(|r| r.end))
             .collect();
-        let mut offsets = vec![0u32; n + 1];
-        let half: usize =
-            pool::map_chunks_mut(jobs, &mut offsets[1..], &node_bounds, |s, degrees| {
-                let mut sum = 0;
-                for (degree, v) in degrees.iter_mut().zip(ranges[s].clone()) {
-                    Self::step2_conflicts(&nodes, &start, &bucket, v, |_| *degree += 1);
-                    sum += *degree as usize;
-                }
-                sum
-            })
-            .into_iter()
-            .sum();
-        assert!(
-            half <= u32::MAX as usize,
-            "CSR offsets are u32: {half} half-edges exceed u32::MAX"
-        );
-        let mut acc = 0;
-        for offset in &mut offsets[1..] {
-            acc += *offset;
-            *offset = acc;
-        }
-
-        // Step 2 fill pass: each shard writes its nodes' slices, in node
-        // order, into its own chunk of the neighbor array.
-        let mut neighbors = vec![0 as NodeId; half];
-        let slice_bounds: Vec<usize> = node_bounds.iter().map(|&v| offsets[v] as usize).collect();
-        pool::map_chunks_mut(jobs, &mut neighbors, &slice_bounds, |s, chunk| {
-            let mut at = 0;
-            for v in ranges[s].clone() {
-                Self::step2_conflicts(&nodes, &start, &bucket, v, |u| {
-                    chunk[at] = u;
-                    at += 1;
-                });
+        let mut degrees = vec![0u32; n];
+        let half: usize = pool::map_chunks_mut(jobs, &mut degrees, &node_bounds, |s, chunk| {
+            let mut sum = 0;
+            for (degree, v) in chunk.iter_mut().zip(ranges[s].clone()) {
+                cg.for_each_neighbor_unordered(v as NodeId, |_| *degree += 1);
+                sum += *degree as usize;
             }
-            debug_assert_eq!(at, chunk.len(), "fill pass diverged from the count pass");
-        });
-
-        ConflictGraph {
-            graph: CsrGraph::from_sorted_parts(weights, offsets, neighbors, half / 2),
-            nodes,
-        }
+            sum
+        })
+        .into_iter()
+        .sum();
+        cg.graph.degrees = degrees;
+        cg.graph.edges = half / 2;
+        cg
     }
 
     /// Runs Step 3 on a built graph, returning the selected node ids.
@@ -451,20 +535,19 @@ impl MwisPlanner {
     /// carries no state between solves — results are identical to a
     /// fresh [`solve`](MwisPlanner::solve) call.
     pub fn solve_into(&self, cg: &ConflictGraph, scratch: &mut PlanScratch) {
-        let graph = &cg.graph;
         let PlanScratch { greedy, selected } = scratch;
         match self.solver {
-            MwisSolver::GwMin => solvers::gwmin_into(graph, greedy, selected),
-            MwisSolver::GwMin2 => solvers::gwmin2_into(graph, greedy, selected),
+            MwisSolver::GwMin => solvers::gwmin_into(cg, greedy, selected),
+            MwisSolver::GwMin2 => solvers::gwmin2_into(cg, greedy, selected),
             MwisSolver::GwMinLocalSearch => {
-                solvers::gwmin_into(graph, greedy, selected);
-                *selected = solvers::local_search(graph, selected);
+                solvers::gwmin_into(cg, greedy, selected);
+                *selected = solvers::local_search(cg, selected);
             }
-            MwisSolver::Exact { node_limit } => match solvers::exact(graph, node_limit) {
+            MwisSolver::Exact { node_limit } => match solvers::exact(cg, node_limit) {
                 Some(sel) => *selected = sel,
-                None => solvers::gwmin_into(graph, greedy, selected),
+                None => solvers::gwmin_into(cg, greedy, selected),
             },
-            MwisSolver::GwMinRefined { .. } => solvers::gwmin_into(graph, greedy, selected),
+            MwisSolver::GwMinRefined { .. } => solvers::gwmin_into(cg, greedy, selected),
         }
     }
 
@@ -505,7 +588,7 @@ impl MwisPlanner {
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
-        graph: &CsrGraph,
+        graph: &ImplicitGraph,
         nodes: &[(u32, u32, DiskId)],
         selected: &[NodeId],
     ) -> (Assignment, f64) {
@@ -574,9 +657,8 @@ impl MwisPlanner {
 pub struct ReplanStats {
     /// Windows planned so far (every advance call).
     pub windows: u64,
-    /// Advances that rebuilt the graph because a node retired or was
-    /// appended (the cold start always counts one); any other advance
-    /// keeps the graph as it is.
+    /// Advances that changed the node set because a node retired or was
+    /// appended (the cold start always counts one).
     pub compactions: u64,
     /// Requests retired across all advances.
     pub retired_requests_total: u64,
@@ -615,13 +697,13 @@ pub struct ReplanStats {
 ///   nodes. A walk merging each disk's surviving nodes with that
 ///   re-emission gives the next node table in the canonical disk-major
 ///   order of a from-scratch build, plus an old→new id map.
-/// * **Step 2.** One serial pass writes the next CSR graph into the
-///   previous generation's arenas. A new node's row is the one Step 2
-///   rule (`MwisPlanner::step2_conflicts`) over the request buckets of
-///   every node. A surviving node's row is its previous row, renumbered
-///   with retired nodes dropped (still ascending: survivors keep their
-///   relative order), merged with the same rule over buckets holding
-///   only the new nodes.
+/// * **Step 2.** The per-request buckets are re-sorted over the next
+///   node table, and the degrees are updated by delta. A survivor keeps
+///   its degree, less one per retired neighbor (each retired node walks
+///   its conflicts over the previous buckets) and plus one per new
+///   neighbor. A new node counts all of its conflicts over the next
+///   buckets, which is also where each of its surviving neighbors gains
+///   one. No edge is stored, so nothing else changes.
 ///
 /// The graph is therefore **bit-identical** to
 /// [`MwisPlanner::build_graph`] over the new window, and the
@@ -644,8 +726,6 @@ pub struct WindowedPlanner {
     /// The current window's canonical conflict graph.
     graph: ConflictGraph,
     scratch: PlanScratch,
-    /// The previous graph's CSR arenas, recycled into the next one.
-    spare: (Vec<f64>, Vec<u32>, Vec<NodeId>),
     stats: ReplanStats,
 }
 
@@ -660,19 +740,10 @@ impl WindowedPlanner {
             disks,
             jobs,
             requests: Vec::new(),
-            graph: ConflictGraph {
-                graph: CsrGraph::default(),
-                nodes: Vec::new(),
-            },
+            graph: ConflictGraph::default(),
             scratch: PlanScratch::new(),
-            spare: (Vec::new(), Vec::new(), Vec::new()),
             stats: ReplanStats::default(),
         }
-    }
-
-    /// The inner planner (power model, solver, pruning fan-out).
-    pub fn planner(&self) -> &MwisPlanner {
-        &self.planner
     }
 
     /// The current window's requests (window-relative ids).
@@ -724,8 +795,7 @@ impl WindowedPlanner {
     ///
     /// Panics if `arrivals` are not time-sorted, start before the
     /// surviving window tail, or `placement` disagrees with the
-    /// configured disk count, and if the window graph's half-edge count
-    /// overflows the `u32` CSR offsets.
+    /// configured disk count.
     pub fn advance_window(
         &mut self,
         arrivals: &[Request],
@@ -826,8 +896,7 @@ impl WindowedPlanner {
         // their relative order, so one pass merging each disk's
         // surviving run with its resume re-emission numbers them all.
         let old = &self.graph;
-        let (mut weights, mut offsets, mut neighbors) = std::mem::take(&mut self.spare);
-        weights.clear();
+        let mut weights = Vec::with_capacity(old.nodes.len() + tmp_nodes.len());
         let mut nodes = Vec::with_capacity(old.nodes.len() + tmp_nodes.len());
         // Old id → new id; `NodeId::MAX` marks a retired node.
         let mut remap = vec![NodeId::MAX; old.nodes.len()];
@@ -878,72 +947,59 @@ impl WindowedPlanner {
         let retired_nodes = old.nodes.len() + fresh.len() - nodes.len();
         self.stats.retired_nodes_total += retired_nodes as u64;
         self.stats.appended_nodes_total += fresh.len() as u64;
-
-        if retired_nodes == 0 && fresh.is_empty() {
-            // Only request ids moved: the graph itself is unchanged.
-            self.spare = (weights, offsets, neighbors);
-            self.graph.nodes = nodes;
-            self.requests = reqs;
-            self.refresh_gauges();
-            return;
+        if retired_nodes > 0 || !fresh.is_empty() {
+            self.stats.compactions += 1;
         }
 
-        // ---- Step 2: one pass writes every row of the next graph ----
-        let (start, bucket) = request_buckets(reqs.len(), &nodes);
-        let (fresh_start, fresh_bucket) = counting_sort(reqs.len(), || {
-            fresh.iter().flat_map(|&v| {
-                let (i, j, _) = nodes[v as usize];
-                [(i as usize, v), (j as usize, v)]
-            })
-        });
-        offsets.clear();
-        offsets.push(0);
-        neighbors.clear();
-        // Half-edges copied from surviving rows: twice the edges between
-        // two survivors, the only edges not staged by this advance.
-        let mut kept_half = 0usize;
-        let mut fresh_row: Vec<NodeId> = Vec::new();
-        let mut op = 0usize; // next surviving old id
-        for v in 0..nodes.len() {
-            while op < remap.len() && remap[op] == NodeId::MAX {
-                op += 1;
+        // ---- Step 2 delta: the next buckets and degrees ----
+        // A survivor keeps its degree, less one per retired neighbor,
+        // walked from each retired node over the previous buckets.
+        let mut degrees = vec![0u32; nodes.len()];
+        for (u, &m) in remap.iter().enumerate() {
+            if m != NodeId::MAX {
+                degrees[m as usize] = old.graph.degrees[u];
             }
-            if op < remap.len() && remap[op] as usize == v {
-                // A survivor: its renumbered old row merged with its
-                // conflicts among the new nodes (usually none).
-                fresh_row.clear();
-                MwisPlanner::step2_conflicts(&nodes, &fresh_start, &fresh_bucket, v, |u| {
-                    fresh_row.push(u)
-                });
-                let row = neighbors.len();
-                let mut f = 0;
-                for &u in old.graph.neighbors(op as NodeId) {
-                    let m = remap[u as usize];
-                    if m == NodeId::MAX {
-                        continue;
-                    }
-                    while f < fresh_row.len() && fresh_row[f] < m {
-                        neighbors.push(fresh_row[f]);
-                        f += 1;
-                    }
-                    neighbors.push(m);
+        }
+        for r in (0..remap.len()).filter(|&u| remap[u] == NodeId::MAX) {
+            old.for_each_neighbor_unordered(r as NodeId, |u| {
+                let m = remap[u as usize];
+                if m != NodeId::MAX {
+                    degrees[m as usize] -= 1;
                 }
-                neighbors.extend_from_slice(&fresh_row[f..]);
-                kept_half += neighbors.len() - row - fresh_row.len();
-                op += 1;
-            } else {
-                MwisPlanner::step2_conflicts(&nodes, &start, &bucket, v, |u| neighbors.push(u));
-            }
-            offsets.push(u32::try_from(neighbors.len()).expect("CSR offsets are u32"));
+            });
         }
-        let half = neighbors.len();
-        self.stats.staged_edges_total += ((half - kept_half) / 2) as u64;
-        self.stats.compactions += 1;
-        let next = ConflictGraph {
-            graph: CsrGraph::from_sorted_parts(weights, offsets, neighbors, half / 2),
+        let (start, bucket) = request_buckets(reqs.len(), &nodes);
+        let mut next = ConflictGraph {
+            graph: ImplicitGraph {
+                weights,
+                degrees: Vec::new(),
+                start,
+                bucket,
+                edges: 0,
+            },
             nodes,
         };
-        self.spare = std::mem::replace(&mut self.graph, next).graph.into_parts();
+        // A new node counts all of its conflicts, and each surviving one
+        // among them gains the new node. A node is new iff its later
+        // request arrived in this advance. `ends` counts every edge with
+        // a new endpoint twice: both ends of a new–new edge are walked,
+        // and a new–survivor edge is counted for both endpoints at once.
+        let mut ends = 0usize;
+        for &f in &fresh {
+            next.for_each_neighbor_unordered(f, |u| {
+                degrees[f as usize] += 1;
+                if (next.nodes[u as usize].1 as usize) < survivors {
+                    degrees[u as usize] += 1;
+                    ends += 2;
+                } else {
+                    ends += 1;
+                }
+            });
+        }
+        self.stats.staged_edges_total += (ends / 2) as u64;
+        next.graph.edges = degrees.iter().map(|&d| d as usize).sum::<usize>() / 2;
+        next.graph.degrees = degrees;
+        self.graph = next;
         self.requests = reqs;
         self.refresh_gauges();
     }
@@ -976,6 +1032,7 @@ mod tests {
     use super::*;
     use crate::model::DataId;
     use crate::sched::ExplicitPlacement;
+    use spindown_graph::CsrGraph;
     use spindown_sim::time::SimTime;
 
     /// The paper's running example (Figs. 3–4): 6 requests at
@@ -1056,7 +1113,7 @@ mod tests {
         // optimal schedule energy of 19, so we assert the weight and
         // independence rather than one particular node set.
         assert_eq!(weight, 11.0);
-        assert!(cg.graph.is_independent_set(&sel));
+        assert!(cg.is_independent_set(&sel));
         assert_eq!(sel.len(), 3);
     }
 
@@ -1119,7 +1176,7 @@ mod tests {
         let p = planner(MwisSolver::GwMin);
         let cg = p.build_graph(&reqs, &placement);
         let sel = p.solve(&cg);
-        assert!(cg.graph.is_independent_set(&sel));
+        assert!(cg.is_independent_set(&sel));
     }
 
     #[test]
@@ -1171,15 +1228,23 @@ mod tests {
             (3, 4),
         ];
         let mut got = Vec::new();
-        for v in 0..cg.graph.len() as NodeId {
-            let later = cg.graph.neighbors(v).iter().filter(|&&u| v < u);
-            got.extend(later.map(|&u| (v, u)));
+        for v in 0..cg.len() as NodeId {
+            cg.for_each_neighbor(v, |u| {
+                if v < u {
+                    got.push((v, u));
+                }
+            });
         }
         assert_eq!(got, edges);
-        assert_eq!(
-            cg.graph,
-            CsrGraph::from_unique_edges(vec![4.0, 2.0, 3.0, 3.0, 3.0, 4.0], &edges)
-        );
+        assert_eq!(cg.graph.edge_count(), edges.len());
+        let csr = CsrGraph::from_unique_edges(vec![4.0, 2.0, 3.0, 3.0, 3.0, 4.0], &edges);
+        for v in 0..cg.len() as NodeId {
+            assert_eq!(cg.weight(v), csr.weight(v), "weight {v}");
+            assert_eq!(cg.degree(v), csr.degree(v), "degree {v}");
+            for u in 0..cg.len() as NodeId {
+                assert_eq!(cg.has_edge(u, v), csr.has_edge(u, v), "edge {u}-{v}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! * [`digest`] — FNV digest of a run's [`RunMetrics`].
 //! * [`graph_digest`] — FNV digest of a built [`ConflictGraph`].
 //! * [`brute_force_conflicts`] / [`edge_list`] — the Step 2 conflict
-//!   rule stated over all node pairs, and a graph's edges in the same
-//!   shape, for edge-for-edge comparison.
+//!   rule stated over all node pairs, and a graph's edges (read through
+//!   its ascending neighbor walk) in the same shape, for edge-for-edge
+//!   comparison.
 
 // Each test binary uses a subset of the helpers.
 #![allow(dead_code)]
@@ -12,7 +13,7 @@
 use spindown_core::model::DiskId;
 use spindown_core::sched::mwis::ConflictGraph;
 use spindown_core::RunMetrics;
-use spindown_graph::{CsrGraph, NodeId};
+use spindown_graph::{Adjacency, NodeId};
 
 /// FNV-1a over the little-endian bytes of each folded word.
 struct Fnv(u64);
@@ -77,23 +78,23 @@ pub fn digest(m: &RunMetrics) -> u64 {
 }
 
 /// Digest of a built conflict graph: the node count, every node's
-/// `(i, j, k)` triple and weight bits, then every neighbor slice, length
-/// first so the slice boundaries are pinned too.
+/// `(i, j, k)` triple and weight bits, then every node's neighborhood as
+/// its stored degree followed by its ascending neighbor walk. A graph
+/// whose degrees agree with its walks hashes exactly as the CSR graphs
+/// of earlier builds did, which stored each neighbor slice with its
+/// length.
 pub fn graph_digest(cg: &ConflictGraph) -> u64 {
     let mut h = Fnv::new();
     h.word(cg.nodes.len() as u64);
-    for (&(i, j, k), &w) in cg.nodes.iter().zip(cg.graph.weights()) {
+    for (v, &(i, j, k)) in cg.nodes.iter().enumerate() {
         h.word(u64::from(i));
         h.word(u64::from(j));
         h.word(u64::from(k.0));
-        h.float(w);
+        h.float(cg.weight(v as NodeId));
     }
-    for v in 0..cg.graph.len() as NodeId {
-        let slice = cg.graph.neighbors(v);
-        h.word(slice.len() as u64);
-        for &u in slice {
-            h.word(u64::from(u));
-        }
+    for v in 0..cg.len() as NodeId {
+        h.word(cg.degree(v) as u64);
+        cg.for_each_neighbor(v, |u| h.word(u64::from(u)));
     }
     h.0
 }
@@ -117,10 +118,14 @@ pub fn brute_force_conflicts(nodes: &[(u32, u32, DiskId)]) -> Vec<(NodeId, NodeI
 
 /// Every edge `(v, u)` of `g` with `v < u`, ascending — the shape
 /// [`brute_force_conflicts`] returns.
-pub fn edge_list(g: &CsrGraph) -> Vec<(NodeId, NodeId)> {
-    let mut edges = Vec::with_capacity(g.edge_count());
+pub fn edge_list(g: &impl Adjacency) -> Vec<(NodeId, NodeId)> {
+    let mut edges = Vec::new();
     for v in 0..g.len() as NodeId {
-        edges.extend(g.neighbors(v).iter().filter(|&&u| v < u).map(|&u| (v, u)));
+        g.for_each_neighbor(v, |u| {
+            if v < u {
+                edges.push((v, u));
+            }
+        });
     }
     edges
 }

@@ -1,13 +1,15 @@
 //! The offline MWIS graph build makes a constant number of heap
 //! allocations whatever the stream length: the per-disk request lists
 //! and the per-request node buckets are flat counting-sort tables, and
-//! the CSR offsets and neighbors are each allocated once at their exact
-//! size. Only the two node-table vectors grow by doubling. The
-//! rolling-horizon planner's cold start runs that build, so it keeps the
-//! same bound. Measured with the counting allocator, which this test
-//! binary installs as its global allocator.
+//! the degrees are allocated once at their exact size. Only the two
+//! node-table vectors grow by doubling. The rolling-horizon planner's
+//! cold start runs that build, so it keeps the same bound. No conflict
+//! edge is stored, so the bytes a build and a cold greedy solve request
+//! grow with the node count, not the edge count. Measured with the
+//! counting allocator, which this test binary installs as its global
+//! allocator.
 
-use spindown_alloctrack::{reset_thread_allocs, thread_allocs, CountingAlloc};
+use spindown_alloctrack::{reset_thread_allocs, thread_allocs, thread_bytes, CountingAlloc};
 use spindown_core::experiment::{data_space, requests_from_trace};
 use spindown_core::model::Request;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
@@ -110,4 +112,44 @@ fn windowed_cold_start_allocations_do_not_grow_with_the_stream() {
         large <= small + 8,
         "{small} allocations for {small_nodes} nodes, {large} for {large_nodes}"
     );
+}
+
+/// Bytes per node that one `jobs = 1` build of the `requests` fixture
+/// plus a cold GWMIN solve of its graph request from the allocator, with
+/// the graph's mean degree.
+fn build_and_solve_bytes_per_node(requests: usize) -> (f64, f64) {
+    let (requests, placement, planner) = fixture(requests);
+    reset_thread_allocs();
+    let cg = planner.build_graph_with_jobs(&requests, &placement, 1);
+    let selected = planner.solve(&cg);
+    let bytes = thread_bytes();
+    assert!(!selected.is_empty(), "empty selection");
+    let nodes = cg.nodes.len() as f64;
+    (
+        bytes as f64 / nodes,
+        2.0 * cg.graph.edge_count() as f64 / nodes,
+    )
+}
+
+/// Bytes per node a build plus a cold GWMIN solve may request. The
+/// node table, weights, degrees, request buckets and the greedy's hot
+/// records take about 88 here; a stored neighbor array alone takes four
+/// bytes per half-edge, 4 × the mean degree per node.
+const BUILD_AND_SOLVE_BYTES_PER_NODE: f64 = 128.0;
+
+#[test]
+fn build_and_solve_bytes_scale_with_nodes_not_edges() {
+    for requests in [1_000, 4_000] {
+        let (per_node, mean_degree) = build_and_solve_bytes_per_node(requests);
+        assert!(per_node > 0.0, "counting allocator not installed");
+        assert!(
+            4.0 * mean_degree > BUILD_AND_SOLVE_BYTES_PER_NODE,
+            "{requests} requests: mean degree {mean_degree:.1} is too sparse \
+             for the bound to tell nodes from edges"
+        );
+        assert!(
+            per_node <= BUILD_AND_SOLVE_BYTES_PER_NODE,
+            "{requests} requests: {per_node:.1} bytes per node at mean degree {mean_degree:.1}"
+        );
+    }
 }

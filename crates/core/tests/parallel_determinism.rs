@@ -7,12 +7,19 @@
 //! on seeded instances spanning sparse to dense conflict structure,
 //! mirroring the solver differential suites: the serial path is the
 //! oracle and every parallel output is compared with exact equality
-//! (CSR offsets/neighbors/weights through `CsrGraph`'s `PartialEq`,
-//! full `RunMetrics` including the response histogram). The graphs are
-//! also pinned to FNV digests recorded on an earlier build and to an
-//! all-pairs brute force of the Step 2 conflict rule.
+//! (node tables, weights, degrees and request buckets through
+//! `PartialEq`, full `RunMetrics` including the response histogram).
+//! The graphs are also pinned to FNV digests recorded on an earlier
+//! build and to an all-pairs brute force of the Step 2 conflict rule.
+//! The conflict graph stores no edges, so its neighbor walks and
+//! `has_edge` are checked against each other, against that brute force,
+//! and through the greedy solvers against a `CsrGraph` of the same
+//! edges, on instances where one `(i, j)` pair has nodes on several
+//! disks.
 
 mod common;
+
+use std::sync::OnceLock;
 
 use common::{brute_force_conflicts, edge_list, graph_digest};
 use spindown_core::experiment::{
@@ -22,9 +29,11 @@ use spindown_core::model::Request;
 use spindown_core::offline::evaluate_offline_with_jobs;
 use spindown_core::paper_example as paper;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
+use spindown_core::sched::mwis::ConflictGraph;
 use spindown_core::sched::{ExplicitPlacement, MwisPlanner, MwisSolver};
 use spindown_core::system::SystemConfig;
 use spindown_disk::power::PowerParams;
+use spindown_graph::{mwis, Adjacency, CsrGraph, NodeId};
 use spindown_trace::synth::arrivals::OnOffProcess;
 use spindown_trace::synth::{CelloLike, TraceGenerator};
 
@@ -194,9 +203,22 @@ fn conflict_graph_is_bit_identical_across_jobs() {
     }
 }
 
+/// Every pair `(a, b)`, `a < b`, for which `has_edge` holds, ascending:
+/// the edge test asked of all node pairs.
+fn has_edge_pairs(cg: &ConflictGraph) -> Vec<(NodeId, NodeId)> {
+    let n = cg.len() as NodeId;
+    let mut pairs = Vec::new();
+    for a in 0..n {
+        assert!(!cg.has_edge(a, a), "self-loop at {a}");
+        pairs.extend((a + 1..n).filter(|&b| cg.has_edge(a, b)).map(|b| (a, b)));
+    }
+    pairs
+}
+
 /// Every instance's conflict graph, at every worker count, has
 /// exactly the edges the all-pairs Step 2 brute force derives from its
-/// node table. Instances above [`BRUTE_FORCE_MAX_NODES`] are skipped.
+/// node table, both along its neighbor walks and by `has_edge` over all
+/// node pairs. Instances above [`BRUTE_FORCE_MAX_NODES`] are skipped.
 #[test]
 fn conflict_graph_matches_all_pairs_brute_force() {
     let mut checked = Vec::new();
@@ -209,9 +231,13 @@ fn conflict_graph_matches_all_pairs_brute_force() {
             if cg.nodes.len() > BRUTE_FORCE_MAX_NODES {
                 break;
             }
-            let want = want.get_or_insert_with(|| brute_force_conflicts(&cg.nodes));
+            let want = want.get_or_insert_with(|| {
+                let want = brute_force_conflicts(&cg.nodes);
+                assert_eq!(has_edge_pairs(&cg), want, "{}: has_edge", inst.name);
+                want
+            });
             assert_eq!(
-                &edge_list(&cg.graph),
+                &edge_list(&cg),
                 want,
                 "{} jobs {jobs}: conflict edges vs all-pairs brute force",
                 inst.name
@@ -223,8 +249,79 @@ fn conflict_graph_matches_all_pairs_brute_force() {
     }
     let (requests, placement, planner) = fig4();
     let cg = planner.build_graph(&requests, &placement);
-    assert_eq!(edge_list(&cg.graph), brute_force_conflicts(&cg.nodes));
+    assert_eq!(edge_list(&cg), brute_force_conflicts(&cg.nodes));
+    assert_eq!(has_edge_pairs(&cg), brute_force_conflicts(&cg.nodes));
     assert_eq!(checked, ["sparse-rf1", "moderate-rf3", "many-disks"]);
+}
+
+/// Each instance's serial conflict graph, then the Fig. 4 one, built
+/// once for the tests that share them.
+fn built_graphs() -> &'static [(&'static str, ConflictGraph)] {
+    static GRAPHS: OnceLock<Vec<(&str, ConflictGraph)>> = OnceLock::new();
+    GRAPHS.get_or_init(|| {
+        let mut graphs: Vec<(&str, ConflictGraph)> = INSTANCES
+            .iter()
+            .map(|inst| {
+                let (requests, placement) = inst.workload();
+                (inst.name, inst.planner().build_graph(&requests, &placement))
+            })
+            .collect();
+        let (requests, placement, planner) = fig4();
+        graphs.push(("fig4", planner.build_graph(&requests, &placement)));
+        graphs
+    })
+}
+
+/// Whether two nodes encode the same `(i, j)` on different disks: the
+/// pairs the unordered walk meets in both request buckets.
+fn has_twins(cg: &ConflictGraph) -> bool {
+    let mut pairs: Vec<(u32, u32)> = cg.nodes.iter().map(|&(i, j, _)| (i, j)).collect();
+    pairs.sort_unstable();
+    pairs.windows(2).any(|w| w[0] == w[1])
+}
+
+/// The unordered walk visits exactly the nodes of the ascending walk,
+/// each once, and both agree with the stored degree, on every node of
+/// every instance. Every replicated instance has same-`(i, j)` twins.
+#[test]
+fn unordered_walk_visits_the_ascending_neighbors_once() {
+    let mut with_twins = Vec::new();
+    let (mut ascending, mut unordered) = (Vec::new(), Vec::new());
+    for (name, cg) in built_graphs() {
+        if has_twins(cg) {
+            with_twins.push(*name);
+        }
+        for v in 0..cg.len() as NodeId {
+            ascending.clear();
+            unordered.clear();
+            cg.for_each_neighbor(v, |u| ascending.push(u));
+            cg.for_each_neighbor_unordered(v, |u| unordered.push(u));
+            assert!(
+                ascending.windows(2).all(|w| w[0] < w[1]),
+                "{name} node {v}: ascending walk out of order or repeated"
+            );
+            unordered.sort_unstable();
+            assert_eq!(unordered, ascending, "{name} node {v}");
+            assert_eq!(cg.degree(v), ascending.len(), "{name} node {v}: degree");
+        }
+    }
+    assert_eq!(
+        with_twins,
+        ["moderate-rf3", "dense-rf5", "many-disks", "fig4"]
+    );
+}
+
+/// GWMIN and GWMIN2 select the same nodes on the conflict graph as on a
+/// `CsrGraph` built from its edge list and weights, on every instance.
+#[test]
+fn greedy_selects_the_same_nodes_as_on_csr() {
+    for (name, cg) in built_graphs() {
+        let weights = (0..cg.len() as NodeId).map(|v| cg.weight(v)).collect();
+        let csr = CsrGraph::from_unique_edges(weights, &edge_list(cg));
+        assert_eq!(csr.edge_count(), cg.graph.edge_count(), "{name}: edges");
+        assert_eq!(mwis::gwmin(cg), mwis::gwmin(&csr), "{name}: gwmin");
+        assert_eq!(mwis::gwmin2(cg), mwis::gwmin2(&csr), "{name}: gwmin2");
+    }
 }
 
 /// The full plan (build + solve + Step 4 derivation) is invariant in

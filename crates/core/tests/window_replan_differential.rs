@@ -196,7 +196,7 @@ fn check_window(
     // Step 2 by brute force over every node pair, O(n²), so sampled
     // rather than run on every window.
     assert_eq!(
-        edge_list(&w.graph().graph),
+        edge_list(w.graph()),
         brute_force_conflicts(&w.graph().nodes),
         "{ctx}: conflict edges vs all-pairs brute force"
     );
@@ -226,7 +226,7 @@ fn check_counters(
         .collect();
     let appended: Vec<bool> = triples.iter().map(|t| !prev.contains(t)).collect();
     let new_nodes = appended.iter().filter(|&&a| a).count();
-    let staged = edge_list(&cg.graph)
+    let staged = edge_list(cg)
         .iter()
         .filter(|&&(u, v)| appended[u as usize] || appended[v as usize])
         .count();

@@ -1,23 +1,17 @@
 //! Compressed-sparse-row (CSR) graph storage.
 //!
-//! [`CsrGraph`] is the crate's graph type: the whole adjacency lives in
-//! two flat arrays (`offsets` + `neighbors`) instead of one
-//! heap-allocated `Vec` per node. That buys the MWIS solvers' deletion
-//! cascades contiguous, prefetch-friendly neighbor scans — the dominant
-//! cost at conflict-graph scale — and, because each node's neighbor slice
-//! is sorted ascending, an `O(log d)` binary-search
-//! [`has_edge`](CsrGraph::has_edge).
-//!
-//! The layout is immutable by design. A producer that can write sorted
-//! neighbor slices directly — the MWIS conflict-graph build, which fills
-//! them node by node, and the rolling-horizon re-planner, which writes
-//! each window's graph row by row — hands the finished arrays to
-//! [`CsrGraph::from_sorted_parts`]; tests and small callers build from a
-//! list of unique edges with [`CsrGraph::from_unique_edges`]. A graph
-//! that changes between solves is rebuilt as a fresh `CsrGraph`, reusing
-//! the previous one's arenas through [`CsrGraph::into_parts`].
+//! [`CsrGraph`] stores a graph's whole adjacency in two flat arrays
+//! (`offsets` + `neighbors`) instead of one heap-allocated `Vec` per
+//! node, each node's neighbor slice sorted ascending, so
+//! [`has_edge`](CsrGraph::has_edge) is an `O(log d)` binary search. It
+//! is the [`Adjacency`] reference for arbitrary graphs: tests, the
+//! random-graph suites and small callers build one from a list of unique
+//! edges with [`CsrGraph::from_unique_edges`] and hand it to any solver
+//! in [`crate::mwis`]. The offline planner's conflict graph implements
+//! [`Adjacency`] itself, deriving its neighborhoods instead of storing
+//! them.
 
-use crate::NodeId;
+use crate::{Adjacency, NodeId};
 
 /// An immutable node-weighted undirected graph in CSR layout.
 ///
@@ -134,14 +128,12 @@ impl CsrGraph {
     /// guarantees the invariants: `offsets` has `weights.len() + 1`
     /// non-decreasing entries from 0 to `neighbors.len() == 2 * edges`,
     /// each slice is strictly ascending with in-range, non-self entries,
-    /// and the adjacency is symmetric. Producers that write sorted slices
-    /// directly (the conflict-graph build, the windowed re-planner) use this
-    /// to skip any re-sort or per-node allocation.
+    /// and the adjacency is symmetric.
     ///
     /// Debug builds check every invariant, symmetry by a binary search
     /// for each half-edge's twin in the partner's slice, and panic on a
     /// violation; release builds trust the caller.
-    pub fn from_sorted_parts(
+    fn from_sorted_parts(
         weights: Vec<f64>,
         offsets: Vec<u32>,
         neighbors: Vec<NodeId>,
@@ -192,14 +184,6 @@ impl CsrGraph {
                 );
             }
         }
-    }
-
-    /// Disassembles the graph into its `(weights, offsets, neighbors)`
-    /// arenas so a caller that cycles through graph generations (the
-    /// rolling-horizon planner) can write the next generation into their
-    /// capacity instead of re-faulting fresh pages every window.
-    pub fn into_parts(self) -> (Vec<f64>, Vec<u32>, Vec<NodeId>) {
-        (self.weights, self.offsets, self.neighbors)
     }
 
     /// Number of nodes.
@@ -258,23 +242,31 @@ impl CsrGraph {
     pub fn set_weight_sum(&self, nodes: &[NodeId]) -> f64 {
         nodes.iter().map(|&v| self.weight(v)).sum()
     }
+}
 
-    /// `true` if `nodes` is an independent set (pairwise non-adjacent,
-    /// no duplicates).
-    pub fn is_independent_set(&self, nodes: &[NodeId]) -> bool {
-        let mut mark = vec![false; self.len()];
-        for &v in nodes {
-            if (v as usize) >= self.len() || mark[v as usize] {
-                return false;
-            }
-            mark[v as usize] = true;
-        }
-        for &v in nodes {
-            if self.neighbors(v).iter().any(|&u| mark[u as usize]) {
-                return false;
-            }
-        }
-        true
+impl Adjacency for CsrGraph {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn weight(&self, v: NodeId) -> f64 {
+        self.weight(v)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        self.degree(v)
+    }
+
+    fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId)) {
+        self.neighbors(v).iter().copied().for_each(f);
+    }
+
+    fn for_each_neighbor_unordered(&self, v: NodeId, f: impl FnMut(NodeId)) {
+        self.for_each_neighbor(v, f);
+    }
+
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.has_edge(u, v)
     }
 }
 
@@ -300,10 +292,9 @@ mod tests {
         assert_eq!(g.weight(3), 4.0);
         assert_eq!(g.total_weight(), 10.0);
         assert_eq!(g.set_weight_sum(&[1, 3]), 6.0);
-        let (weights, offsets, neighbors) = g.into_parts();
-        assert_eq!(weights, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(offsets, vec![0, 3, 4, 5, 6]);
-        assert_eq!(neighbors, vec![1, 2, 3, 0, 0, 0]);
+        assert_eq!(g.weights, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(g.offsets, vec![0, 3, 4, 5, 6]);
+        assert_eq!(g.neighbors, vec![1, 2, 3, 0, 0, 0]);
     }
 
     #[test]
@@ -326,7 +317,7 @@ mod tests {
             CsrGraph::default(),
             CsrGraph::from_unique_edges(vec![], &[])
         );
-        assert_eq!(CsrGraph::default().into_parts().1, vec![0]);
+        assert_eq!(CsrGraph::default().offsets, vec![0]);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! * [`exact`] — branch-and-bound, the optimality oracle for tests and for
 //!   the paper's toy instances (Fig. 4).
 //!
-//! Every solver reads a [`CsrGraph`]: contiguous sorted neighbor slices
-//! for the deletion cascades and a binary-search `has_edge` for the
-//! (1,2)-swaps.
+//! Every solver reads an [`Adjacency`]: [`CsrGraph`](crate::CsrGraph)
+//! for arbitrary graphs, or a graph that derives its neighborhoods, like
+//! the planner's conflict graph. Walks that feed a floating-point sum or
+//! a candidate scan are ascending, so the results do not depend on how
+//! the graph stores its edges; every other walk is unordered.
 //!
 //! The greedy engine is a **word-blocked tournament tree**: a block is
 //! the 64 nodes of one word of the alive bitset (from [`crate::bitset`]),
@@ -41,8 +43,7 @@
 //! deterministic and directly comparable.
 
 use crate::bitset;
-use crate::csr::CsrGraph;
-use crate::NodeId;
+use crate::{Adjacency, NodeId};
 
 /// Default node budget for [`exact`] when callers have no tighter
 /// requirement — offline ablations and NPC harnesses fall back to GWMIN
@@ -69,7 +70,7 @@ pub const DEFAULT_NODE_LIMIT: usize = 128;
 /// let g = CsrGraph::from_unique_edges(vec![1.0, 10.0, 1.0], &[(0, 1), (1, 2)]);
 /// assert_eq!(gwmin(&g), vec![1]);
 /// ```
-pub fn gwmin(g: &CsrGraph) -> Vec<NodeId> {
+pub fn gwmin(g: &impl Adjacency) -> Vec<NodeId> {
     let mut scratch = GreedyScratch::new();
     let mut out = Vec::new();
     gwmin_into(g, &mut scratch, &mut out);
@@ -79,7 +80,7 @@ pub fn gwmin(g: &CsrGraph) -> Vec<NodeId> {
 /// GWMIN2 greedy of Sakai et al.: select the alive vertex maximizing
 /// `w(v) / Σ_{u ∈ N(v) ∪ {v}} w(u)`. Carries the guarantee
 /// `Σ w(IS) ≥ Σ_v w(v)² / w(N(v) ∪ {v})`.
-pub fn gwmin2(g: &CsrGraph) -> Vec<NodeId> {
+pub fn gwmin2(g: &impl Adjacency) -> Vec<NodeId> {
     let mut scratch = GreedyScratch::new();
     let mut out = Vec::new();
     gwmin2_into(g, &mut scratch, &mut out);
@@ -92,12 +93,12 @@ pub fn gwmin2(g: &CsrGraph) -> Vec<NodeId> {
 /// makes the whole solve allocation-free, which is what the
 /// rolling-window planner and the bench harness's `allocs_per_solve`
 /// gauge rely on.
-pub fn gwmin_into(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
+pub fn gwmin_into(g: &impl Adjacency, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
     greedy_tree::<DegStat>(g, scratch, out);
 }
 
 /// [`gwmin2`] with caller-owned buffers (see [`gwmin_into`]).
-pub fn gwmin2_into(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
+pub fn gwmin2_into(g: &impl Adjacency, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
     greedy_tree::<NbrWStat>(g, scratch, out);
 }
 
@@ -168,7 +169,7 @@ trait GreedyStat: Copy {
     /// Whether the kill loop must gather the dying neighbor's weight.
     const NEEDS_DEAD_WEIGHT: bool;
 
-    fn init(g: &CsrGraph, v: NodeId) -> Self;
+    fn init(g: &impl Adjacency, v: NodeId) -> Self;
 
     fn on_neighbor_death(&mut self, dead_w: f64);
 
@@ -190,7 +191,7 @@ struct DegStat {
 impl GreedyStat for DegStat {
     const NEEDS_DEAD_WEIGHT: bool = false;
 
-    fn init(g: &CsrGraph, v: NodeId) -> Self {
+    fn init(g: &impl Adjacency, v: NodeId) -> Self {
         DegStat {
             deg: g.degree(v) as u32,
         }
@@ -219,10 +220,12 @@ struct NbrWStat {
 impl GreedyStat for NbrWStat {
     const NEEDS_DEAD_WEIGHT: bool = true;
 
-    fn init(g: &CsrGraph, v: NodeId) -> Self {
-        NbrWStat {
-            nbr_w: g.neighbors(v).iter().map(|&u| g.weight(u)).sum::<f64>(),
-        }
+    /// The sum runs in ascending neighbor order, so its rounding is the
+    /// same on every [`Adjacency`].
+    fn init(g: &impl Adjacency, v: NodeId) -> Self {
+        let mut nbr_w = 0.0;
+        g.for_each_neighbor(v, |u| nbr_w += g.weight(u));
+        NbrWStat { nbr_w }
     }
 
     fn on_neighbor_death(&mut self, dead_w: f64) {
@@ -304,7 +307,7 @@ fn tree_update(tree: &mut [u128], blocks: usize, b: usize, val: u128) {
 /// block's alive word), or [`DEAD`] when none is alive — each score
 /// recomputed from the node's hot record and weight.
 #[inline]
-fn block_max<S: GreedyStat>(g: &CsrGraph, hot: &[Hot<S>], b: usize, mut word: u64) -> u128 {
+fn block_max<S: GreedyStat>(g: &impl Adjacency, hot: &[Hot<S>], b: usize, mut word: u64) -> u128 {
     let mut best = DEAD;
     while word != 0 {
         let v = b * 64 + word.trailing_zeros() as usize;
@@ -345,7 +348,16 @@ fn mark_dirty(block_stamp: &mut [u32], dirty: &mut Vec<u32>, b: usize, cascade: 
 /// Each leaf then again equals the maximum over its block's alive nodes
 /// of `key << 64 | !node`, so the root is the maximum of the same total
 /// order a per-node tree holds, and the selections are identical.
-fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &mut Vec<NodeId>) {
+///
+/// The selected node's neighbors die in ascending order: a survivor next
+/// to several of them has their weights subtracted in that order (GWMIN2),
+/// so the kill order fixes the rounding. Each dying neighbor's own walk
+/// touches every survivor at most once and runs unordered.
+fn greedy_tree<S: GreedyStat>(
+    g: &impl Adjacency,
+    scratch: &mut GreedyScratch,
+    out: &mut Vec<NodeId>,
+) {
     let n = g.len();
     out.clear();
     if n == 0 {
@@ -398,9 +410,9 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
         dirty.clear();
         mark_dirty(block_stamp, dirty, v / 64, cascade);
         // Kill neighbors; decrement the stat of *their* survivors.
-        for &u in g.neighbors(v as NodeId) {
+        g.for_each_neighbor(v as NodeId, |u| {
             if !bitset::take(alive, u as usize) {
-                continue;
+                return;
             }
             let ub = u as usize / 64;
             if holds(tree[blocks + ub], u) {
@@ -411,10 +423,10 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
             } else {
                 0.0
             };
-            for &w2 in g.neighbors(u) {
+            g.for_each_neighbor_unordered(u, |w2| {
                 let wi = w2 as usize;
                 if !bitset::test(alive, wi) {
-                    continue;
+                    return;
                 }
                 let h = &mut hot[wi];
                 h.stat.on_neighbor_death(uw);
@@ -422,8 +434,8 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
                     h.stamp = cascade;
                     touched.push(w2);
                 }
-            }
-        }
+            });
+        });
         // One re-score per surviving touched node, now that every
         // decrement of this cascade has landed.
         for &t in touched.iter() {
@@ -456,14 +468,14 @@ fn greedy_tree<S: GreedyStat>(g: &CsrGraph, scratch: &mut GreedyScratch, out: &m
 ///
 /// Returns a set at least as heavy as `initial`.
 ///
-/// Swap candidates are scanned in ascending node order (the order of the
-/// CSR neighbor slice they are filtered from), and the pairwise
-/// non-adjacency test is `has_edge`'s binary search.
+/// Swap candidates are scanned in ascending node order (filtered from
+/// the ascending neighbor walk), and the pairwise non-adjacency test is
+/// [`Adjacency::has_edge`].
 ///
 /// # Panics
 ///
 /// Panics if `initial` is not an independent set of `g`.
-pub fn local_search(g: &CsrGraph, initial: &[NodeId]) -> Vec<NodeId> {
+pub fn local_search(g: &impl Adjacency, initial: &[NodeId]) -> Vec<NodeId> {
     assert!(
         g.is_independent_set(initial),
         "local_search requires an independent starting set"
@@ -476,22 +488,16 @@ pub fn local_search(g: &CsrGraph, initial: &[NodeId]) -> Vec<NodeId> {
     // conflicts[v] = number of set members adjacent to v.
     let mut conflicts = vec![0u32; n];
     for &v in initial {
-        for &u in g.neighbors(v) {
-            conflicts[u as usize] += 1;
-        }
+        g.for_each_neighbor_unordered(v, |u| conflicts[u as usize] += 1);
     }
 
     let add = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
         in_set[v] = true;
-        for &u in g.neighbors(v as NodeId) {
-            conflicts[u as usize] += 1;
-        }
+        g.for_each_neighbor_unordered(v as NodeId, |u| conflicts[u as usize] += 1);
     };
     let remove = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
         in_set[v] = false;
-        for &u in g.neighbors(v as NodeId) {
-            conflicts[u as usize] -= 1;
-        }
+        g.for_each_neighbor_unordered(v as NodeId, |u| conflicts[u as usize] -= 1);
     };
 
     let mut improved = true;
@@ -510,13 +516,13 @@ pub fn local_search(g: &CsrGraph, initial: &[NodeId]) -> Vec<NodeId> {
                 continue;
             }
             // Candidates: non-members whose only set-conflict is v, in
-            // ascending order (a filtered sorted slice).
-            let cands: Vec<NodeId> = g
-                .neighbors(v as NodeId)
-                .iter()
-                .copied()
-                .filter(|&u| !in_set[u as usize] && conflicts[u as usize] == 1)
-                .collect();
+            // ascending order.
+            let mut cands: Vec<NodeId> = Vec::new();
+            g.for_each_neighbor(v as NodeId, |u| {
+                if !in_set[u as usize] && conflicts[u as usize] == 1 {
+                    cands.push(u);
+                }
+            });
             let mut done = false;
             for (i, &a) in cands.iter().enumerate() {
                 for &b in &cands[i + 1..] {
@@ -588,7 +594,7 @@ enum NodeStep {
 /// clique). Both strictly dominate the sum-of-positive-weights bound of
 /// the recursive solver this replaced, which `tests/exact_differential.rs`
 /// keeps as a test-only reference.
-pub fn exact(g: &CsrGraph, node_limit: usize) -> Option<Vec<NodeId>> {
+pub fn exact(g: &impl Adjacency, node_limit: usize) -> Option<Vec<NodeId>> {
     if g.len() > node_limit {
         return None;
     }
@@ -602,9 +608,7 @@ pub fn exact(g: &CsrGraph, node_limit: usize) -> Option<Vec<NodeId>> {
         weights[v] = g.weight(v as NodeId);
         let row = &mut closed[v * words..(v + 1) * words];
         bitset::set(row, v);
-        for &u in g.neighbors(v as NodeId) {
-            bitset::set(row, u as usize);
-        }
+        g.for_each_neighbor_unordered(v as NodeId, |u| bitset::set(row, u as usize));
     }
 
     // Only strictly positive vertices can improve an independent set, so
@@ -811,6 +815,7 @@ fn clique_cover_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsrGraph;
 
     fn graph(weights: &[f64], edges: &[(NodeId, NodeId)]) -> CsrGraph {
         CsrGraph::from_unique_edges(weights.to_vec(), edges)

@@ -17,7 +17,7 @@ use common::{
 };
 use spindown_graph::mwis;
 use spindown_graph::setcover::SetCoverInstance;
-use spindown_graph::NodeId;
+use spindown_graph::{Adjacency, NodeId};
 use spindown_sim::rng::SimRng;
 
 /// A random coverable instance: one continuous-weight singleton per

@@ -15,7 +15,7 @@ mod common;
 use common::{csr_from_edges, eager_gwmin, eager_gwmin2, random_graph, recursive_mwis_exact};
 use spindown_graph::bitset;
 use spindown_graph::mwis::{self, GreedyScratch};
-use spindown_graph::CsrGraph;
+use spindown_graph::{Adjacency, CsrGraph};
 use spindown_sim::rng::SimRng;
 
 /// 150 seeded graphs, sparse to near-complete: the tournament engine

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use common::{random_edges, random_graph};
 use spindown_graph::setcover::{harmonic, SetCoverInstance};
-use spindown_graph::{mwis, CsrGraph, NodeId};
+use spindown_graph::{mwis, Adjacency, CsrGraph, NodeId};
 use spindown_sim::rng::SimRng;
 
 #[test]
