@@ -403,7 +403,7 @@ fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "windows planned     : {} ({} compactions)",
+        "windows planned     : {} ({} changed the node set)",
         stats.windows, stats.compactions
     );
     let _ = writeln!(
@@ -413,7 +413,7 @@ fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError
     );
     let _ = writeln!(
         s,
-        "graph delta totals  : {} nodes tombstoned, {} appended, {} edges staged",
+        "graph delta totals  : {} nodes retired, {} appended, {} edges with a new endpoint",
         stats.retired_nodes_total, stats.appended_nodes_total, stats.staged_edges_total
     );
     let _ = writeln!(s, "peak window         : {peak_window} requests");

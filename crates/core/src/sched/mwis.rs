@@ -649,27 +649,29 @@ impl MwisPlanner {
 }
 
 /// Counters kept by [`WindowedPlanner`]: cumulative delta sizes across
-/// every advance plus gauges describing the most recent window. The
-/// ratio of `appended_nodes_total` to `graph_nodes × windows` is the
-/// turnover the incremental path paid for, versus the full rebuild a
-/// from-scratch planner would have run.
+/// every advance plus gauges describing the most recent window, as the
+/// `replan` report prints them. The ratio of `appended_nodes_total` to
+/// `graph_nodes × windows` is the turnover the incremental path paid
+/// for, versus the full rebuild a from-scratch planner would have run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplanStats {
     /// Windows planned so far (every advance call).
     pub windows: u64,
-    /// Advances that changed the node set because a node retired or was
-    /// appended (the cold start always counts one).
+    /// Advances that changed the node set: at least one node retired or
+    /// was appended. The cold start always counts one.
     pub compactions: u64,
     /// Requests retired across all advances.
     pub retired_requests_total: u64,
     /// Requests arrived across all advances.
     pub arrived_requests_total: u64,
-    /// Conflict-graph nodes retired across all advances.
+    /// Conflict-graph nodes retired across all advances: nodes whose
+    /// earlier request left the window.
     pub retired_nodes_total: u64,
-    /// Conflict-graph nodes appended across all advances.
+    /// Conflict-graph nodes appended across all advances: nodes whose
+    /// later request arrived in that advance.
     pub appended_nodes_total: u64,
-    /// Conflict edges with at least one appended endpoint, each counted
-    /// once, across all advances.
+    /// Conflict edges with a new endpoint (at least one appended node),
+    /// each counted once, across all advances.
     pub staged_edges_total: u64,
     /// Requests in the current window.
     pub window_requests: usize,
