@@ -13,8 +13,8 @@
 //! build and to an all-pairs brute force of the Step 2 conflict rule.
 //! The conflict graph stores no edges, so its neighbor walks and
 //! `has_edge` are checked against each other, against that brute force,
-//! and through the greedy solvers against a `CsrGraph` of the same
-//! edges, on instances where one `(i, j)` pair has nodes on several
+//! and through the greedy and local-search solvers against a `CsrGraph`
+//! of the same edges, on instances where one `(i, j)` pair has nodes on several
 //! disks.
 
 mod common;
@@ -311,16 +311,23 @@ fn unordered_walk_visits_the_ascending_neighbors_once() {
     );
 }
 
-/// GWMIN and GWMIN2 select the same nodes on the conflict graph as on a
-/// `CsrGraph` built from its edge list and weights, on every instance.
+/// GWMIN, GWMIN2 and local search from the GWMIN set select the same
+/// nodes on the conflict graph as on a `CsrGraph` built from its edge
+/// list and weights, on every instance.
 #[test]
-fn greedy_selects_the_same_nodes_as_on_csr() {
+fn solvers_select_the_same_nodes_as_on_csr() {
     for (name, cg) in built_graphs() {
         let weights = (0..cg.len() as NodeId).map(|v| cg.weight(v)).collect();
         let csr = CsrGraph::from_unique_edges(weights, &edge_list(cg));
         assert_eq!(csr.edge_count(), cg.graph.edge_count(), "{name}: edges");
-        assert_eq!(mwis::gwmin(cg), mwis::gwmin(&csr), "{name}: gwmin");
+        let greedy = mwis::gwmin(cg);
+        assert_eq!(greedy, mwis::gwmin(&csr), "{name}: gwmin");
         assert_eq!(mwis::gwmin2(cg), mwis::gwmin2(&csr), "{name}: gwmin2");
+        assert_eq!(
+            mwis::local_search(cg, &greedy),
+            mwis::local_search(&csr, &greedy),
+            "{name}: local search"
+        );
     }
 }
 

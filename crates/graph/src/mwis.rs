@@ -468,9 +468,12 @@ fn greedy_tree<S: GreedyStat>(
 ///
 /// Returns a set at least as heavy as `initial`.
 ///
-/// Swap candidates are scanned in ascending node order (filtered from
-/// the ascending neighbor walk), and the pairwise non-adjacency test is
-/// [`Adjacency::has_edge`].
+/// Each pass tries the add moves, then a swap at every member in
+/// ascending order. Swap candidates are scanned in ascending node order
+/// (filtered from an unordered neighbor walk, then sorted), and the
+/// pairwise non-adjacency test is [`Adjacency::has_edge`]. A member with
+/// fewer than two candidates admits no swap and is skipped without a
+/// walk: `LocalState` keeps every member's candidate count exact.
 ///
 /// # Panics
 ///
@@ -481,55 +484,40 @@ pub fn local_search(g: &impl Adjacency, initial: &[NodeId]) -> Vec<NodeId> {
         "local_search requires an independent starting set"
     );
     let n = g.len();
-    let mut in_set = vec![false; n];
-    for &v in initial {
-        in_set[v as usize] = true;
-    }
-    // conflicts[v] = number of set members adjacent to v.
-    let mut conflicts = vec![0u32; n];
-    for &v in initial {
-        g.for_each_neighbor_unordered(v, |u| conflicts[u as usize] += 1);
-    }
+    let mut st = LocalState::new(g, initial);
 
-    let add = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
-        in_set[v] = true;
-        g.for_each_neighbor_unordered(v as NodeId, |u| conflicts[u as usize] += 1);
-    };
-    let remove = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
-        in_set[v] = false;
-        g.for_each_neighbor_unordered(v as NodeId, |u| conflicts[u as usize] -= 1);
-    };
-
+    let mut cands: Vec<NodeId> = Vec::new();
     let mut improved = true;
     while improved {
         improved = false;
         // Add moves.
         for v in 0..n {
-            if !in_set[v] && conflicts[v] == 0 && g.weight(v as NodeId) > 0.0 {
-                add(v, &mut in_set, &mut conflicts);
+            if !st.in_set[v] && st.conflicts[v] == 0 && g.weight(v as NodeId) > 0.0 {
+                st.flip(g, v, true);
                 improved = true;
             }
         }
         // (1,2)-swaps.
         for v in 0..n {
-            if !in_set[v] {
+            if !st.in_set[v] || st.candidates[v] < 2 {
                 continue;
             }
             // Candidates: non-members whose only set-conflict is v, in
             // ascending order.
-            let mut cands: Vec<NodeId> = Vec::new();
-            g.for_each_neighbor(v as NodeId, |u| {
-                if !in_set[u as usize] && conflicts[u as usize] == 1 {
+            cands.clear();
+            g.for_each_neighbor_unordered(v as NodeId, |u| {
+                if st.owner(u as usize) == Some(v) {
                     cands.push(u);
                 }
             });
+            cands.sort_unstable();
             let mut done = false;
             for (i, &a) in cands.iter().enumerate() {
                 for &b in &cands[i + 1..] {
                     if !g.has_edge(a, b) && g.weight(a) + g.weight(b) > g.weight(v as NodeId) {
-                        remove(v, &mut in_set, &mut conflicts);
-                        add(a as usize, &mut in_set, &mut conflicts);
-                        add(b as usize, &mut in_set, &mut conflicts);
+                        st.flip(g, v, false);
+                        st.flip(g, a as usize, true);
+                        st.flip(g, b as usize, true);
                         improved = true;
                         done = true;
                         break;
@@ -541,9 +529,83 @@ pub fn local_search(g: &impl Adjacency, initial: &[NodeId]) -> Vec<NodeId> {
             }
         }
     }
-    let mut out: Vec<NodeId> = (0..n as u32).filter(|&v| in_set[v as usize]).collect();
+    let mut out: Vec<NodeId> = (0..n as u32).filter(|&v| st.in_set[v as usize]).collect();
     out.sort_unstable();
     out
+}
+
+/// The set [`local_search`] grows, with the counts its moves test.
+struct LocalState {
+    in_set: Vec<bool>,
+    /// Per node: the set members adjacent to it.
+    conflicts: Vec<u32>,
+    /// Per node: the sum of the ids of those members, which is the one
+    /// member itself when `conflicts` is 1.
+    member_sum: Vec<u64>,
+    /// Per member: the non-members whose only adjacent member it is —
+    /// the candidates of a (1,2)-swap at that member.
+    candidates: Vec<u32>,
+}
+
+impl LocalState {
+    /// The counts of the set `initial`: one walk per member, then one
+    /// pass over the nodes for the candidate counts.
+    fn new(g: &impl Adjacency, initial: &[NodeId]) -> Self {
+        let n = g.len();
+        let mut st = LocalState {
+            in_set: vec![false; n],
+            conflicts: vec![0; n],
+            member_sum: vec![0; n],
+            candidates: vec![0; n],
+        };
+        for &v in initial {
+            st.in_set[v as usize] = true;
+            g.for_each_neighbor_unordered(v, |u| {
+                st.conflicts[u as usize] += 1;
+                st.member_sum[u as usize] += u64::from(v);
+            });
+        }
+        for u in 0..n {
+            if let Some(o) = st.owner(u) {
+                st.candidates[o] += 1;
+            }
+        }
+        st
+    }
+
+    /// The member `u` is a swap candidate of, if any.
+    fn owner(&self, u: usize) -> Option<usize> {
+        (!self.in_set[u] && self.conflicts[u] == 1).then_some(self.member_sum[u] as usize)
+    }
+
+    /// Re-counts `u` under its owner after `change` updates it.
+    fn recount(&mut self, u: usize, change: impl FnOnce(&mut Self)) {
+        if let Some(o) = self.owner(u) {
+            self.candidates[o] -= 1;
+        }
+        change(self);
+        if let Some(o) = self.owner(u) {
+            self.candidates[o] += 1;
+        }
+    }
+
+    /// Adds `v` to the set (`member`) or removes it, keeping every count
+    /// exact.
+    fn flip(&mut self, g: &impl Adjacency, v: usize, member: bool) {
+        self.recount(v, |st| st.in_set[v] = member);
+        g.for_each_neighbor_unordered(v as NodeId, |u| {
+            self.recount(u as usize, |st| {
+                let u = u as usize;
+                if member {
+                    st.conflicts[u] += 1;
+                    st.member_sum[u] += v as u64;
+                } else {
+                    st.conflicts[u] -= 1;
+                    st.member_sum[u] -= v as u64;
+                }
+            });
+        });
+    }
 }
 
 /// Relative slack applied to the branch-and-bound pruning tests so a

@@ -16,6 +16,8 @@
 //!   selects the same sets by construction and is not kept.
 //! * [`recursive_mwis_exact`] — the recursive clone-per-branch MWIS
 //!   branch-and-bound.
+//! * [`walking_local_search`] — the local search that walked every
+//!   member's neighborhood on every swap pass.
 //! * [`recursive_cover_exact`] — the recursive set-cover
 //!   branch-and-bound.
 
@@ -313,6 +315,82 @@ pub fn recursive_mwis_exact(g: &CsrGraph, node_limit: usize) -> Option<Vec<NodeI
     recurse(g, alive, &mut current, 0.0, &mut best, &mut best_w);
     best.sort_unstable();
     Some(best)
+}
+
+/// `mwis::local_search` as it was before it counted swap candidates:
+/// every pass walks each member's sorted neighbor slice for the
+/// candidates of a (1,2)-swap, however few there are.
+pub fn walking_local_search(g: &CsrGraph, initial: &[NodeId]) -> Vec<NodeId> {
+    let n = g.len();
+    let mut in_set = vec![false; n];
+    for &v in initial {
+        in_set[v as usize] = true;
+    }
+    // conflicts[v] = number of set members adjacent to v.
+    let mut conflicts = vec![0u32; n];
+    for &v in initial {
+        for &u in g.neighbors(v) {
+            conflicts[u as usize] += 1;
+        }
+    }
+
+    let add = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
+        in_set[v] = true;
+        for &u in g.neighbors(v as NodeId) {
+            conflicts[u as usize] += 1;
+        }
+    };
+    let remove = |v: usize, in_set: &mut Vec<bool>, conflicts: &mut Vec<u32>| {
+        in_set[v] = false;
+        for &u in g.neighbors(v as NodeId) {
+            conflicts[u as usize] -= 1;
+        }
+    };
+
+    let mut improved = true;
+    while improved {
+        improved = false;
+        // Add moves.
+        for v in 0..n {
+            if !in_set[v] && conflicts[v] == 0 && g.weight(v as NodeId) > 0.0 {
+                add(v, &mut in_set, &mut conflicts);
+                improved = true;
+            }
+        }
+        // (1,2)-swaps.
+        for v in 0..n {
+            if !in_set[v] {
+                continue;
+            }
+            // Candidates: non-members whose only set-conflict is v, in
+            // ascending order (a filtered sorted slice).
+            let cands: Vec<NodeId> = g
+                .neighbors(v as NodeId)
+                .iter()
+                .copied()
+                .filter(|&u| !in_set[u as usize] && conflicts[u as usize] == 1)
+                .collect();
+            let mut done = false;
+            for (i, &a) in cands.iter().enumerate() {
+                for &b in &cands[i + 1..] {
+                    if !g.has_edge(a, b) && g.weight(a) + g.weight(b) > g.weight(v as NodeId) {
+                        remove(v, &mut in_set, &mut conflicts);
+                        add(a as usize, &mut in_set, &mut conflicts);
+                        add(b as usize, &mut in_set, &mut conflicts);
+                        improved = true;
+                        done = true;
+                        break;
+                    }
+                }
+                if done {
+                    break;
+                }
+            }
+        }
+    }
+    let mut out: Vec<NodeId> = (0..n as u32).filter(|&v| in_set[v as usize]).collect();
+    out.sort_unstable();
+    out
 }
 
 /// The pre-bitset exact set-cover solver: recursive branch-and-bound

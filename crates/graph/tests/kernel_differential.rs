@@ -12,7 +12,10 @@
 
 mod common;
 
-use common::{csr_from_edges, eager_gwmin, eager_gwmin2, random_graph, recursive_mwis_exact};
+use common::{
+    csr_from_edges, eager_gwmin, eager_gwmin2, random_edges, random_graph, recursive_mwis_exact,
+    walking_local_search,
+};
 use spindown_graph::bitset;
 use spindown_graph::mwis::{self, GreedyScratch};
 use spindown_graph::{Adjacency, CsrGraph};
@@ -114,6 +117,33 @@ fn solvers_run_identically_on_csr() {
     assert!(c.is_independent_set(&improved));
     assert!(c.set_weight_sum(&improved) >= c.set_weight_sum(&start));
     assert!(c.set_weight_sum(&improved) <= c.set_weight_sum(&ex));
+}
+
+/// 120 seeded graphs, sparse to near-complete and up to a few blocks
+/// wide, some with uniform weights: local search from the empty set,
+/// from every other node of the GWMIN set and from both greedy sets must
+/// reproduce the reference that walked every member's neighborhood on
+/// every pass.
+#[test]
+fn local_search_matches_the_walking_reference() {
+    let mut rng = SimRng::seed_from_u64(0x9a11e3);
+    for case in 0..120 {
+        let (mut weights, edges) =
+            random_edges(&mut rng, [12, 48, 200][case % 3], [1, 2, 4, 8][case % 4]);
+        if case % 5 == 0 {
+            weights.fill(1.0);
+        }
+        let g = csr_from_edges(weights, &edges);
+        let greedy = mwis::gwmin(&g);
+        let halved: Vec<_> = greedy.iter().copied().step_by(2).collect();
+        for start in [Vec::new(), halved, greedy, mwis::gwmin2(&g)] {
+            assert_eq!(
+                mwis::local_search(&g, &start),
+                walking_local_search(&g, &start),
+                "case {case}: from {start:?}"
+            );
+        }
+    }
 }
 
 /// One scratch threaded through an interleaved gwmin/gwmin2 sequence of
