@@ -395,8 +395,8 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         PARALLEL_BENCH_JOBS.min(host_parallelism())
     };
 
-    // Conflict-graph construction (node-major CSR fill), small and
-    // medium density, serial and sharded. All three build benches get
+    // Conflict-graph construction (Step 1 plus the Step 2 degree count),
+    // small and medium density, serial and sharded. All three build benches get
     // extra samples: iterations are cheap (tens to hundreds of ms — the
     // small one especially is noise-dominated at few samples) and their
     // medians feed the derived ratio and the CI regression gate, so they
@@ -451,9 +451,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
 
     // Rolling-horizon re-planning: the same sliding-window schedule run
     // through the incrementally maintained WindowedPlanner (resume-region
-    // Step 1 re-emission + one pass that copies surviving rows and runs
-    // Step 2 for the new nodes only) versus a from-scratch conflict-graph
-    // rebuild (full Step 1/2 + CSR finalization) per window. Each
+    // Step 1 re-emission, re-sorted request buckets, and degrees updated
+    // from the retired and new nodes' conflicts only) versus a
+    // from-scratch conflict-graph build (full Step 1/2) per window. Each
     // window's solve is identical on both paths (the maintained graph is
     // bit-identical to the rebuilt one, and `mwis_*` already times it),
     // so the fixtures time graph maintenance alone — the work the
@@ -633,8 +633,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
     }
 
     // MWIS solvers on a moderate-density conflict graph (see
-    // [`solver_scale`]), the greedies on the CSR backend solving out of a
-    // warm scratch — the repeated-window configuration the planner runs.
+    // [`solver_scale`]), the greedies solving the planner's edge-free
+    // conflict graph out of a warm scratch — the repeated-window
+    // configuration the planner runs.
     //
     // With the `bench-alloc` feature the warm production solves are also
     // bracketed by the thread-local allocation counter and the largest

@@ -206,11 +206,6 @@ impl CsrGraph {
         self.weights[v as usize]
     }
 
-    /// All node weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Neighbors of `v`, sorted ascending.
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;

@@ -17,9 +17,10 @@
 //!
 //! Every solver reads an [`Adjacency`]: [`CsrGraph`](crate::CsrGraph)
 //! for arbitrary graphs, or a graph that derives its neighborhoods, like
-//! the planner's conflict graph. Walks that feed a floating-point sum or
-//! a candidate scan are ascending, so the results do not depend on how
-//! the graph stores its edges; every other walk is unordered.
+//! the planner's conflict graph. Walks that feed a floating-point sum
+//! are ascending and [`local_search`] sorts its swap candidates, so the
+//! results do not depend on how the graph stores its edges; every other
+//! walk is unordered.
 //!
 //! The greedy engine is a **word-blocked tournament tree**: a block is
 //! the 64 nodes of one word of the alive bitset (from [`crate::bitset`]),
