@@ -14,8 +14,8 @@
 //! The conflict graph stores no edges, so its neighbor walks and
 //! `has_edge` are checked against each other, against that brute force,
 //! and through the greedy and local-search solvers against a `CsrGraph`
-//! of the same edges, on instances where one `(i, j)` pair has nodes on several
-//! disks.
+//! of the same edges, on instances where one `(i, j)` pair has nodes on
+//! several disks.
 
 mod common;
 
@@ -173,9 +173,9 @@ fn fig4() -> (Vec<Request>, ExplicitPlacement, MwisPlanner) {
 }
 
 /// The sharded Step 1/Step 2 build yields the same `ConflictGraph` —
-/// node triples, CSR offsets, sorted neighbor slices, weights — as the
-/// serial path, for every worker count, on every density, and every
-/// graph matches its recorded [`GRAPH_DIGESTS`] entry.
+/// node triples, weights, degrees, request buckets — as the serial
+/// path, for every worker count, on every density, and every graph
+/// matches its recorded [`GRAPH_DIGESTS`] entry.
 #[test]
 fn conflict_graph_is_bit_identical_across_jobs() {
     for (inst, &(name, digest)) in INSTANCES.iter().zip(&GRAPH_DIGESTS) {

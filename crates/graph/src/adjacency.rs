@@ -13,8 +13,9 @@
 //! The two walks differ only in order. The ascending walk fixes the
 //! order where a result depends on it (a floating-point sum over the
 //! neighborhood, a scan of candidates); the unordered walk serves every
-//! caller that only counts, marks or visits, and an implementation may
-//! make it cheaper.
+//! caller that only counts, marks or visits. It defaults to the
+//! ascending walk, and a graph that derives its neighborhoods may
+//! override it with a cheaper one.
 
 use crate::NodeId;
 
@@ -40,8 +41,10 @@ pub trait Adjacency {
     fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId));
 
     /// Calls `f` on every neighbor of `v`, in an order the implementation
-    /// chooses.
-    fn for_each_neighbor_unordered(&self, v: NodeId, f: impl FnMut(NodeId));
+    /// chooses; by default, the ascending walk.
+    fn for_each_neighbor_unordered(&self, v: NodeId, f: impl FnMut(NodeId)) {
+        self.for_each_neighbor(v, f);
+    }
 
     /// `true` if the edge `{u, v}` exists.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;

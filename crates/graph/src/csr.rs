@@ -120,69 +120,11 @@ impl CsrGraph {
                 "from_unique_edges: duplicate edge at node {v}"
             );
         }
-        CsrGraph::from_sorted_parts(weights, offsets, neighbors, count)
-    }
-
-    /// Assembles a CSR graph from its flat arrays: node `v`'s neighbors
-    /// are `neighbors[offsets[v]..offsets[v + 1]]`. The caller
-    /// guarantees the invariants: `offsets` has `weights.len() + 1`
-    /// non-decreasing entries from 0 to `neighbors.len() == 2 * edges`,
-    /// each slice is strictly ascending with in-range, non-self entries,
-    /// and the adjacency is symmetric.
-    ///
-    /// Debug builds check every invariant, symmetry by a binary search
-    /// for each half-edge's twin in the partner's slice, and panic on a
-    /// violation; release builds trust the caller.
-    fn from_sorted_parts(
-        weights: Vec<f64>,
-        offsets: Vec<u32>,
-        neighbors: Vec<NodeId>,
-        edges: usize,
-    ) -> CsrGraph {
-        let graph = CsrGraph {
+        CsrGraph {
             weights,
             offsets,
             neighbors,
-            edges,
-        };
-        #[cfg(debug_assertions)]
-        graph.debug_check_parts();
-        graph
-    }
-
-    /// The invariants [`from_sorted_parts`](CsrGraph::from_sorted_parts)
-    /// trusts its caller for.
-    #[cfg(debug_assertions)]
-    fn debug_check_parts(&self) {
-        let n = self.weights.len();
-        assert_eq!(
-            self.offsets.len(),
-            n + 1,
-            "from_sorted_parts: offsets length"
-        );
-        assert_eq!(self.offsets[0], 0, "from_sorted_parts: offsets start at 0");
-        assert!(
-            self.offsets.windows(2).all(|w| w[0] <= w[1]),
-            "from_sorted_parts: offsets decrease"
-        );
-        assert_eq!(self.offsets[n] as usize, self.neighbors.len());
-        assert_eq!(self.neighbors.len(), 2 * self.edges);
-        for v in 0..n as NodeId {
-            let slice = self.neighbors(v);
-            assert!(
-                slice.windows(2).all(|w| w[0] < w[1]),
-                "from_sorted_parts: slice {v} not strictly ascending"
-            );
-            for &u in slice {
-                assert!(
-                    (u as usize) < n && u != v,
-                    "from_sorted_parts: slice {v} has an out-of-range or self-loop entry"
-                );
-                assert!(
-                    self.neighbors(u).binary_search(&v).is_ok(),
-                    "from_sorted_parts: half-edge {v}-{u} has no twin"
-                );
-            }
+            edges: count,
         }
     }
 
@@ -256,10 +198,6 @@ impl Adjacency for CsrGraph {
         self.neighbors(v).iter().copied().for_each(f);
     }
 
-    fn for_each_neighbor_unordered(&self, v: NodeId, f: impl FnMut(NodeId)) {
-        self.for_each_neighbor(v, f);
-    }
-
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.has_edge(u, v)
     }
@@ -326,27 +264,6 @@ mod tests {
     #[should_panic(expected = "duplicate edge")]
     fn from_unique_edges_catches_duplicates_in_debug() {
         CsrGraph::from_unique_edges(vec![1.0; 3], &[(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn from_sorted_parts_assembles_the_parts() {
-        // Path 0 - 1 - 2 plus an isolated node 3.
-        let g = CsrGraph::from_sorted_parts(vec![1.0; 4], vec![0, 1, 3, 4, 4], vec![1, 0, 2, 1], 2);
-        assert_eq!(
-            g,
-            CsrGraph::from_unique_edges(vec![1.0; 4], &[(0, 1), (1, 2)])
-        );
-        assert_eq!(g.neighbors(3), &[] as &[NodeId]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "has no twin")]
-    fn from_sorted_parts_catches_asymmetry_in_debug() {
-        // 0 lists 1 and 2, 1 lists 0, 2 lists 1: every slice is sorted
-        // and the half-edges add up to two edges, yet 0 - 2 and 2 - 1
-        // have no twins.
-        CsrGraph::from_sorted_parts(vec![1.0; 3], vec![0, 2, 3, 4], vec![1, 2, 0, 1], 2);
     }
 
     #[test]
