@@ -30,7 +30,7 @@ fn main() {
         let reqs = workload::cello(scale, 42);
         let span = reqs.last().map(|r| r.at.as_secs_f64()).unwrap_or(0.0);
         println!("=== rate {rate} req/s (span {:.0}s) ===", span);
-        let grid = EvalGrid::compute(&reqs, scale, 1.0, 42);
+        let grid = EvalGrid::compute(&reqs, scale, 1.0, 42, 1);
         println!("rf  random  static  heuristic  wsc    mwis   mwis-r (normalized energy)");
         for rf in [1u32, 3, 5] {
             print!("{rf} ");
@@ -54,7 +54,7 @@ fn main() {
                 },
                 seed: 42,
             };
-            let m = spindown_core::experiment::run_experiment(&reqs, &spec);
+            let m = spindown_core::experiment::run_experiment(&reqs, &spec, 1);
             print!("  {:.3}", m.normalized_energy());
             println!();
         }

@@ -64,7 +64,7 @@ fn main() {
         "# scale: {} requests, {} data items, {} disks (seed {seed}, jobs {jobs})",
         scale.requests, scale.data_items, scale.disks
     );
-    let harness = Harness::with_jobs(scale, seed, jobs);
+    let harness = Harness::new(scale, seed, jobs);
 
     let mut ids: Vec<String> = Vec::new();
     for t in targets {

@@ -33,16 +33,12 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Creates a harness at the given scale and seed, computing grids on
-    /// the calling thread.
-    pub fn new(scale: Scale, seed: u64) -> Self {
-        Harness::with_jobs(scale, seed, 1)
-    }
-
-    /// Creates a harness whose grid computations fan out over up to
-    /// `jobs` worker threads ([`EvalGrid::compute_with_jobs`]). Grid
-    /// contents are bit-identical for every `jobs` value.
-    pub fn with_jobs(scale: Scale, seed: u64, jobs: usize) -> Self {
+    /// Creates a harness at the given scale and seed whose grid
+    /// computations fan out over up to `jobs` worker threads
+    /// ([`EvalGrid::compute`]), as do the runs of the figures and
+    /// ablations outside the grids. Output is bit-identical for every
+    /// `jobs` value.
+    pub fn new(scale: Scale, seed: u64, jobs: usize) -> Self {
         Harness {
             scale,
             seed,
@@ -75,14 +71,13 @@ impl Harness {
     }
 
     fn cello_grid(&self) -> &EvalGrid {
-        self.cello_grid.get_or_init(|| {
-            EvalGrid::compute_with_jobs(self.cello(), self.scale, 1.0, self.seed, self.jobs)
-        })
+        self.cello_grid
+            .get_or_init(|| EvalGrid::compute(self.cello(), self.scale, 1.0, self.seed, self.jobs))
     }
 
     fn financial_grid(&self) -> &EvalGrid {
         self.financial_grid.get_or_init(|| {
-            EvalGrid::compute_with_jobs(self.financial(), self.scale, 1.0, self.seed, self.jobs)
+            EvalGrid::compute(self.financial(), self.scale, 1.0, self.seed, self.jobs)
         })
     }
 
@@ -298,7 +293,7 @@ pub fn fig4() -> String {
         solver: MwisSolver::exact_default(),
         max_successors: 8,
     };
-    let cg = planner.build_graph(&reqs, &placement);
+    let cg = planner.build_graph_with_jobs(&reqs, &placement, 1);
     let sel = planner.solve(&cg);
     let mut out = String::new();
     out.push_str("Fig. 4 — MWIS scheduling algorithm walkthrough\n\n");
@@ -320,7 +315,7 @@ pub fn fig4() -> String {
         let (i, j, k) = cg.nodes[v as usize];
         out.push_str(&format!("  X({},{},d{})\n", i + 1, j + 1, k.0 + 1));
     }
-    let (assignment, _) = planner.plan(&reqs, &placement);
+    let (assignment, _) = planner.plan(&reqs, &placement, 1);
     let m = evaluate_offline(&reqs, &assignment, 4, &paper_example::params(), None, None);
     out.push_str(&format!(
         "\nStep 4: derived schedule energy = {} (paper's optimal schedule C: 19)\n",
@@ -494,7 +489,7 @@ pub fn fig10(h: &Harness) -> String {
                     },
                     seed: 1,
                 };
-                row.push(f3(run_experiment(reqs, &spec).normalized_energy()));
+                row.push(f3(run_experiment(reqs, &spec, h.jobs()).normalized_energy()));
             }
             t.row(row);
         }
@@ -524,7 +519,7 @@ pub fn fig11(h: &Harness) -> String {
                 },
                 seed: 1,
             };
-            runs.push((alpha, beta, run_experiment(reqs, &spec)));
+            runs.push((alpha, beta, run_experiment(reqs, &spec, h.jobs())));
         }
     }
     // Normalize to the α = 0 run of each β (as the paper does).
@@ -640,7 +635,7 @@ pub fn ablation_mwis(h: &Harness) -> String {
             },
             seed: 1,
         };
-        let m = run_experiment(reqs, &spec);
+        let m = run_experiment(reqs, &spec, h.jobs());
         // Claimed saving: recompute via the planner for reporting.
         let placement = spindown_core::placement::PlacementMap::build(
             spindown_core::experiment::data_space(reqs),
@@ -652,7 +647,7 @@ pub fn ablation_mwis(h: &Harness) -> String {
             solver,
             max_successors: max_succ,
         };
-        let (_, claimed) = planner.plan(reqs, &placement);
+        let (_, claimed) = planner.plan(reqs, &placement, h.jobs());
         t.row([
             name.to_string(),
             f3(m.normalized_energy()),
@@ -708,7 +703,7 @@ pub fn ablation_threshold(h: &Harness) -> String {
             },
             seed: 1,
         };
-        let m = run_experiment(reqs, &spec);
+        let m = run_experiment(reqs, &spec, h.jobs());
         t.row([
             name,
             f3(m.normalized_energy()),
@@ -748,7 +743,7 @@ pub fn ablation_discipline(h: &Harness) -> String {
             },
             seed: 1,
         };
-        let m = run_experiment(reqs, &spec);
+        let m = run_experiment(reqs, &spec, h.jobs());
         t.row([
             name.to_string(),
             f3(m.normalized_energy()),
@@ -784,7 +779,7 @@ pub fn ablation_batch_interval(h: &Harness) -> String {
             },
             seed: 1,
         };
-        let m = run_experiment(reqs, &spec);
+        let m = run_experiment(reqs, &spec, h.jobs());
         t.row([
             format!("{ms}ms"),
             f3(m.normalized_energy()),

@@ -39,14 +39,8 @@ pub struct EvalGrid {
 }
 
 impl EvalGrid {
-    /// Runs the full scheduler × replication grid over `requests` on the
-    /// calling thread. Equivalent to [`EvalGrid::compute_with_jobs`] with
-    /// `jobs = 1`.
-    pub fn compute(requests: &[Request], scale: Scale, zipf_z: f64, seed: u64) -> EvalGrid {
-        Self::compute_with_jobs(requests, scale, zipf_z, seed, 1)
-    }
-
-    /// Runs the grid with up to `jobs` worker threads.
+    /// Runs the full scheduler × replication grid over `requests` with up
+    /// to `jobs` worker threads.
     ///
     /// Every cell is an independent simulation — each run derives its own
     /// RNG stream from the spec seed, never from shared mutable state —
@@ -57,7 +51,7 @@ impl EvalGrid {
     /// `jobs = 1` never spawns); cells run at `jobs = 1` internally so
     /// grid-level and intra-run parallelism never oversubscribe, and the
     /// always-on reference runs on the calling thread either way.
-    pub fn compute_with_jobs(
+    pub fn compute(
         requests: &[Request],
         scale: Scale,
         zipf_z: f64,
@@ -101,7 +95,7 @@ impl EvalGrid {
 
         let metrics = pool::map_indexed(jobs, plan.len(), |i| {
             let (rf, _, kind) = &plan[i];
-            run_experiment(requests, &spec_for(kind.clone(), *rf))
+            run_experiment(requests, &spec_for(kind.clone(), *rf), 1)
         });
 
         let cells = plan
@@ -172,8 +166,8 @@ impl PolicyGrid {
     /// Runs the sweep with up to `jobs` worker threads. Cells are
     /// independent simulations fanned over the shared pool, bit-identical
     /// to the serial result for any thread count (same argument as
-    /// [`EvalGrid::compute_with_jobs`]).
-    pub fn compute_with_jobs(scale: Scale, seed: u64, jobs: usize) -> PolicyGrid {
+    /// [`EvalGrid::compute`]).
+    pub fn compute(scale: Scale, seed: u64, jobs: usize) -> PolicyGrid {
         let scenarios: Vec<(&'static str, Vec<Request>)> = vec![
             ("diurnal", workload::diurnal(scale, seed)),
             ("flash-crowd", workload::flash_crowd(scale, seed)),
@@ -200,7 +194,7 @@ impl PolicyGrid {
                 },
                 seed,
             };
-            run_experiment(&scenarios[*si].1, &spec)
+            run_experiment(&scenarios[*si].1, &spec, 1)
         });
         let cells = plan
             .into_iter()
@@ -237,7 +231,7 @@ mod tests {
             rate: 3.0,
         };
         let reqs = workload::cello(scale, 1);
-        let grid = EvalGrid::compute(&reqs, scale, 1.0, 3);
+        let grid = EvalGrid::compute(&reqs, scale, 1.0, 3, 1);
         assert_eq!(grid.cells.len(), 5 * 6);
         assert_eq!(
             grid.schedulers(),
@@ -258,8 +252,8 @@ mod tests {
             rate: 3.0,
         };
         let reqs = workload::cello(scale, 7);
-        let serial = EvalGrid::compute_with_jobs(&reqs, scale, 1.0, 11, 1);
-        let wide = EvalGrid::compute_with_jobs(&reqs, scale, 1.0, 11, 8);
+        let serial = EvalGrid::compute(&reqs, scale, 1.0, 11, 1);
+        let wide = EvalGrid::compute(&reqs, scale, 1.0, 11, 8);
         assert_eq!(format!("{:?}", serial.cells), format!("{:?}", wide.cells));
         assert_eq!(
             format!("{:?}", serial.always_on),
@@ -274,7 +268,7 @@ mod tests {
     /// `derived.predictive_vs_2cpm_energy_ratio` reflects this test.
     #[test]
     fn quantile_beats_2cpm_on_flash_crowd() {
-        let grid = PolicyGrid::compute_with_jobs(Scale::policy_sweep(), 42, 4);
+        let grid = PolicyGrid::compute(Scale::policy_sweep(), 42, 4);
         let q = &grid.cell("flash-crowd", "quantile").metrics;
         let b = &grid.cell("flash-crowd", "2cpm").metrics;
         let ratio = q.energy_j / b.energy_j;
@@ -306,8 +300,8 @@ mod tests {
             disks: 8,
             rate: 4.0,
         };
-        let serial = PolicyGrid::compute_with_jobs(scale, 11, 1);
-        let wide = PolicyGrid::compute_with_jobs(scale, 11, 8);
+        let serial = PolicyGrid::compute(scale, 11, 1);
+        let wide = PolicyGrid::compute(scale, 11, 8);
         assert_eq!(format!("{:?}", serial.cells), format!("{:?}", wide.cells));
     }
 
@@ -321,7 +315,7 @@ mod tests {
             rate: 2.0,
         };
         let reqs = workload::cello(scale, 1);
-        let grid = EvalGrid::compute(&reqs, scale, 1.0, 3);
+        let grid = EvalGrid::compute(&reqs, scale, 1.0, 3, 1);
         grid.cell(9, "static");
     }
 }

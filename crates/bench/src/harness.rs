@@ -24,7 +24,9 @@ use spindown_core::placement::{PlacementConfig, PlacementMap};
 #[cfg(feature = "bench-alloc")]
 use spindown_core::sched::PlanScratch;
 use spindown_core::sched::{ExplicitPlacement, MwisPlanner, MwisSolver, WindowedPlanner};
-use spindown_core::system::{run_system, run_system_streamed, run_system_with_jobs, SystemConfig};
+use spindown_core::system::{
+    run_system_streamed, run_system_streamed_with_jobs, slice_source, SystemConfig,
+};
 use spindown_disk::mechanics::{DiskGeometry, Mechanics};
 use spindown_disk::power::PowerParams;
 use spindown_graph::mwis as solvers;
@@ -157,8 +159,8 @@ pub struct BenchReport {
     /// re-planning), `allocs_per_solve` (heap allocations inside a warm
     /// production solve, `bench-alloc` builds only), and the intra-run
     /// parallelism ratios `graph_build_parallel_speedup` /
-    /// `offline_eval_parallel_speedup` (serial vs
-    /// [`PARALLEL_BENCH_JOBS`]-worker runs of the same fixture).
+    /// `island_sim_speedup` (serial vs [`PARALLEL_BENCH_JOBS`]-worker
+    /// runs of the same fixture).
     pub derived: Vec<DerivedEntry>,
     /// Host context the run executed under.
     pub host: HostContext,
@@ -407,7 +409,11 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "graph_build_bulk_small",
             stats: time_ns(warmup, gb_iters, || {
-                black_box(small.planner.build_graph(&small.requests, &small.placement));
+                black_box(small.planner.build_graph_with_jobs(
+                    &small.requests,
+                    &small.placement,
+                    1,
+                ));
             }),
         });
     }
@@ -416,11 +422,11 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         let mut bulk_medium = None;
         if want("graph_build_bulk_medium") {
             let stats = time_ns(warmup, gb_iters, || {
-                black_box(
-                    medium
-                        .planner
-                        .build_graph(&medium.requests, &medium.placement),
-                );
+                black_box(medium.planner.build_graph_with_jobs(
+                    &medium.requests,
+                    &medium.placement,
+                    1,
+                ));
             });
             entries.push(BenchEntry {
                 name: "graph_build_bulk_medium",
@@ -518,7 +524,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
                 .collect();
             let stats = time_ns(warmup, iters, || {
                 for window in &windows {
-                    black_box(fix.planner.build_graph(window, &fix.placement));
+                    black_box(fix.planner.build_graph_with_jobs(window, &fix.placement, 1));
                 }
             });
             entries.push(BenchEntry {
@@ -554,12 +560,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         }
     }
 
-    // Per-disk offline evaluation, serial vs fanned across the worker
-    // pool — the paper-scale phase (180 disks) that is embarrassingly
-    // parallel once the assignment is fixed. The serial entry is timed
-    // here (rather than reusing another bench) so the derived speedup
-    // compares the same fixture under the same cache state.
-    if want("offline_eval_serial_medium") || want("offline_eval_parallel_medium") {
+    // Per-disk offline evaluation of a fixed assignment at paper scale
+    // (180 disks), the phase after the MWIS plan.
+    if want("offline_eval_serial_medium") {
         let scale = Scale {
             requests: 100_000,
             data_items: 20_000,
@@ -588,9 +591,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             DiskGeometry::cheetah_15k5(),
             SimRng::seed_from_u64(config.seed),
         );
-        let mut serial_stats = None;
-        if want("offline_eval_serial_medium") {
-            let stats = time_ns(warmup, gb_iters, || {
+        entries.push(BenchEntry {
+            name: "offline_eval_serial_medium",
+            stats: time_ns(warmup, gb_iters, || {
                 black_box(evaluate_offline_with_jobs(
                     &requests,
                     &assignment,
@@ -600,36 +603,8 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
                     Some(&mechanics),
                     1,
                 ));
-            });
-            entries.push(BenchEntry {
-                name: "offline_eval_serial_medium",
-                stats,
-            });
-            serial_stats = Some(stats);
-        }
-        if want("offline_eval_parallel_medium") {
-            let stats = time_ns(warmup, gb_iters, || {
-                black_box(evaluate_offline_with_jobs(
-                    &requests,
-                    &assignment,
-                    scale.disks,
-                    &params,
-                    None,
-                    Some(&mechanics),
-                    par_jobs,
-                ));
-            });
-            entries.push(BenchEntry {
-                name: "offline_eval_parallel_medium",
-                stats,
-            });
-            if let Some(serial) = serial_stats {
-                derived.push(DerivedEntry {
-                    name: "offline_eval_parallel_speedup",
-                    value: serial.median_ns as f64 / stats.median_ns as f64,
-                });
-            }
-        }
+            }),
+        });
     }
 
     // MWIS solvers on a moderate-density conflict graph (see
@@ -644,9 +619,11 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
     let solver_names = ["mwis_gwmin", "mwis_gwmin2", "mwis_local_search"];
     if solver_names.iter().any(|n| want(n)) {
         let solver_fix = GraphFixture::new(solver_scale(), 3, 8, config.seed);
-        let cg = solver_fix
-            .planner
-            .build_graph(&solver_fix.requests, &solver_fix.placement);
+        let cg = solver_fix.planner.build_graph_with_jobs(
+            &solver_fix.requests,
+            &solver_fix.placement,
+            1,
+        );
         let mut scratch = solvers::GreedyScratch::new();
         let mut selected: Vec<spindown_graph::NodeId> = Vec::new();
         #[cfg(feature = "bench-alloc")]
@@ -721,7 +698,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             2,
             config.seed,
         );
-        let tiny_cg = tiny.planner.build_graph(&tiny.requests, &tiny.placement);
+        let tiny_cg = tiny
+            .planner
+            .build_graph_with_jobs(&tiny.requests, &tiny.placement, 1);
         entries.push(BenchEntry {
             name: "mwis_exact_small",
             stats: time_ns(warmup, iters, || {
@@ -741,7 +720,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             3,
             config.seed,
         );
-        let mid_cg = mid.planner.build_graph(&mid.requests, &mid.placement);
+        let mid_cg = mid
+            .planner
+            .build_graph_with_jobs(&mid.requests, &mid.placement, 1);
         entries.push(BenchEntry {
             name: "mwis_exact_medium",
             stats: time_ns(warmup, iters, || {
@@ -788,7 +769,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "grid_eval_small",
             stats: time_ns(warmup, iters, || {
-                black_box(EvalGrid::compute_with_jobs(
+                black_box(EvalGrid::compute(
                     &grid_small_reqs,
                     small_scale(),
                     1.0,
@@ -803,7 +784,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "grid_eval_medium",
             stats: time_ns(warmup, iters, || {
-                black_box(EvalGrid::compute_with_jobs(
+                black_box(EvalGrid::compute(
                     &grid_medium_reqs,
                     grid_medium_scale(),
                     1.0,
@@ -825,7 +806,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         let scale = Scale::policy_sweep();
         let mut ratio = f64::NAN;
         let stats = time_ns(warmup, iters, || {
-            let grid = PolicyGrid::compute_with_jobs(scale, config.seed, config.jobs);
+            let grid = PolicyGrid::compute(scale, config.seed, config.jobs);
             ratio = grid.cell("flash-crowd", "quantile").metrics.energy_j
                 / grid.cell("flash-crowd", "2cpm").metrics.energy_j;
             black_box(grid);
@@ -940,11 +921,14 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         });
     }
     if want("stream_run_islands_serial_medium") || want("stream_run_islands_medium") {
-        // Island-parallel replay: 8 replica islands of 6 disks (3
-        // replicas inside the group), so `run_system_with_jobs` can run
-        // 8 independent event loops. The serial fixture is the oracle
-        // engine on the identical workload; `island_sim_speedup` is
-        // their median ratio (near 1.0 on a single-core runner — only
+        // Island replay: 8 replica islands of 6 disks (3 replicas inside
+        // the group). The serial fixture runs the serial reference
+        // (`run_system_streamed`, one event loop over all 48 disks); the
+        // other runs `run_system_streamed_with_jobs` at the parallel
+        // worker count, 8 event loops that run inline on the calling
+        // thread at one worker and behind the stream splitter at more.
+        // `island_sim_speedup` is their median ratio (near 1.0 on a
+        // single-core runner — only
         // the bit-identical outputs are meaningful there, and the
         // `host` block in the report records how many workers actually
         // ran). Iterations are kept tens-of-ms long and tripled
@@ -984,8 +968,9 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         let mut serial_stats = None;
         if want("stream_run_islands_serial_medium") {
             let stats = time_ns(warmup + 4, gb_iters * 3, || {
-                let mut sched = factory();
-                black_box(run_system(&requests, &placement, sched.as_mut(), &sys));
+                let mut source = slice_source(&requests);
+                let m = run_system_streamed(&mut source, &placement, factory().as_mut(), &sys);
+                black_box(m.expect("sorted fixture"));
             });
             entries.push(BenchEntry {
                 name: "stream_run_islands_serial_medium",
@@ -995,9 +980,15 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         }
         if want("stream_run_islands_medium") {
             let stats = time_ns(warmup + 4, gb_iters * 3, || {
-                black_box(run_system_with_jobs(
-                    &requests, &placement, &factory, &sys, par_jobs,
-                ));
+                let mut source = slice_source(&requests);
+                let m = run_system_streamed_with_jobs(
+                    &mut source,
+                    &placement,
+                    &factory,
+                    &sys,
+                    par_jobs,
+                );
+                black_box(m.expect("sorted fixture"));
             });
             entries.push(BenchEntry {
                 name: "stream_run_islands_medium",

@@ -25,9 +25,9 @@ fn render_all(h: &Harness) -> Vec<(String, String)> {
 
 #[test]
 fn figures_identical_across_repeats_and_job_counts() {
-    let serial_a = render_all(&Harness::with_jobs(small(), 7, 1));
-    let serial_b = render_all(&Harness::with_jobs(small(), 7, 1));
-    let parallel = render_all(&Harness::with_jobs(small(), 7, 8));
+    let serial_a = render_all(&Harness::new(small(), 7, 1));
+    let serial_b = render_all(&Harness::new(small(), 7, 1));
+    let parallel = render_all(&Harness::new(small(), 7, 8));
 
     assert_eq!(
         serial_a, serial_b,
@@ -46,7 +46,7 @@ fn different_seed_changes_grid_figures() {
     // Guard against the determinism test vacuously passing because the
     // seed is ignored: a different seed must change at least one
     // grid-backed figure.
-    let a = Harness::with_jobs(small(), 7, 2);
-    let b = Harness::with_jobs(small(), 8, 2);
+    let a = Harness::new(small(), 7, 2);
+    let b = Harness::new(small(), 8, 2);
     assert_ne!(a.generate("fig6"), b.generate("fig6"));
 }

@@ -14,8 +14,8 @@ use std::path::PathBuf;
 
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{
-    build_scheduler, data_space, requests_from_trace, run_always_on_baseline,
-    run_experiment_with_jobs, scan_stream, ExperimentSpec, SchedulerKind,
+    build_scheduler, data_space, requests_from_trace, run_always_on_baseline, run_experiment,
+    scan_stream, ExperimentSpec, SchedulerKind,
 };
 use spindown_core::metrics::RunMetrics;
 use spindown_core::model::Request;
@@ -297,7 +297,7 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
             // workers (bit-identical to serial for any count).
             let (trace, skipped) = materialize(workload)?;
             let requests = requests_from_trace(&trace);
-            let m = run_experiment_with_jobs(&requests, &spec, cli.effective_jobs());
+            let m = run_experiment(&requests, &spec, cli.effective_jobs());
             let span_s = requests.last().map(|r| r.at.as_secs_f64()).unwrap_or(0.0);
             Ok(simulate_report(cli, requests.len(), span_s, skipped, &m))
         }
@@ -568,7 +568,7 @@ fn compare_report(cli: &Cli, requests: &[Request]) -> String {
         baseline.response_p90_s() * 1000.0
     );
     for sched in SchedulerArg::ALL {
-        let m = run_experiment_with_jobs(requests, &spec(cli, sched), cli.effective_jobs());
+        let m = run_experiment(requests, &spec(cli, sched), cli.effective_jobs());
         let _ = writeln!(
             s,
             "{:<10} {:>11.1}% {:>12} {:>9.0} ms {:>9.0} ms",

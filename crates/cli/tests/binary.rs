@@ -158,6 +158,41 @@ fn replan_output_is_jobs_invariant() {
 }
 
 #[test]
+fn compare_output_is_jobs_invariant() {
+    // Replication 1 makes every disk its own replica island, so at
+    // `--jobs 8` each event scheduler replays through the stream
+    // splitter and the MWIS graph build shards; at `--jobs 1` the same
+    // islands run inline. The report must not depend on the path.
+    let run = |jobs: &str| {
+        let out = bin()
+            .args([
+                "compare",
+                "--requests",
+                "1000",
+                "--data-items",
+                "300",
+                "--disks",
+                "8",
+                "--rate",
+                "4",
+                "--replication",
+                "1",
+                "--seed",
+                "7",
+                "--jobs",
+                jobs,
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let serial = run("1");
+    assert!(serial.contains("always-on"), "{serial}");
+    assert_eq!(serial, run("8"));
+}
+
+#[test]
 fn determinism_across_invocations() {
     let run = || {
         let out = bin()

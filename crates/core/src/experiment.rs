@@ -18,7 +18,9 @@ use crate::sched::{
     HeuristicScheduler, MwisPlanner, MwisSolver, RandomScheduler, Scheduler, StaticScheduler,
     WscScheduler,
 };
-use crate::system::{run_system_with_jobs, PolicyKind, SourceError, SystemConfig};
+use crate::system::{
+    run_system_streamed_with_jobs, slice_source, PolicyKind, SourceError, SystemConfig,
+};
 
 /// Which scheduling algorithm an experiment runs (paper §4.3).
 #[derive(Debug, Clone, PartialEq)]
@@ -169,9 +171,9 @@ impl StreamScan {
     }
 
     /// Adapts a second pass over the same records into a request source
-    /// for [`crate::system::run_system_streamed`]. `stream` must replay
-    /// the records of the scanned pass in the same (time-sorted) order —
-    /// re-open the file, re-seed the generator.
+    /// for [`crate::system::run_system_streamed_with_jobs`]. `stream` must
+    /// replay the records of the scanned pass in the same (time-sorted)
+    /// order — re-open the file, re-seed the generator.
     pub fn requests<S>(self, stream: S) -> StreamRequests<S> {
         let dense_lut = self.build_lut();
         StreamRequests {
@@ -294,7 +296,8 @@ where
 
 /// Builds the event-loop scheduler for `kind`, or `None` for the
 /// offline MWIS plan (which never runs through the simulator — use
-/// [`run_experiment`] or [`crate::offline::evaluate_offline`] instead).
+/// [`run_experiment`], or [`MwisPlanner::plan`] and
+/// [`crate::offline::evaluate_offline`], instead).
 pub fn build_scheduler(kind: &SchedulerKind, seed: u64) -> Option<Box<dyn Scheduler>> {
     match kind {
         SchedulerKind::Random => Some(Box::new(RandomScheduler::new(seed))),
@@ -307,31 +310,23 @@ pub fn build_scheduler(kind: &SchedulerKind, seed: u64) -> Option<Box<dyn Schedu
     }
 }
 
-/// Runs one experiment end to end.
+/// Runs one experiment end to end over `jobs` workers.
 ///
-/// Online and batch schedulers run through the event-driven simulator;
-/// the MWIS scheduler is planned over the full stream and evaluated with
-/// the analytic offline model (advance spin-up, no spin-up delays), as in
-/// the paper (§4.3: "configured to an offline model with no disk spin-up
-/// delay").
-pub fn run_experiment(requests: &[Request], spec: &ExperimentSpec) -> RunMetrics {
-    run_experiment_with_jobs(requests, spec, 1)
-}
-
-/// [`run_experiment`] with intra-run parallelism: the MWIS conflict-graph
-/// build ([`MwisPlanner::plan_with_jobs`]) and the per-disk offline
-/// evaluation ([`evaluate_offline_with_jobs`]) fan out across `jobs`
-/// workers; event-loop schedulers replay island-parallel via
-/// [`run_system_with_jobs`]. All substrates are bit-identical to serial
-/// for any thread count, so the returned metrics do not depend on
-/// `jobs`.
+/// Online and batch schedulers run through the event-driven simulator
+/// ([`run_system_streamed_with_jobs`], one event loop per replica island);
+/// the MWIS scheduler is planned over the full stream
+/// ([`MwisPlanner::plan`]) and evaluated with the analytic offline model
+/// (advance spin-up, no spin-up delays), as in the paper (§4.3:
+/// "configured to an offline model with no disk spin-up delay"). The plan
+/// returns, freeing its conflict graph, before the evaluation starts.
+/// Every substrate is bit-identical for any thread count, so the returned
+/// metrics do not depend on `jobs`.
 ///
-/// [`evaluate_offline_with_jobs`]: crate::offline::evaluate_offline_with_jobs
-pub fn run_experiment_with_jobs(
-    requests: &[Request],
-    spec: &ExperimentSpec,
-    jobs: usize,
-) -> RunMetrics {
+/// # Panics
+///
+/// Panics if `requests` is not sorted by time (on the MWIS path, in debug
+/// builds only).
+pub fn run_experiment(requests: &[Request], spec: &ExperimentSpec, jobs: usize) -> RunMetrics {
     let placement = PlacementMap::build(data_space(requests), &spec.placement, spec.seed);
     match &spec.scheduler {
         SchedulerKind::Mwis {
@@ -343,7 +338,7 @@ pub fn run_experiment_with_jobs(
                 solver: *solver,
                 max_successors: *max_successors,
             };
-            let (assignment, _) = planner.plan_with_jobs(requests, &placement, jobs);
+            let (assignment, _) = planner.plan(requests, &placement, jobs);
             let mechanics = Mechanics::new(
                 spec.system.geometry.clone(),
                 SimRng::seed_from_u64(spec.seed),
@@ -364,8 +359,8 @@ pub fn run_experiment_with_jobs(
                 seed: spec.seed,
                 ..spec.system.clone()
             };
-            run_system_with_jobs(
-                requests,
+            run_system_streamed_with_jobs(
+                &mut slice_source(requests),
                 &placement,
                 &|| {
                     build_scheduler(online_or_batch, spec.seed)
@@ -374,6 +369,7 @@ pub fn run_experiment_with_jobs(
                 &config,
                 jobs,
             )
+            .expect("run_experiment takes a time-sorted slice")
         }
     }
 }
@@ -384,7 +380,7 @@ pub fn run_always_on_baseline(requests: &[Request], spec: &ExperimentSpec) -> Ru
     let mut spec = spec.clone();
     spec.scheduler = SchedulerKind::Static;
     spec.system.policy = PolicyKind::AlwaysOn;
-    run_experiment(requests, &spec)
+    run_experiment(requests, &spec, 1)
 }
 
 #[cfg(test)]
@@ -434,7 +430,7 @@ mod tests {
         let reqs = small_trace();
         for kind in SchedulerKind::paper_set() {
             let label = kind.label();
-            let m = run_experiment(&reqs, &small_spec(kind, 3));
+            let m = run_experiment(&reqs, &small_spec(kind, 3), 1);
             assert_eq!(m.requests, 1_500, "{label}");
             assert!(m.energy_j > 0.0, "{label}");
             assert!(
@@ -466,7 +462,7 @@ mod tests {
         }
         .generate(3);
         let reqs = requests_from_trace(&trace);
-        let run = |k| run_experiment(&reqs, &small_spec(k, 3)).normalized_energy();
+        let run = |k| run_experiment(&reqs, &small_spec(k, 3), 1).normalized_energy();
         let random = run(SchedulerKind::Random);
         let static_ = run(SchedulerKind::Static);
         let heuristic = run(SchedulerKind::Heuristic(CostFunction::energy_only()));
@@ -509,7 +505,7 @@ mod tests {
             SchedulerKind::Heuristic(CostFunction::default()),
         ]
         .into_iter()
-        .map(|k| run_experiment(&reqs, &small_spec(k, 1)).energy_j)
+        .map(|k| run_experiment(&reqs, &small_spec(k, 1), 1).energy_j)
         .collect();
         assert!(
             (energies[0] - energies[1]).abs() < 1e-6,
@@ -535,8 +531,8 @@ mod tests {
     fn experiments_are_deterministic() {
         let reqs = small_trace();
         let spec = small_spec(SchedulerKind::Heuristic(CostFunction::default()), 3);
-        let a = run_experiment(&reqs, &spec);
-        let b = run_experiment(&reqs, &spec);
+        let a = run_experiment(&reqs, &spec, 1);
+        let b = run_experiment(&reqs, &spec, 1);
         assert_eq!(a.energy_j, b.energy_j);
         assert_eq!(a.spinups, b.spinups);
     }

@@ -45,7 +45,8 @@
 //!     system: SystemConfig { disks: 16, ..Default::default() },
 //!     seed: 1,
 //! };
-//! let metrics = run_experiment(&requests, &spec);
+//! // Two workers; the metrics are the same for any worker count.
+//! let metrics = run_experiment(&requests, &spec, 2);
 //! assert!(metrics.normalized_energy() <= 1.0);
 //! ```
 
@@ -74,6 +75,6 @@ pub use metrics::{merge_islands, DiskSummary, IslandPart, RunMetrics};
 pub use model::{Assignment, DataId, DiskId, Request};
 pub use placement::{IslandPartition, PlacementConfig, PlacementMap};
 pub use system::{
-    run_system, run_system_streamed, run_system_streamed_with_jobs, run_system_with_jobs,
-    PolicyKind, RequestSource, SourceError, SystemConfig,
+    run_system_streamed, run_system_streamed_with_jobs, slice_source, PolicyKind, RequestSource,
+    SourceError, SystemConfig,
 };

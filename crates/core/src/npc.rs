@@ -160,7 +160,7 @@ mod tests {
             solver: MwisSolver::exact_default(),
             max_successors: 16,
         };
-        let cg = planner.build_graph(&inst.requests, &inst.placement);
+        let cg = planner.build_graph_with_jobs(&inst.requests, &inst.placement, 1);
         // Per edge: one candidate pair per endpoint disk (r_e with that
         // endpoint's dummy), mutually conflicting (schedule-constraint on
         // r_e). Savings across edges never pair (spacing >> window).
@@ -179,7 +179,7 @@ mod tests {
             solver: MwisSolver::exact_default(),
             max_successors: 16,
         };
-        let (assignment, _) = planner.plan(&inst.requests, &inst.placement);
+        let (assignment, _) = planner.plan(&inst.requests, &inst.placement, 1);
         let planned = evaluate_offline(
             &inst.requests,
             &assignment,
@@ -207,7 +207,7 @@ mod tests {
             solver: MwisSolver::GwMin,
             max_successors: 16,
         };
-        let (assignment, _) = planner.plan(&inst.requests, &inst.placement);
+        let (assignment, _) = planner.plan(&inst.requests, &inst.placement, 1);
         let orient = orientation(&inst, &assignment);
         assert_eq!(orient.len(), 3);
         for (o, &(vi, vj)) in orient.iter().zip(&toy_graph().edges) {

@@ -295,7 +295,9 @@ impl IslandPartition {
     }
 
     /// The degenerate partition: every disk in one island. Used when the
-    /// data universe is unknown or when replicas connect the whole fleet.
+    /// data universe is unknown, and by the serial reference replay
+    /// ([`crate::system::run_system_streamed`]), which runs one engine
+    /// over every disk.
     pub fn single_island(disks: u32) -> Self {
         let n = disks as usize;
         IslandPartition {

@@ -435,22 +435,6 @@ impl MwisPlanner {
     }
 
     /// Builds the Step 1/2 conflict graph for `requests` (sorted by
-    /// time) under `placement`; the same as
-    /// [`build_graph_with_jobs`](MwisPlanner::build_graph_with_jobs) at
-    /// `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `requests` is not time-sorted.
-    pub fn build_graph(
-        &self,
-        requests: &[Request],
-        placement: &dyn LocationProvider,
-    ) -> ConflictGraph {
-        self.build_graph_with_jobs(requests, placement, 1)
-    }
-
-    /// Builds the Step 1/2 conflict graph for `requests` (sorted by
     /// time) under `placement`, storing no edges.
     ///
     /// Step 1 emits the nodes. One counting sort over the node table
@@ -552,21 +536,13 @@ impl MwisPlanner {
     }
 
     /// Full pipeline: build, solve, derive (Step 4). Returns the
-    /// assignment and the solver's total claimed saving (joules).
-    pub fn plan(
-        &self,
-        requests: &[Request],
-        placement: &dyn LocationProvider,
-    ) -> (Assignment, f64) {
-        self.plan_with_jobs(requests, placement, 1)
-    }
-
-    /// [`plan`](MwisPlanner::plan) with the graph build fanned across
-    /// `jobs` workers ([`build_graph_with_jobs`]). Steps 3–4 are
-    /// unchanged, so the plan is bit-identical for any `jobs` value.
+    /// assignment and the solver's total claimed saving (joules), with the
+    /// conflict graph already dropped. Only the build fans out across
+    /// `jobs` workers ([`build_graph_with_jobs`]), so the plan is
+    /// bit-identical for any `jobs` value.
     ///
     /// [`build_graph_with_jobs`]: MwisPlanner::build_graph_with_jobs
-    pub fn plan_with_jobs(
+    pub fn plan(
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
@@ -578,7 +554,7 @@ impl MwisPlanner {
     }
 
     /// Step 4 plus the claimed-saving sum, shared verbatim by
-    /// [`plan_with_jobs`](MwisPlanner::plan_with_jobs) and the
+    /// [`plan`](MwisPlanner::plan) and the
     /// rolling-horizon [`WindowedPlanner`]: walks `selected` in id order
     /// (fixing the float-accumulation order of the claimed saving), pins
     /// each selected node's request pair, and routes leftovers to their
@@ -708,7 +684,7 @@ pub struct ReplanStats {
 ///   one. No edge is stored, so nothing else changes.
 ///
 /// The graph is therefore **bit-identical** to
-/// [`MwisPlanner::build_graph`] over the new window, and the
+/// [`MwisPlanner::build_graph_with_jobs`] over the new window, and the
 /// warm-scratch solve plus the shared Step 4 derivation
 /// ([`MwisPlanner::derive_plan`]) yield the bit-identical plan. The
 /// from-scratch path is retained as the per-window oracle, pinned by
@@ -754,8 +730,8 @@ impl WindowedPlanner {
     }
 
     /// The current window's conflict graph and node table, as
-    /// [`MwisPlanner::build_graph`] over [`window`](WindowedPlanner::window)
-    /// would build them.
+    /// [`MwisPlanner::build_graph_with_jobs`] over
+    /// [`window`](WindowedPlanner::window) would build them.
     pub fn graph(&self) -> &ConflictGraph {
         &self.graph
     }
@@ -1076,7 +1052,7 @@ mod tests {
     #[test]
     fn fig4_step1_nodes() {
         let (reqs, placement) = paper_instance();
-        let cg = planner(MwisSolver::GwMin).build_graph(&reqs, &placement);
+        let cg = planner(MwisSolver::GwMin).build_graph_with_jobs(&reqs, &placement, 1);
         // Expected non-zero X(i,j,k) with TB=5 (window 5):
         //  d1: (r1,r2)=4, (r1,r3)=2, (r2,r3)=3, (r3,r5)? gap 9 -> 0.
         //  d2: (r2,r3)=3.
@@ -1106,7 +1082,7 @@ mod tests {
     fn fig4_step3_selection_and_saving() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::exact_default());
-        let cg = p.build_graph(&reqs, &placement);
+        let cg = p.build_graph_with_jobs(&reqs, &placement, 1);
         let sel = p.solve(&cg);
         let weight: f64 = sel.iter().map(|&v| cg.graph.weight(v)).sum();
         // Fig. 4 selects X(1,2,1), X(2,3,1), X(4,6,4) — total saving
@@ -1123,7 +1099,7 @@ mod tests {
     fn fig4_step4_assignment_matches_schedule_c() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::exact_default());
-        let (assignment, claimed) = p.plan(&reqs, &placement);
+        let (assignment, claimed) = p.plan(&reqs, &placement, 1);
         assert_eq!(claimed, 11.0);
         // Any optimum attains schedule C's energy of 19 under the offline
         // model (Fig. 3(b) — the paper's §2.3.2 arithmetic).
@@ -1153,7 +1129,7 @@ mod tests {
             MwisSolver::GwMinLocalSearch,
         ] {
             let p = planner(solver);
-            let (_, claimed) = p.plan(&reqs, &placement);
+            let (_, claimed) = p.plan(&reqs, &placement, 1);
             assert_eq!(claimed, 11.0, "{solver:?} missed the optimum");
         }
     }
@@ -1161,7 +1137,7 @@ mod tests {
     #[test]
     fn assignments_respect_placement() {
         let (reqs, placement) = paper_instance();
-        let (assignment, _) = planner(MwisSolver::GwMin).plan(&reqs, &placement);
+        let (assignment, _) = planner(MwisSolver::GwMin).plan(&reqs, &placement, 1);
         for (r, req) in reqs.iter().enumerate() {
             assert!(
                 placement
@@ -1176,7 +1152,7 @@ mod tests {
     fn selected_set_is_independent() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let cg = p.build_graph(&reqs, &placement);
+        let cg = p.build_graph_with_jobs(&reqs, &placement, 1);
         let sel = p.solve(&cg);
         assert!(cg.is_independent_set(&sel));
     }
@@ -1191,7 +1167,7 @@ mod tests {
                 solver: MwisSolver::GwMin,
                 max_successors: max_succ,
             };
-            sizes.push(p.build_graph(&reqs, &placement).graph.len());
+            sizes.push(p.build_graph_with_jobs(&reqs, &placement, 1).graph.len());
         }
         assert!(sizes[0] <= sizes[1] && sizes[1] <= sizes[2]);
         assert_eq!(sizes[2], 6);
@@ -1208,7 +1184,7 @@ mod tests {
         // request to two disks. 0-2 chain on d1 (r2 ends one, starts
         // the other) and X(5,6,4) shares no request.
         let (reqs, placement) = paper_instance();
-        let cg = planner(MwisSolver::GwMin).build_graph(&reqs, &placement);
+        let cg = planner(MwisSolver::GwMin).build_graph_with_jobs(&reqs, &placement, 1);
         let d = DiskId;
         let nodes = vec![
             (0, 1, d(0)),
@@ -1253,13 +1229,13 @@ mod tests {
     fn parallel_build_matches_serial_on_paper_instance() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let serial = p.build_graph(&reqs, &placement);
+        let serial = p.build_graph_with_jobs(&reqs, &placement, 1);
         for jobs in [1usize, 2, 3, 8] {
             let par = p.build_graph_with_jobs(&reqs, &placement, jobs);
             assert_eq!(par.nodes, serial.nodes, "jobs {jobs}");
             assert_eq!(par.graph, serial.graph, "jobs {jobs}");
-            let (a_par, s_par) = p.plan_with_jobs(&reqs, &placement, jobs);
-            let (a_ser, s_ser) = p.plan(&reqs, &placement);
+            let (a_par, s_par) = p.plan(&reqs, &placement, jobs);
+            let (a_ser, s_ser) = p.plan(&reqs, &placement, 1);
             assert_eq!(a_par.disks, a_ser.disks, "jobs {jobs}");
             assert_eq!(s_par, s_ser, "jobs {jobs}");
         }
@@ -1285,11 +1261,11 @@ mod tests {
             let mut scratch = PlanScratch::new();
             let windows: [&[Request]; 4] = [&reqs, &shifted, &[], &reqs];
             for (w, window) in windows.iter().enumerate() {
-                let cg = p.build_graph(window, &placement);
+                let cg = p.build_graph_with_jobs(window, &placement, 1);
                 p.solve_into(&cg, &mut scratch);
                 let warm =
                     p.derive_plan(window, &placement, &cg.graph, &cg.nodes, &scratch.selected);
-                let fresh = p.plan(window, &placement);
+                let fresh = p.plan(window, &placement, 1);
                 assert_eq!(warm.0.disks, fresh.0.disks, "window {w}");
                 assert_eq!(warm.1, fresh.1, "window {w}");
             }
@@ -1309,7 +1285,7 @@ mod tests {
     fn empty_stream_plans_trivially() {
         let placement = ExplicitPlacement::new(vec![vec![DiskId(0)]], 1);
         let p = planner(MwisSolver::GwMin);
-        let (a, saving) = p.plan(&[], &placement);
+        let (a, saving) = p.plan(&[], &placement, 1);
         assert!(a.is_empty());
         assert_eq!(saving, 0.0);
     }
@@ -1344,12 +1320,12 @@ mod tests {
                 let (got_a, got_s) = w.advance(&arrivals, SimTime::from_secs(h), &placement);
                 let window =
                     rebase(&reqs[reqs.iter().filter(|r| r.at < SimTime::from_secs(h)).count()..]);
-                let (want_a, want_s) = p.plan(&window, &placement);
+                let (want_a, want_s) = p.plan(&window, &placement, 1);
                 assert_eq!(got_a.disks, want_a.disks, "{solver:?} horizon {h}");
                 assert_eq!(got_s, want_s, "{solver:?} horizon {h}");
                 assert_eq!(w.window(), &window[..], "{solver:?} horizon {h}");
                 // The maintained graph is the canonical from-scratch one.
-                let oracle = p.build_graph(&window, &placement);
+                let oracle = p.build_graph_with_jobs(&window, &placement, 1);
                 assert_eq!(w.graph().graph, oracle.graph, "{solver:?} horizon {h}");
                 assert_eq!(w.graph().nodes, oracle.nodes, "{solver:?} horizon {h}");
             }
@@ -1383,7 +1359,10 @@ mod tests {
         let (a, saving) = w.advance(&[], SimTime::from_secs(0), &placement);
         assert!(a.is_empty());
         assert_eq!(saving, 0.0);
-        assert_eq!(w.graph().graph, p.build_graph(w.window(), &placement).graph);
+        assert_eq!(
+            w.graph().graph,
+            p.build_graph_with_jobs(w.window(), &placement, 1).graph
+        );
     }
 
     #[test]
@@ -1401,7 +1380,7 @@ mod tests {
             })
             .collect();
         let (got_a, got_s) = w.advance(&shifted, SimTime::from_secs(50), &placement);
-        let (want_a, want_s) = p.plan(&rebase(&shifted), &placement);
+        let (want_a, want_s) = p.plan(&rebase(&shifted), &placement, 1);
         assert_eq!(got_a.disks, want_a.disks);
         assert_eq!(got_s, want_s);
         assert_eq!(w.window().len(), 6);
@@ -1440,14 +1419,14 @@ mod tests {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
         assert!(reqs.len() * p.max_successors < MIN_PARALLEL_BUILD_WORK);
-        let serial = p.build_graph(&reqs, &placement);
+        let serial = p.build_graph_with_jobs(&reqs, &placement, 1);
         let gated = p.build_graph_with_jobs(&reqs, &placement, 8);
         assert_eq!(serial.graph, gated.graph);
         let wide = MwisPlanner {
             max_successors: MIN_PARALLEL_BUILD_WORK, // 6 × this ≥ threshold
             ..p.clone()
         };
-        let serial = wide.build_graph(&reqs, &placement);
+        let serial = wide.build_graph_with_jobs(&reqs, &placement, 1);
         let sharded = wide.build_graph_with_jobs(&reqs, &placement, 8);
         assert_eq!(serial.graph, sharded.graph);
         assert_eq!(serial.nodes, sharded.nodes);
@@ -1468,7 +1447,7 @@ mod tests {
             })
             .collect();
         let p = planner(MwisSolver::GwMin);
-        let (a, saving) = p.plan(&reqs, &placement);
+        let (a, saving) = p.plan(&reqs, &placement, 1);
         assert_eq!(saving, 5.0, "gap-0 pair saves E_max");
         assert_eq!(a.disk_of(0), DiskId(0));
         assert_eq!(a.disk_of(1), DiskId(0));

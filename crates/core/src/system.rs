@@ -6,23 +6,25 @@
 //! [`crate::offline`] evaluator, playing the role OMNeT++ + DiskSim play
 //! in the paper's experiments.
 //!
-//! Arrivals are *pulled* from a [`RequestSource`] in blocks
-//! ([`run_system_streamed`]), so the event queue only ever holds
-//! in-flight disk events — a multi-GB trace streams through in constant
-//! memory. [`run_system`] wraps a `&[Request]` slice as a source for
-//! in-memory callers; both run the identical loop.
+//! Arrivals are *pulled* from a [`RequestSource`] in blocks, so the event
+//! queue only ever holds in-flight disk events — a multi-GB trace streams
+//! through in constant memory. [`slice_source`] adapts an in-memory
+//! `&[Request]` slice into a source.
 //!
 //! The loop body itself lives in [`IslandEngine`], a push-based engine
 //! whose disks, event queue, in-flight slab and histogram are all local
 //! to one **island** (a connected component of the replica-sharing
-//! relation, [`crate::placement::IslandPartition`]). The serial entry
-//! points drive a single engine over every disk;
-//! [`run_system_streamed_with_jobs`] runs one engine per island across a
-//! worker pool and merges the per-island metrics exactly
-//! ([`crate::metrics::merge_islands`]) — bit-identical to the serial
-//! engine, as pinned by `tests/island_determinism.rs`. Outputs are also
-//! pinned by digests recorded from earlier engines
-//! (`tests/batch_golden.rs`, `tests/island_determinism.rs`).
+//! relation, [`crate::placement::IslandPartition`]). Two entry points
+//! drive it: [`run_system_streamed_with_jobs`], the production replay,
+//! runs one engine per island — inline on the calling thread at one
+//! worker, behind a stream splitter across a worker pool otherwise — and
+//! merges the per-island metrics exactly
+//! ([`crate::metrics::merge_islands`]); [`run_system_streamed`], the
+//! serial reference, runs the inline loop with a single engine over
+//! every disk. The two are bit-identical, as pinned by
+//! `tests/island_determinism.rs`. Outputs are also pinned by digests
+//! recorded from earlier engines (`tests/batch_golden.rs`,
+//! `tests/island_determinism.rs`).
 
 use spindown_disk::disk::{Directive, Disk, DiskEvent, DiskRequest};
 use spindown_disk::mechanics::{DiskGeometry, Mechanics};
@@ -187,14 +189,14 @@ impl std::fmt::Display for SourceError {
 
 impl std::error::Error for SourceError {}
 
-/// A pull-based, fallible stream of arrivals for
-/// [`run_system_streamed`].
+/// A pull-based, fallible stream of arrivals for the replay entry points
+/// ([`run_system_streamed_with_jobs`] and [`run_system_streamed`]).
 ///
 /// Contract: requests must come out in non-decreasing `at` order (the
 /// engine verifies incrementally and fails fast), and `index` must be
 /// unique among requests simultaneously in flight (it keys completion
 /// accounting). Any `Iterator<Item = Result<Request, SourceError>>`
-/// is a source via the blanket impl.
+/// is a source via the blanket impl; [`slice_source`] adapts a slice.
 pub trait RequestSource {
     /// Pulls the next arrival; `None` means the stream is exhausted.
     fn next_request(&mut self) -> Option<Result<Request, SourceError>>;
@@ -228,6 +230,13 @@ where
     fn next_request(&mut self) -> Option<Result<Request, SourceError>> {
         self.next()
     }
+}
+
+/// Adapts an in-memory slice into a [`RequestSource`]. The slice must be
+/// sorted by time: a regression surfaces as the replay's ordering
+/// [`SourceError`].
+pub fn slice_source(requests: &[Request]) -> impl RequestSource + Send + '_ {
+    requests.iter().map(|r| Ok::<Request, SourceError>(*r))
 }
 
 /// Records per ingestion block: how many arrivals the engines pull from a
@@ -405,7 +414,6 @@ struct IslandEngine<'a, S: Scheduler> {
     power: &'a PowerParams,
     placement: &'a dyn LocationProvider,
     scheduler: S,
-    name: &'static str,
     batch_interval: Option<SimDuration>,
     power_sample: Option<SimDuration>,
     /// Island disks, local order == ascending global id order.
@@ -509,7 +517,6 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
             last_request_at: None,
             load: 0,
         };
-        let name = scheduler.name();
         let batch_interval = match scheduler.mode() {
             ScheduleMode::Online => None,
             ScheduleMode::Batch(interval) => {
@@ -521,7 +528,6 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
             power: &config.power,
             placement,
             scheduler,
-            name,
             batch_interval,
             power_sample: config.power_sample,
             disks,
@@ -924,7 +930,7 @@ impl FinishedIsland {
 /// so runs under different schedulers are normalized over essentially the
 /// same span.
 fn merge_finished(
-    scheduler: String,
+    scheduler: &str,
     config: &SystemConfig,
     finished: Vec<FinishedIsland>,
     splitter_high_water: usize,
@@ -952,7 +958,7 @@ fn merge_finished(
         * horizon_s;
     let parts: Vec<IslandPart> = finished.into_iter().map(|f| f.finalize(horizon)).collect();
     crate::metrics::merge_islands(
-        scheduler,
+        scheduler.to_string(),
         config.disks,
         horizon_s,
         always_on_j,
@@ -961,37 +967,74 @@ fn merge_finished(
     )
 }
 
-/// Runs `scheduler` over `requests` (time-sorted) against `placement`,
-/// returning the full metrics of the run.
+/// The inline ingest loop: one engine per island of `partition`, each
+/// with the next of `schedulers`, fed from `source` on the calling
+/// thread. A lone engine is offered each block as it comes. Several are
+/// offered their shares of each block grouped by island: engines are
+/// independent, so only the per-island arrival order matters, and
+/// feeding each engine its whole share at once keeps that engine's queue
+/// and disk state hot instead of ping-ponging between islands on every
+/// record.
 ///
-/// Convenience wrapper over [`run_system_streamed`] for in-memory
-/// request vectors; both paths execute the identical event loop, which
-/// makes this the differential-test oracle for streamed ingestion.
-///
-/// The measurement horizon is `max(last event, last request + saving
-/// window)`, so runs under different schedulers are normalized over
-/// essentially the same span.
-///
-/// # Panics
-///
-/// Panics if `requests` is not sorted by time or a scheduler returns an
-/// off-placement disk.
-pub fn run_system(
-    requests: &[Request],
+/// Both callers hand in `&mut dyn Scheduler`, and the loop offers blocks
+/// from one call site, so the serial reference and the single-worker
+/// replay share one compiled engine. With a second call site of
+/// `offer_batch` here, the `stream_run_medium` bench fixture read about
+/// 8% slower (median of ten alternating rounds on a 2-core VM).
+fn run_inline<'s>(
+    source: &mut dyn RequestSource,
     placement: &dyn LocationProvider,
-    scheduler: &mut dyn Scheduler,
     config: &SystemConfig,
-) -> RunMetrics {
-    assert!(
-        requests.windows(2).all(|w| w[0].at <= w[1].at),
-        "requests must be sorted by time"
-    );
-    let mut source = requests.iter().map(|r| Ok::<Request, SourceError>(*r));
-    run_system_streamed(&mut source, placement, scheduler, config)
-        .expect("in-memory sorted slices cannot fail")
+    partition: &IslandPartition,
+    schedulers: Vec<&mut (dyn Scheduler + 's)>,
+    name: &str,
+) -> Result<RunMetrics, SourceError> {
+    let rngs = disk_rngs(config);
+    let mut engines: Vec<_> = schedulers
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| IslandEngine::new(placement, config, s, partition.island_disks(i), &rngs))
+        .collect();
+    // Decoded-record block reused between the source (parser) and the
+    // event loop: one virtual fill and one ordering scan per block, no
+    // per-record iterator plumbing.
+    let mut block: Vec<Request> = Vec::with_capacity(INGEST_BLOCK);
+    let mut by_island: Vec<Vec<Request>> = vec![Vec::new(); engines.len()];
+    let mut prev: Option<SimTime> = None;
+    loop {
+        block.clear();
+        let src_err = source.fill_block(&mut block, INGEST_BLOCK);
+        let (valid, order_err) = validate_order(&block, &mut prev);
+        // Arrivals before a failure are real; feed them before aborting —
+        // exactly where per-record ingestion stopped.
+        let lone = engines.len() == 1;
+        if !lone {
+            for req in &block[..valid] {
+                by_island[partition.data_island(req.data)].push(*req);
+            }
+        }
+        for (engine, share) in engines.iter_mut().zip(by_island.iter_mut()) {
+            engine.offer_batch(if lone { &block[..valid] } else { share });
+            share.clear();
+        }
+        // An ordering regression precedes any later source failure,
+        // exactly as per-record pulling would have surfaced it.
+        if let Some(e) = order_err.or(src_err) {
+            return Err(e);
+        }
+        if valid < INGEST_BLOCK {
+            break;
+        }
+    }
+    let finished = engines
+        .into_iter()
+        .map(IslandEngine::into_finished)
+        .collect();
+    Ok(merge_finished(name, config, finished, 0))
 }
 
-/// Runs `scheduler` over arrivals pulled lazily from `source`.
+/// Runs `scheduler` over arrivals pulled lazily from `source`: the
+/// **serial reference** replay.
 ///
 /// The event queue holds only in-flight work (disk pipeline events and
 /// one power sample; a batch scheduler's tick is armed beside it only
@@ -1003,9 +1046,11 @@ pub fn run_system(
 /// (arrivals were enqueued before any other event and the queue is
 /// FIFO-stable at ties).
 ///
-/// This is the **serial oracle**: one engine over every disk, whatever
-/// the placement's island structure. [`run_system_streamed_with_jobs`]
-/// is the island-parallel production path and is bit-identical to it.
+/// One engine runs over every disk, whatever the placement's island
+/// structure: the inline loop of [`run_system_streamed_with_jobs`] over
+/// [`IslandPartition::single_island`]. It is the engine a one-island
+/// placement runs in production, and the oracle the island-parallel
+/// replay is tested against.
 ///
 /// # Errors
 ///
@@ -1029,43 +1074,16 @@ pub fn run_system_streamed(
         config.disks,
         "placement and system disagree on disk count"
     );
-    let rngs = disk_rngs(config);
-    let all: Vec<DiskId> = (0..config.disks).map(DiskId).collect();
-    let mut engine = IslandEngine::new(placement, config, scheduler, &all, &rngs);
-    // Decoded-record block reused between the source (parser) and the
-    // event loop: one virtual fill and one ordering scan per block, no
-    // per-record iterator plumbing.
-    let mut block: Vec<Request> = Vec::with_capacity(INGEST_BLOCK);
-    let mut prev: Option<SimTime> = None;
-    loop {
-        block.clear();
-        let src_err = source.fill_block(&mut block, INGEST_BLOCK);
-        let (valid, order_err) = validate_order(&block, &mut prev);
-        // Arrivals before a failure are real; feed them before aborting —
-        // exactly where per-record ingestion stopped.
-        engine.offer_batch(&block[..valid]);
-        if let Some(e) = order_err {
-            return Err(e);
-        }
-        if let Some(e) = src_err {
-            return Err(e);
-        }
-        if valid < INGEST_BLOCK {
-            break;
-        }
-    }
-    let name = engine.name;
-    Ok(merge_finished(
-        name.into(),
-        config,
-        vec![engine.into_finished()],
-        0,
-    ))
+    let name = scheduler.name();
+    let partition = IslandPartition::single_island(config.disks);
+    run_inline(source, placement, config, &partition, vec![scheduler], name)
 }
 
-/// Island-parallel replay: one event loop per island of the placement's
-/// replica-sharing graph, fed from `source` through a bounded
-/// [`StreamSplitter`], merged exactly into one [`RunMetrics`].
+/// Island-parallel replay, the production entry point: one event loop
+/// per island of the placement's replica-sharing graph, merged exactly
+/// into one [`RunMetrics`]. At one worker the islands run inline on the
+/// calling thread; otherwise a bounded [`StreamSplitter`] feeds them
+/// across the workers.
 ///
 /// Schedulers are created per island via `factory`, so each island's
 /// scheduler sees exactly the requests a serial scheduler would have seen
@@ -1103,66 +1121,15 @@ pub fn run_system_streamed_with_jobs(
         "placement and system disagree on disk count"
     );
     let partition = IslandPartition::from_provider(placement);
-    if partition.is_single() {
-        // Degenerate fallback: replicas connect everything, so the serial
-        // engine is the only correct execution — and trivially
-        // jobs-invariant.
-        let mut scheduler = factory();
-        return run_system_streamed(source, placement, &mut scheduler, config);
-    }
     let n_islands = partition.n_islands();
     let workers = jobs.max(1).min(n_islands);
-    let rngs = disk_rngs(config);
-    let name = factory().name().to_string();
-
+    let name = factory().name();
     if workers == 1 {
-        // Multi-island but single-threaded: route inline, no splitter.
-        let mut engines: Vec<IslandEngine<'_, Box<dyn Scheduler>>> = (0..n_islands)
-            .map(|i| {
-                IslandEngine::new(
-                    placement,
-                    config,
-                    factory(),
-                    partition.island_disks(i),
-                    &rngs,
-                )
-            })
-            .collect();
-        let mut block: Vec<Request> = Vec::with_capacity(INGEST_BLOCK);
-        let mut prev: Option<SimTime> = None;
-        // Group each block by island before offering: engines are
-        // independent, so only the per-island arrival order matters, and
-        // feeding each engine its whole share of the block at once keeps
-        // that engine's queue and disk state hot instead of ping-ponging
-        // between islands on every record.
-        let mut by_island: Vec<Vec<Request>> = vec![Vec::with_capacity(INGEST_BLOCK); n_islands];
-        loop {
-            block.clear();
-            let src_err = source.fill_block(&mut block, INGEST_BLOCK);
-            let (valid, order_err) = validate_order(&block, &mut prev);
-            for req in &block[..valid] {
-                by_island[partition.data_island(req.data)].push(*req);
-            }
-            for (engine, share) in engines.iter_mut().zip(by_island.iter_mut()) {
-                engine.offer_batch(share);
-                share.clear();
-            }
-            if let Some(e) = order_err {
-                return Err(e);
-            }
-            if let Some(e) = src_err {
-                return Err(e);
-            }
-            if valid < INGEST_BLOCK {
-                break;
-            }
-        }
-        let finished: Vec<FinishedIsland> = engines
-            .into_iter()
-            .map(IslandEngine::into_finished)
-            .collect();
-        return Ok(merge_finished(name, config, finished, 0));
+        let mut owned: Vec<Box<dyn Scheduler>> = (0..n_islands).map(|_| factory()).collect();
+        let schedulers = owned.iter_mut().map(|s| s.as_mut()).collect();
+        return run_inline(source, placement, config, &partition, schedulers, name);
     }
+    let rngs = disk_rngs(config);
 
     // Contiguous island ranges per worker; the splitter routes arrivals
     // to the owning worker's substream.
@@ -1288,29 +1255,6 @@ pub fn run_system_streamed_with_jobs(
     Ok(merge_finished(name, config, finished, high_water))
 }
 
-/// [`run_system_streamed_with_jobs`] over an in-memory sorted slice — the
-/// parallel counterpart of [`run_system`].
-///
-/// # Panics
-///
-/// Panics if `requests` is not sorted by time or a scheduler returns an
-/// off-placement disk.
-pub fn run_system_with_jobs(
-    requests: &[Request],
-    placement: &(dyn LocationProvider + Sync),
-    factory: &(dyn Fn() -> Box<dyn Scheduler> + Sync),
-    config: &SystemConfig,
-    jobs: usize,
-) -> RunMetrics {
-    assert!(
-        requests.windows(2).all(|w| w[0].at <= w[1].at),
-        "requests must be sorted by time"
-    );
-    let mut source = requests.iter().map(|r| Ok::<Request, SourceError>(*r));
-    run_system_streamed_with_jobs(&mut source, placement, factory, config, jobs)
-        .expect("in-memory sorted slices cannot fail")
-}
-
 /// The instant the batch holding an arrival at `at` is dispatched: the
 /// first grid instant `k·interval` with `k ≥ 1` at or after `at`. An
 /// arrival exactly on a grid instant joins that instant's batch; one at
@@ -1339,6 +1283,17 @@ mod tests {
     use crate::sched::{
         ExplicitPlacement, HeuristicScheduler, RandomScheduler, StaticScheduler, WscScheduler,
     };
+
+    /// The serial reference over an in-memory sorted slice.
+    fn replay(
+        reqs: &[Request],
+        placement: &dyn LocationProvider,
+        scheduler: &mut dyn Scheduler,
+        config: &SystemConfig,
+    ) -> RunMetrics {
+        run_system_streamed(&mut slice_source(reqs), placement, scheduler, config)
+            .expect("sorted slice")
+    }
 
     fn small_config(disks: u32, policy: PolicyKind) -> SystemConfig {
         SystemConfig {
@@ -1375,7 +1330,7 @@ mod tests {
         let reqs = requests(&[0.0, 1.0, 2.0, 50.0], &[0, 1, 0, 1]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1393,7 +1348,7 @@ mod tests {
         let reqs = requests(&[0.0, 30.0, 60.0], &[0, 0, 0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1412,7 +1367,7 @@ mod tests {
         let reqs = requests(&[0.0, 0.5, 1.0], &[0, 0, 0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1432,7 +1387,7 @@ mod tests {
         let placement = two_disk_placement();
         let run = || {
             let mut sched = RandomScheduler::new(3);
-            run_system(
+            replay(
                 &reqs,
                 &placement,
                 &mut sched,
@@ -1452,7 +1407,7 @@ mod tests {
         let placement = two_disk_placement();
         let mut sched =
             WscScheduler::new(CostFunction::energy_only(), SimDuration::from_millis(100));
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1475,7 +1430,7 @@ mod tests {
         let reqs = requests(&[0.0, 12.0, 14.0, 16.0], &[0, 1, 0, 1]);
         let placement = two_disk_placement();
         let mut sched = HeuristicScheduler::new(CostFunction::energy_only());
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1495,7 +1450,7 @@ mod tests {
     fn empty_request_stream() {
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &[],
             &placement,
             &mut sched,
@@ -1510,7 +1465,7 @@ mod tests {
         let reqs = requests(&[0.0, 1.0, 2.0, 100.0, 101.0], &[0, 0, 0, 0, 0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1524,7 +1479,7 @@ mod tests {
         let reqs = requests(&[0.0, 1.0, 2.0, 100.0, 101.0], &[0, 0, 0, 0, 0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1571,7 +1526,7 @@ mod tests {
         let mut sched = StaticScheduler;
         let mut config = small_config(2, PolicyKind::AlwaysOn);
         config.power_overrides = vec![(1, PowerParams::paper_example())];
-        let m = run_system(&reqs, &placement, &mut sched, &config);
+        let m = replay(&reqs, &placement, &mut sched, &config);
         assert!(
             (m.normalized_energy() - 1.0).abs() < 0.01,
             "normalized {}",
@@ -1588,7 +1543,7 @@ mod tests {
         let mut sched = StaticScheduler;
         let mut config = small_config(2, PolicyKind::AlwaysOn);
         config.power_overrides = vec![(1, PowerParams::paper_example())];
-        let m = run_system(&reqs, &placement, &mut sched, &config);
+        let m = replay(&reqs, &placement, &mut sched, &config);
         let horizon_s = m.horizon_s;
         let expected = (9.3 + 1.0) * horizon_s;
         // Active-time corrections are tiny for one request.
@@ -1610,7 +1565,7 @@ mod tests {
             disk: 0,
             at: SimTime::ZERO,
         }];
-        let m = run_system(&reqs, &placement, &mut sched, &config);
+        let m = replay(&reqs, &placement, &mut sched, &config);
         assert_eq!(m.response.count(), 3);
         assert_eq!(m.per_disk[0].requests, 0, "failed disk must get no I/O");
         assert_eq!(m.per_disk[1].requests, 3);
@@ -1632,7 +1587,7 @@ mod tests {
                 at: SimTime::from_secs(10),
             },
         ];
-        let m = run_system(&reqs, &placement, &mut sched, &config);
+        let m = replay(&reqs, &placement, &mut sched, &config);
         // The t=0 request is serviced; the t=20 one has no live replica.
         assert_eq!(m.requests, 2, "drops still count as arrivals");
         assert_eq!(m.response.count(), 1);
@@ -1645,7 +1600,7 @@ mod tests {
         let mut sched = StaticScheduler;
         let mut config = small_config(2, PolicyKind::Breakeven);
         config.power_sample = Some(SimDuration::from_secs(5));
-        let m = run_system(&reqs, &placement, &mut sched, &config);
+        let m = replay(&reqs, &placement, &mut sched, &config);
         assert!(
             m.power_timeline.len() >= 5,
             "expected several samples, got {}",
@@ -1677,7 +1632,7 @@ mod tests {
         let reqs = requests(&[0.0], &[0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1691,7 +1646,7 @@ mod tests {
         let reqs = requests(&[0.0, 5.0, 90.0], &[0, 1, 0]);
         let placement = two_disk_placement();
         let mut sched = StaticScheduler;
-        let m = run_system(
+        let m = replay(
             &reqs,
             &placement,
             &mut sched,
@@ -1712,15 +1667,16 @@ mod tests {
         let placement = two_disk_placement();
         let config = small_config(2, PolicyKind::Breakeven);
         let mut sched = StaticScheduler;
-        let serial = run_system(&reqs, &placement, &mut sched, &config);
+        let serial = replay(&reqs, &placement, &mut sched, &config);
         for jobs in [1, 4] {
-            let parallel = run_system_with_jobs(
-                &reqs,
+            let parallel = run_system_streamed_with_jobs(
+                &mut slice_source(&reqs),
                 &placement,
                 &|| Box::new(StaticScheduler),
                 &config,
                 jobs,
-            );
+            )
+            .expect("sorted slice");
             assert_eq!(serial, parallel, "jobs {jobs}");
         }
     }
@@ -1774,7 +1730,7 @@ mod tests {
         let reqs = reads_at(&[0.15, 0.2, 0.200_001]);
         let mut rec = Recorder::new(100);
         let config = small_config(1, PolicyKind::AlwaysOn);
-        run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+        replay(&reqs, &one_disk_placement(), &mut rec, &config);
         let batches: Vec<(SimTime, Vec<u32>)> = rec
             .log
             .iter()
@@ -1793,7 +1749,7 @@ mod tests {
     fn first_arrival_at_zero_is_dispatched_at_the_interval() {
         let reqs = reads_at(&[0.0, 0.0]);
         let mut rec = Recorder::new(7);
-        run_system(
+        replay(
             &reqs,
             &one_disk_placement(),
             &mut rec,
@@ -1818,7 +1774,7 @@ mod tests {
             let mut config = small_config(1, PolicyKind::Breakeven);
             config.power_sample = Some(SimDuration::from_millis(sample_ms));
             let mut rec = Recorder::new(100);
-            let m = run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+            let m = replay(&reqs, &one_disk_placement(), &mut rec, &config);
             assert_eq!(rec.log[0].0, SimTime::from_millis(200));
             let (_, w) = *m
                 .power_timeline
@@ -1838,7 +1794,7 @@ mod tests {
         // queued at 0.1 s, long before the tick at 10.1 s would have been.
         let reqs = reads_at(&[0.05, 10.05]);
         let mut rec = Recorder::new(100);
-        run_system(
+        replay(
             &reqs,
             &one_disk_placement(),
             &mut rec,
@@ -1864,7 +1820,7 @@ mod tests {
         };
         let reqs = reads_at(&[0.05, 0.15]);
         let mut rec = Recorder::new(100);
-        run_system(&reqs, &one_disk_placement(), &mut rec, &config);
+        replay(&reqs, &one_disk_placement(), &mut rec, &config);
         assert_eq!(rec.log.len(), 2);
         assert_eq!(rec.log[0].2, DiskPowerState::Standby);
         assert_eq!(rec.log[1].0, SimTime::from_millis(200));
@@ -1906,7 +1862,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch interval must be positive")]
     fn zero_batch_interval_is_rejected() {
-        run_system(
+        replay(
             &reads_at(&[0.0]),
             &one_disk_placement(),
             &mut Recorder::new(0),
@@ -1922,20 +1878,21 @@ mod tests {
         let config = small_config(2, PolicyKind::Breakeven);
         let reqs = requests(&[1.0, 0.5], &[0, 1]);
         let run = |jobs| {
-            let mut source = reqs.iter().map(|r| Ok::<Request, SourceError>(*r));
             run_system_streamed_with_jobs(
-                &mut source,
+                &mut slice_source(&reqs),
                 &placement,
                 &|| Box::new(StaticScheduler),
                 &config,
                 jobs,
             )
         };
-        let serial_err = {
-            let mut source = reqs.iter().map(|r| Ok::<Request, SourceError>(*r));
-            let mut sched = StaticScheduler;
-            run_system_streamed(&mut source, &placement, &mut sched, &config).unwrap_err()
-        };
+        let serial_err = run_system_streamed(
+            &mut slice_source(&reqs),
+            &placement,
+            &mut StaticScheduler,
+            &config,
+        )
+        .unwrap_err();
         for jobs in [1, 2] {
             assert_eq!(run(jobs).unwrap_err(), serial_err, "jobs {jobs}");
         }

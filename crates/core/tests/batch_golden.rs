@@ -3,7 +3,7 @@
 //! A seeded matrix of WSC runs — three trace families × replication
 //! {1, 2, 3} × batch interval {1, 2, 7, 100 ms} × policy {2CPM, quantile}
 //! × power sampling {off, 1 ms, 100 ms, 5 s} — is replayed through
-//! [`run_system_with_jobs`] at `jobs` 1 and 4, and each run's
+//! [`run_system_streamed_with_jobs`] at `jobs` 1 and 4, and each run's
 //! [`RunMetrics`] is folded into an FNV-1a digest. The digests were
 //! recorded from the engine that fired a batch tick every interval for
 //! the whole trace; the armed-tick engine must reproduce them exactly,
@@ -27,7 +27,9 @@ use spindown_core::experiment::{data_space, requests_from_trace};
 use spindown_core::model::Request;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::{Scheduler, WscScheduler};
-use spindown_core::system::{run_system_with_jobs, PolicyKind, SystemConfig};
+use spindown_core::system::{
+    run_system_streamed_with_jobs, slice_source, PolicyKind, SystemConfig,
+};
 use spindown_sim::time::SimDuration;
 use spindown_trace::synth::arrivals::OnOffProcess;
 use spindown_trace::synth::{
@@ -116,9 +118,16 @@ fn matrix(requests: &[Request], seed: u64) -> Vec<u64> {
                         ..SystemConfig::default()
                     };
                     let cell = JOBS.map(|jobs| {
-                        digest(&run_system_with_jobs(
-                            requests, &placement, &factory, &config, jobs,
-                        ))
+                        digest(
+                            &run_system_streamed_with_jobs(
+                                &mut slice_source(requests),
+                                &placement,
+                                &factory,
+                                &config,
+                                jobs,
+                            )
+                            .expect("sorted slice"),
+                        )
                     });
                     assert_eq!(
                         cell[0], cell[1],

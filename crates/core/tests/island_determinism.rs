@@ -1,10 +1,12 @@
 //! Differential suite for island-parallel event replay.
 //!
-//! [`run_system_with_jobs`] shards the event loop by replica-sharing
-//! islands and merges per-island metrics; its contract is that `--jobs`
-//! changes wall-clock, never bytes. This suite pins that contract the
-//! same way the MWIS/offline suites do: the serial engine
-//! ([`run_system`]) is the oracle, and every parallel run is compared
+//! [`run_system_streamed_with_jobs`] shards the event loop by
+//! replica-sharing islands (inline on the calling thread at one worker,
+//! behind the stream splitter at more) and merges per-island metrics; its
+//! contract is that `--jobs` changes wall-clock, never bytes. This suite
+//! pins that contract the same way the MWIS/offline suites do: the serial
+//! reference ([`run_system_streamed`], one engine over every disk) is the
+//! oracle, and every parallel run is compared
 //! with exact `RunMetrics` equality — energies, spin counts, per-disk
 //! summaries, the response histogram bucket by bucket, and the power
 //! timeline — after zeroing the documented operational exceptions
@@ -24,7 +26,8 @@ use spindown_core::model::{DiskId, Request};
 use spindown_core::placement::{IslandPartition, PlacementConfig, PlacementMap};
 use spindown_core::sched::{ExplicitPlacement, LocationProvider, Scheduler};
 use spindown_core::system::{
-    run_system, run_system_with_jobs, DiskFailure, PolicyKind, SystemConfig,
+    run_system_streamed, run_system_streamed_with_jobs, slice_source, DiskFailure, PolicyKind,
+    SystemConfig,
 };
 use spindown_core::RunMetrics;
 use spindown_disk::power::PowerParams;
@@ -102,6 +105,35 @@ fn scheduler_kinds() -> Vec<SchedulerKind> {
     ]
 }
 
+/// The serial reference over an in-memory slice.
+fn replay_serial(
+    requests: &[Request],
+    placement: &dyn LocationProvider,
+    scheduler: &mut dyn Scheduler,
+    config: &SystemConfig,
+) -> RunMetrics {
+    run_system_streamed(&mut slice_source(requests), placement, scheduler, config)
+        .expect("sorted slice")
+}
+
+/// The production replay over an in-memory slice at `jobs` workers.
+fn replay_jobs(
+    requests: &[Request],
+    placement: &(dyn LocationProvider + Sync),
+    factory: &(dyn Fn() -> Box<dyn Scheduler> + Sync),
+    config: &SystemConfig,
+    jobs: usize,
+) -> RunMetrics {
+    run_system_streamed_with_jobs(
+        &mut slice_source(requests),
+        placement,
+        factory,
+        config,
+        jobs,
+    )
+    .expect("sorted slice")
+}
+
 /// Zeroes the documented jobs-variant operational fields.
 fn normalized(m: &RunMetrics) -> RunMetrics {
     let mut m = m.clone();
@@ -133,10 +165,10 @@ fn assert_matrix(
         let factory =
             || build_scheduler(&kind, seed).expect("event-loop scheduler") as Box<dyn Scheduler>;
         let mut oracle = factory();
-        let serial = run_system(requests, placement, oracle.as_mut(), config);
+        let serial = replay_serial(requests, placement, oracle.as_mut(), config);
         let mut first_parallel: Option<RunMetrics> = None;
         for jobs in JOBS {
-            let par = run_system_with_jobs(requests, placement, &factory, config, jobs);
+            let par = replay_jobs(requests, placement, &factory, config, jobs);
             assert_eq!(
                 normalized(&par),
                 normalized(&serial),
@@ -217,9 +249,9 @@ fn replicated_placement_falls_back_to_single_island() {
         let factory =
             || build_scheduler(&kind, 41).expect("event-loop scheduler") as Box<dyn Scheduler>;
         let mut oracle = factory();
-        let serial = run_system(&requests, &placement, oracle.as_mut(), &cfg);
+        let serial = replay_serial(&requests, &placement, oracle.as_mut(), &cfg);
         for jobs in JOBS {
-            let par = run_system_with_jobs(&requests, &placement, &factory, &cfg, jobs);
+            let par = replay_jobs(&requests, &placement, &factory, &cfg, jobs);
             assert_eq!(par, serial, "{} jobs {jobs}", kind.label());
         }
     }
@@ -263,9 +295,9 @@ fn chain_placement_is_one_island() {
             .expect("event-loop scheduler") as Box<dyn Scheduler>
     };
     let mut oracle = factory();
-    let serial = run_system(&requests, &placement, oracle.as_mut(), &cfg);
+    let serial = replay_serial(&requests, &placement, oracle.as_mut(), &cfg);
     for jobs in JOBS {
-        let par = run_system_with_jobs(&requests, &placement, &factory, &cfg, jobs);
+        let par = replay_jobs(&requests, &placement, &factory, &cfg, jobs);
         assert_eq!(par, serial, "jobs {jobs}");
     }
 }
@@ -289,7 +321,7 @@ fn in_flight_runs_match_recorded_digests() {
     for (kind, (label, want)) in scheduler_kinds().iter().zip(recorded) {
         assert_eq!(kind.label(), label);
         let mut sched = build_scheduler(kind, 71).expect("event-loop scheduler");
-        let got = digest(&run_system(&requests, &placement, sched.as_mut(), &cfg));
+        let got = digest(&replay_serial(&requests, &placement, sched.as_mut(), &cfg));
         assert_eq!(
             got, want,
             "{label}: 0x{got:016x} drifted from the recorded run"
@@ -308,10 +340,10 @@ fn empty_stream_is_jobs_invariant() {
             as Box<dyn Scheduler>
     };
     let mut oracle = factory();
-    let serial = run_system(&[], &placement, oracle.as_mut(), &cfg);
+    let serial = replay_serial(&[], &placement, oracle.as_mut(), &cfg);
     assert_eq!(serial.requests, 0);
     for jobs in JOBS {
-        let par = run_system_with_jobs(&[], &placement, &factory, &cfg, jobs);
+        let par = replay_jobs(&[], &placement, &factory, &cfg, jobs);
         assert_eq!(normalized(&par), normalized(&serial), "jobs {jobs}");
     }
 }
@@ -381,9 +413,9 @@ fn always_on_policy_is_jobs_invariant() {
             as Box<dyn Scheduler>
     };
     let mut oracle = factory();
-    let serial = run_system(&requests, &placement, oracle.as_mut(), &cfg);
+    let serial = replay_serial(&requests, &placement, oracle.as_mut(), &cfg);
     for jobs in JOBS {
-        let par = run_system_with_jobs(&requests, &placement, &factory, &cfg, jobs);
+        let par = replay_jobs(&requests, &placement, &factory, &cfg, jobs);
         assert_eq!(normalized(&par), normalized(&serial), "jobs {jobs}");
     }
 }

@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 
 use common::{brute_force_conflicts, edge_list, graph_digest};
 use spindown_core::experiment::{
-    data_space, requests_from_trace, run_experiment_with_jobs, ExperimentSpec, SchedulerKind,
+    data_space, requests_from_trace, run_experiment, ExperimentSpec, SchedulerKind,
 };
 use spindown_core::model::Request;
 use spindown_core::offline::evaluate_offline_with_jobs;
@@ -182,7 +182,7 @@ fn conflict_graph_is_bit_identical_across_jobs() {
         assert_eq!(inst.name, name);
         let (requests, placement) = inst.workload();
         let planner = inst.planner();
-        let serial = planner.build_graph(&requests, &placement);
+        let serial = planner.build_graph_with_jobs(&requests, &placement, 1);
         assert!(
             !serial.graph.is_empty(),
             "{}: degenerate instance (no nodes) proves nothing",
@@ -248,7 +248,7 @@ fn conflict_graph_matches_all_pairs_brute_force() {
         }
     }
     let (requests, placement, planner) = fig4();
-    let cg = planner.build_graph(&requests, &placement);
+    let cg = planner.build_graph_with_jobs(&requests, &placement, 1);
     assert_eq!(edge_list(&cg), brute_force_conflicts(&cg.nodes));
     assert_eq!(has_edge_pairs(&cg), brute_force_conflicts(&cg.nodes));
     assert_eq!(checked, ["sparse-rf1", "moderate-rf3", "many-disks"]);
@@ -263,11 +263,18 @@ fn built_graphs() -> &'static [(&'static str, ConflictGraph)] {
             .iter()
             .map(|inst| {
                 let (requests, placement) = inst.workload();
-                (inst.name, inst.planner().build_graph(&requests, &placement))
+                (
+                    inst.name,
+                    inst.planner()
+                        .build_graph_with_jobs(&requests, &placement, 1),
+                )
             })
             .collect();
         let (requests, placement, planner) = fig4();
-        graphs.push(("fig4", planner.build_graph(&requests, &placement)));
+        graphs.push((
+            "fig4",
+            planner.build_graph_with_jobs(&requests, &placement, 1),
+        ));
         graphs
     })
 }
@@ -338,9 +345,9 @@ fn mwis_plan_is_bit_identical_across_jobs() {
     for inst in &INSTANCES {
         let (requests, placement) = inst.workload();
         let planner = inst.planner();
-        let (serial_assignment, serial_saving) = planner.plan(&requests, &placement);
+        let (serial_assignment, serial_saving) = planner.plan(&requests, &placement, 1);
         for jobs in JOBS {
-            let (assignment, saving) = planner.plan_with_jobs(&requests, &placement, jobs);
+            let (assignment, saving) = planner.plan(&requests, &placement, jobs);
             assert_eq!(
                 assignment.disks, serial_assignment.disks,
                 "{} jobs {jobs}",
@@ -359,7 +366,7 @@ fn offline_report_is_bit_identical_across_jobs() {
     for inst in &INSTANCES {
         let (requests, placement) = inst.workload();
         let planner = inst.planner();
-        let (assignment, _) = planner.plan(&requests, &placement);
+        let (assignment, _) = planner.plan(&requests, &placement, 1);
         let params = PowerParams::barracuda();
         let mechanics = spindown_disk::mechanics::Mechanics::new(
             spindown_disk::mechanics::DiskGeometry::cheetah_15k5(),
@@ -420,9 +427,9 @@ fn mwis_experiment_is_bit_identical_across_jobs() {
         },
         seed: inst.seed,
     };
-    let serial = run_experiment_with_jobs(&requests, &spec, 1);
+    let serial = run_experiment(&requests, &spec, 1);
     for jobs in JOBS {
-        let par = run_experiment_with_jobs(&requests, &spec, jobs);
+        let par = run_experiment(&requests, &spec, jobs);
         assert_eq!(par, serial, "jobs {jobs}");
     }
 }

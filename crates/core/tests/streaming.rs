@@ -1,8 +1,9 @@
 //! Differential tests: the streaming ingestion path (two-pass
 //! `scan_stream` + `StreamRequests` + `run_system_streamed`) must be
 //! bit-identical to the materialized oracle (`requests_from_trace` +
-//! `run_system`) for every event-loop scheduler, and its buffering must
-//! stay bounded by in-flight work rather than trace length.
+//! `slice_source` through the same serial replay) for every event-loop
+//! scheduler, and its buffering must stay bounded by in-flight work
+//! rather than trace length.
 
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{
@@ -12,7 +13,7 @@ use spindown_core::model::{DataId, Request};
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::ExplicitPlacement;
 use spindown_core::system::{
-    run_system, run_system_streamed, PolicyKind, SourceError, SystemConfig,
+    run_system_streamed, slice_source, PolicyKind, SourceError, SystemConfig,
 };
 use spindown_sim::time::{SimDuration, SimTime};
 use spindown_trace::record::{Trace, TraceRecord};
@@ -77,7 +78,13 @@ where
 
         let placement = PlacementMap::build(data_space(&reqs), &pcfg, SEED);
         let mut sched = build_scheduler(&kind, SEED).expect("event-loop scheduler");
-        let oracle = run_system(&reqs, &placement, sched.as_mut(), &config);
+        let oracle = run_system_streamed(
+            &mut slice_source(&reqs),
+            &placement,
+            sched.as_mut(),
+            &config,
+        )
+        .expect("sorted slice");
 
         let placement = PlacementMap::build(scan.data_space(), &pcfg, SEED);
         let mut sched = build_scheduler(&kind, SEED).expect("event-loop scheduler");

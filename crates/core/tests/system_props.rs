@@ -76,7 +76,7 @@ fn conservation_and_bounds() {
         let scheduler = kinds[case % kinds.len()].clone();
         let rf = 1 + rng.next_below(4) as u32;
         let seed = rng.next_below(50);
-        let m = run_experiment(&requests, &spec(scheduler, rf, seed));
+        let m = run_experiment(&requests, &spec(scheduler, rf, seed), 1);
         assert_eq!(m.requests, requests.len());
         assert_eq!(m.response.count(), requests.len() as u64);
         assert!(m.energy_j > 0.0);
@@ -109,8 +109,8 @@ fn determinism() {
         let requests = random_requests(&mut rng);
         let scheduler = kinds[case % kinds.len()].clone();
         let seed = rng.next_below(50);
-        let a = run_experiment(&requests, &spec(scheduler.clone(), 3, seed));
-        let b = run_experiment(&requests, &spec(scheduler, 3, seed));
+        let a = run_experiment(&requests, &spec(scheduler.clone(), 3, seed), 1);
+        let b = run_experiment(&requests, &spec(scheduler, 3, seed), 1);
         assert_eq!(a.energy_j, b.energy_j);
         assert_eq!(a.spinups, b.spinups);
         assert_eq!(a.spindowns, b.spindowns);
@@ -127,7 +127,7 @@ fn response_times_are_sane() {
     for case in 0..24 {
         let requests = random_requests(&mut rng);
         let scheduler = kinds[case % kinds.len()].clone();
-        let m = run_experiment(&requests, &spec(scheduler, 3, 1));
+        let m = run_experiment(&requests, &spec(scheduler, 3, 1), 1);
         // Max possible: every request on one disk behind a spin-down/up
         // bounce plus every service.
         let bound = 11.5 + 10.0 + requests.len() as f64 * 0.1 + 0.2;

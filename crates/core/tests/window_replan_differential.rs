@@ -6,8 +6,8 @@
 //! rewrites the CSR in one pass that renumbers every surviving row and
 //! applies the Step 2 rule to the new nodes. Its contract is
 //! **bit-identity**: after every advance, the maintained graph must
-//! equal `MwisPlanner::build_graph` on the same window — same node
-//! triples, same CSR offsets/neighbors/weights — and the returned plan
+//! equal `MwisPlanner::build_graph_with_jobs` on the same window — same
+//! node triples, weights, degrees and request buckets — and the returned plan
 //! must equal `MwisPlanner::plan` exactly (assignment and the
 //! claimed-saving `f64`, no tolerance).
 //!
@@ -15,7 +15,7 @@
 //! to dense conflict structure and checks windows against two
 //! references:
 //!
-//! * the from-scratch production path (`build_graph` / `plan`) on every
+//! * the from-scratch production path (`build_graph_with_jobs` / `plan`) on every
 //!   window, with exact `PartialEq` on the graph and the plan, and
 //! * on sampled windows, an all-pairs brute force over the maintained
 //!   node table that states the Step 2 conflict rule directly — no
@@ -181,7 +181,7 @@ fn check_window(
     assert_eq!(w.window(), window, "{ctx}: window contents");
 
     // CSR backend: graph and plan, exact equality.
-    let oracle = planner.build_graph(window, placement);
+    let oracle = planner.build_graph_with_jobs(window, placement, 1);
     assert_eq!(w.graph().nodes, oracle.nodes, "{ctx}: node table");
     assert_eq!(w.graph().graph, oracle.graph, "{ctx}: CSR graph");
     let sel = planner.solve(&oracle);

@@ -193,15 +193,6 @@ impl<S: SkipCount> SkipCount for ErasedStream<S> {
     }
 }
 
-/// Adapts a stream with a format-specific error type (e.g.
-/// [`crate::spc::SpcParseError`]) into a [`RecordStream`]. Equivalent to
-/// [`ErasedStream::new`]; kept as the conversational free function.
-pub fn erase<E: Into<StreamError>>(
-    stream: impl Iterator<Item = Result<TraceRecord, E>>,
-) -> impl RecordStream {
-    ErasedStream::new(stream)
-}
-
 /// Lifts an infallible record iterator (e.g. a synthetic generator
 /// stream) into a [`RecordStream`].
 pub fn infallible(stream: impl Iterator<Item = TraceRecord>) -> impl RecordStream {
@@ -600,7 +591,7 @@ mod tests {
     fn skip_count_survives_window_rescale_chain() {
         use crate::spc::SpcStream;
         // Two malformed lines among three good records; the full adapter
-        // stack (erase → sort check → rescale → window) must still expose
+        // stack (ErasedStream → sort check → rescale → window) must still expose
         // the parser's count.
         let text = "0,1,4096,r,0.5\ngarbage\n0,2,4096,r,1.5\n1,2,three\n0,3,4096,r,2.5\n";
         let parser = ErasedStream::new(SpcStream::new(text.as_bytes(), ParsePolicy::Lenient));

@@ -80,7 +80,7 @@ fn main() {
             },
         ] {
             let label = kind.label();
-            let m = run_experiment(&requests, &spec(kind, rf));
+            let m = run_experiment(&requests, &spec(kind, rf), 1);
             println!(
                 "{:<12} {:>11.1}% {:>12} {:>11.0}ms {:>13.1}%",
                 label,

@@ -62,7 +62,7 @@ fn main() {
         solver: MwisSolver::Exact { node_limit: 64 },
         max_successors: 8,
     };
-    let cg = planner.build_graph(&offline, &placement);
+    let cg = planner.build_graph_with_jobs(&offline, &placement, 1);
     println!(
         "  step 1+2: {} candidate savings X(i,j,k), {} conflict edges:",
         cg.graph.len(),
@@ -85,7 +85,7 @@ fn main() {
         let (i, j, k) = cg.nodes[v as usize];
         println!("    X(r{},r{},d{})", i + 1, j + 1, k.0 + 1);
     }
-    let (assignment, _) = planner.plan(&offline, &placement);
+    let (assignment, _) = planner.plan(&offline, &placement, 1);
     println!("  step 4: derived assignment:");
     for (r, d) in assignment.disks.iter().enumerate() {
         println!("    r{} -> d{}", r + 1, d.0 + 1);

@@ -38,7 +38,7 @@ fn main() {
     );
     for &beta in &[10.0, 100.0, 1000.0] {
         for &alpha in &[0.0, 0.2, 0.5, 0.8, 1.0] {
-            let m = run_experiment(&requests, &spec(alpha, beta));
+            let m = run_experiment(&requests, &spec(alpha, beta), 1);
             println!(
                 "{:>5} {:>6} {:>13.1} {:>11.0}ms {:>10.0}ms",
                 alpha,

@@ -65,7 +65,7 @@ fn main() {
             },
             seed: 33,
         };
-        run_experiment(&requests, &spec)
+        run_experiment(&requests, &spec, 1)
     };
 
     let always_on = run(SchedulerKind::Static, PolicyKind::AlwaysOn);

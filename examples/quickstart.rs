@@ -82,6 +82,7 @@ fn main() {
                 scheduler: kind,
                 ..base.clone()
             },
+            1,
         );
         println!(
             "{:<12} {:>14.1} {:>11.1}% {:>12} {:>11.0}ms",

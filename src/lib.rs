@@ -40,11 +40,12 @@
 //!     system: SystemConfig { disks: 16, ..SystemConfig::default() },
 //!     seed: 7,
 //! };
-//! let energy_aware = run_experiment(&requests, &spec);
+//! // The last argument is the worker count; the metrics do not depend on it.
+//! let energy_aware = run_experiment(&requests, &spec, 2);
 //! let baseline = run_experiment(&requests, &ExperimentSpec {
 //!     scheduler: SchedulerKind::Static,
 //!     ..spec.clone()
-//! });
+//! }, 1);
 //! assert!(energy_aware.energy_j > 0.0 && baseline.energy_j > 0.0);
 //! ```
 //!

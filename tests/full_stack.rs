@@ -47,7 +47,7 @@ fn every_scheduler_completes_every_request() {
     let reqs = sparse_cello(3_000, 1_000, 1);
     for kind in paper_schedulers() {
         let label = kind.label();
-        let m = run_experiment(&reqs, &spec(kind, 20, 3));
+        let m = run_experiment(&reqs, &spec(kind, 20, 3), 1);
         assert_eq!(m.requests, 3_000, "{label}");
         assert_eq!(m.response.count(), 3_000, "{label} lost completions");
         assert!(m.energy_j > 0.0, "{label}");
@@ -58,7 +58,7 @@ fn every_scheduler_completes_every_request() {
 #[test]
 fn energy_ordering_matches_the_paper() {
     let reqs = sparse_cello(4_000, 1_200, 2);
-    let run = |k| run_experiment(&reqs, &spec(k, 20, 3)).normalized_energy();
+    let run = |k| run_experiment(&reqs, &spec(k, 20, 3), 1).normalized_energy();
     let random = run(SchedulerKind::Random);
     let static_ = run(SchedulerKind::Static);
     let heuristic = run(SchedulerKind::Heuristic(CostFunction::energy_only()));
@@ -91,6 +91,7 @@ fn replication_monotonically_helps_energy_aware_schedulers() {
                     20,
                     rf,
                 ),
+                1,
             )
             .normalized_energy()
         })
@@ -106,8 +107,8 @@ fn replication_monotonically_helps_energy_aware_schedulers() {
 #[test]
 fn static_is_invariant_to_replication() {
     let reqs = sparse_cello(2_000, 800, 4);
-    let e1 = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 1));
-    let e5 = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 5));
+    let e1 = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 1), 1);
+    let e5 = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 5), 1);
     // Same seed → same original placement → identical runs.
     assert_eq!(e1.energy_j, e5.energy_j);
     assert_eq!(e1.spinups, e5.spinups);
@@ -126,6 +127,7 @@ fn mwis_offline_has_no_spinup_delays() {
             20,
             3,
         ),
+        1,
     );
     // Offline model: responses are pure service time (≈ 10 ms), never the
     // 10 s spin-up penalty.
@@ -136,7 +138,7 @@ fn mwis_offline_has_no_spinup_delays() {
 #[test]
 fn online_schedulers_do_suffer_spinup_delays() {
     let reqs = sparse_cello(2_000, 800, 6);
-    let m = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 1));
+    let m = run_experiment(&reqs, &spec(SchedulerKind::Static, 20, 1), 1);
     // Disks start in standby: at least the first access of each busy disk
     // waits out a ~10 s spin-up.
     assert!(
@@ -153,8 +155,8 @@ fn runs_are_bit_deterministic() {
     let reqs = sparse_cello(2_000, 800, 7);
     for kind in paper_schedulers() {
         let label = kind.label();
-        let a = run_experiment(&reqs, &spec(kind.clone(), 20, 3));
-        let b = run_experiment(&reqs, &spec(kind, 20, 3));
+        let a = run_experiment(&reqs, &spec(kind.clone(), 20, 3), 1);
+        let b = run_experiment(&reqs, &spec(kind, 20, 3), 1);
         assert_eq!(a.energy_j, b.energy_j, "{label}");
         assert_eq!(a.spinups, b.spinups, "{label}");
         assert_eq!(a.spindowns, b.spindowns, "{label}");
@@ -179,7 +181,7 @@ fn state_fractions_are_a_partition() {
     let reqs = sparse_cello(2_000, 800, 9);
     for kind in paper_schedulers() {
         let label = kind.label();
-        let m = run_experiment(&reqs, &spec(kind, 20, 3));
+        let m = run_experiment(&reqs, &spec(kind, 20, 3), 1);
         for (i, d) in m.per_disk.iter().enumerate() {
             let sum: f64 = d.state_fractions.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "{label} disk {i}: sum {sum}");
@@ -200,6 +202,7 @@ fn financial_workload_runs_end_to_end() {
     let m = run_experiment(
         &reqs,
         &spec(SchedulerKind::Heuristic(CostFunction::default()), 20, 3),
+        1,
     );
     assert_eq!(m.requests, 3_000);
     assert!(m.normalized_energy() < 1.0);

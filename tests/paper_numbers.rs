@@ -75,7 +75,7 @@ fn fig4_mwis_pipeline_recovers_the_optimum() {
             solver,
             max_successors: 8,
         };
-        let (assignment, claimed) = planner.plan(&offline, &placement);
+        let (assignment, claimed) = planner.plan(&offline, &placement, 1);
         assert_eq!(claimed, 11.0, "{solver:?}: Fig. 4's saving is 4+3+4");
         assert_eq!(
             energy(&offline, &assignment),
@@ -119,7 +119,7 @@ fn optimal_schedule_depends_on_the_power_model() {
         solver: MwisSolver::Exact { node_limit: 256 },
         max_successors: 16,
     };
-    let (assignment, _) = planner.plan(&offline, &paper::placement());
+    let (assignment, _) = planner.plan(&offline, &paper::placement(), 1);
     let (_, optimal) =
         brute_force_optimal(&offline, &paper::placement(), &params, 1_000_000).expect("small");
     assert!(

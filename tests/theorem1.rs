@@ -52,7 +52,7 @@ fn exact_mwis_schedule_is_optimal() {
             solver: MwisSolver::Exact { node_limit: 256 },
             max_successors: 16,
         };
-        let (assignment, claimed) = planner.plan(&requests, &placement);
+        let (assignment, claimed) = planner.plan(&requests, &placement, 1);
         let planned = evaluate_offline(&requests, &assignment, 4, &params, None, None);
         let (_, optimal) =
             brute_force_optimal(&requests, &placement, &params, 100_000).expect("tiny instance");
@@ -91,7 +91,7 @@ fn greedy_mwis_is_feasible_and_bounded() {
                 solver,
                 max_successors: 16,
             };
-            let (assignment, claimed) = planner.plan(&requests, &placement);
+            let (assignment, claimed) = planner.plan(&requests, &placement, 1);
             // Feasibility: every request on one of its locations.
             for (r, req) in requests.iter().enumerate() {
                 assert!(placement
