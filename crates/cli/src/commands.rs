@@ -557,7 +557,11 @@ fn compare_report(cli: &Cli, requests: &[Request]) -> String {
         "{:<10} {:>12} {:>12} {:>12} {:>12}",
         "scheduler", "vs always-on", "spin cycles", "resp mean", "resp p90"
     );
-    let baseline = run_always_on_baseline(requests, &spec(cli, SchedulerArg::Static));
+    let baseline = run_always_on_baseline(
+        requests,
+        &spec(cli, SchedulerArg::Static),
+        cli.effective_jobs(),
+    );
     let _ = writeln!(
         s,
         "{:<10} {:>11.1}% {:>12} {:>9.0} ms {:>9.0} ms",
@@ -802,7 +806,7 @@ mod tests {
 
         // Generous baseline: the gate must pass and report the ratio.
         std::fs::write(&base, fake_baseline(u64::MAX / 2)).unwrap();
-        let mut cli = bench_cli("--filter mwis_exact");
+        let mut cli = bench_cli("--filter mwis_exact_small");
         cli.bench_out = out.clone();
         cli.bench_baseline = Some(base.clone());
         let report = execute(&cli).unwrap();

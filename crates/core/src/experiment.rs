@@ -375,12 +375,17 @@ pub fn run_experiment(requests: &[Request], spec: &ExperimentSpec, jobs: usize) 
 }
 
 /// Convenience: run the always-on baseline (Static scheduler, always-on
-/// power) — the paper's normalization reference configuration.
-pub fn run_always_on_baseline(requests: &[Request], spec: &ExperimentSpec) -> RunMetrics {
+/// power) — the paper's normalization reference configuration — on
+/// `jobs` workers, like [`run_experiment`].
+pub fn run_always_on_baseline(
+    requests: &[Request],
+    spec: &ExperimentSpec,
+    jobs: usize,
+) -> RunMetrics {
     let mut spec = spec.clone();
     spec.scheduler = SchedulerKind::Static;
     spec.system.policy = PolicyKind::AlwaysOn;
-    run_experiment(requests, &spec, 1)
+    run_experiment(requests, &spec, jobs)
 }
 
 #[cfg(test)]
@@ -519,7 +524,7 @@ mod tests {
     #[test]
     fn always_on_baseline_is_normalized_one() {
         let reqs = small_trace();
-        let m = run_always_on_baseline(&reqs, &small_spec(SchedulerKind::Static, 3));
+        let m = run_always_on_baseline(&reqs, &small_spec(SchedulerKind::Static, 3), 1);
         assert!(
             (m.normalized_energy() - 1.0).abs() < 0.02,
             "normalized {}",

@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod lines;
 pub mod record;
 pub mod spc;
 pub mod split;

@@ -167,7 +167,7 @@ fn runs_are_bit_deterministic() {
 #[test]
 fn always_on_baseline_normalizes_to_one() {
     let reqs = sparse_cello(2_000, 800, 8);
-    let m = run_always_on_baseline(&reqs, &spec(SchedulerKind::Static, 20, 3));
+    let m = run_always_on_baseline(&reqs, &spec(SchedulerKind::Static, 20, 3), 1);
     assert!(
         (m.normalized_energy() - 1.0).abs() < 0.02,
         "always-on normalized {}",
