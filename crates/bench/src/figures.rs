@@ -315,7 +315,7 @@ pub fn fig4() -> String {
         let (i, j, k) = cg.nodes[v as usize];
         out.push_str(&format!("  X({},{},d{})\n", i + 1, j + 1, k.0 + 1));
     }
-    let (assignment, _) = planner.plan(&reqs, &placement, 1);
+    let (assignment, _) = planner.plan(&reqs, &placement);
     let m = evaluate_offline(&reqs, &assignment, 4, &paper_example::params(), None, None);
     out.push_str(&format!(
         "\nStep 4: derived schedule energy = {} (paper's optimal schedule C: 19)\n",
@@ -647,7 +647,7 @@ pub fn ablation_mwis(h: &Harness) -> String {
             solver,
             max_successors: max_succ,
         };
-        let (_, claimed) = planner.plan(reqs, &placement, h.jobs());
+        let (_, claimed) = planner.plan(reqs, &placement);
         t.row([
             name.to_string(),
             f3(m.normalized_energy()),

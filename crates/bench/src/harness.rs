@@ -1,7 +1,7 @@
 //! Zero-dependency micro-benchmark harness.
 //!
-//! Times the algorithmic substrates — conflict-graph construction
-//! (serial and sharded), rolling-horizon re-planning, each MWIS and
+//! Times the algorithmic substrates — conflict-graph construction,
+//! rolling-horizon re-planning, each MWIS and
 //! set-cover solver, full experiment-grid evaluation, and streamed trace
 //! parsing and replay — over a configurable warmup + iteration count,
 //! reporting median/p10/p90 wall times. The `spindown bench` subcommand
@@ -116,7 +116,7 @@ pub struct DerivedEntry {
 }
 
 /// Execution context of the host the report was produced on, recorded so
-/// a reader can judge the `*_parallel_*` numbers: a speedup below 1.0 on
+/// a reader can judge the parallel fixtures' numbers: a speedup below 1.0 on
 /// an `available_parallelism: 1` host is the expected thread-overhead
 /// floor, not a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +124,7 @@ pub struct HostContext {
     /// `std::thread::available_parallelism()` at run time (1 when the
     /// host does not report one).
     pub available_parallelism: usize,
-    /// Worker count every `*_parallel_*` fixture actually ran at — the
+    /// Worker count every parallel fixture actually ran at — the
     /// requested jobs clamped to the host's parallelism when the config
     /// did not pin one explicitly.
     pub parallel_jobs: usize,
@@ -158,9 +158,8 @@ pub struct BenchReport {
     /// `incremental_replan_speedup` (delta-maintained vs rebuilt
     /// re-planning), `allocs_per_solve` (heap allocations inside a warm
     /// production solve, `bench-alloc` builds only), and the intra-run
-    /// parallelism ratios `graph_build_parallel_speedup` /
-    /// `island_sim_speedup` (serial vs [`PARALLEL_BENCH_JOBS`]-worker
-    /// runs of the same fixture).
+    /// parallelism ratio `island_sim_speedup` (serial vs
+    /// [`PARALLEL_BENCH_JOBS`]-worker runs of the same fixture).
     pub derived: Vec<DerivedEntry>,
     /// Host context the run executed under.
     pub host: HostContext,
@@ -322,7 +321,7 @@ fn cover_fixture(universe: usize, seed: u64) -> SetCoverInstance {
     inst
 }
 
-/// Default worker cap the `*_parallel_*` benches run at when the config
+/// Default worker cap the parallel fixtures run at when the config
 /// does not ask for a specific one (`--jobs` > 1 overrides it,
 /// unclamped), compared against their serial (`jobs = 1`) counterparts
 /// by the `derived.*_speedup` ratios. The default is clamped to
@@ -346,7 +345,7 @@ fn small_scale() -> Scale {
 /// dense conflict buckets (~100k nodes, ~15M edges at replication 3,
 /// successor horizon 32 — mean degree ~290), a build-dominated workload
 /// whose working set stays small enough that shared-host memory noise
-/// doesn't swamp the serial/parallel ratio.
+/// doesn't swamp its median.
 fn medium_scale() -> Scale {
     Scale {
         requests: 1_200,
@@ -388,7 +387,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         None => true,
     };
     let (warmup, iters) = (config.warmup, config.iters);
-    // Worker count for the `*_parallel_*` fixtures: `--jobs` when the
+    // Worker count for the parallel fixtures: `--jobs` when the
     // caller pinned one (the CI `--jobs 4` gate), the suite default
     // clamped to the host's parallelism otherwise.
     let par_jobs = if config.jobs > 1 {
@@ -398,11 +397,11 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
     };
 
     // Conflict-graph construction (Step 1 plus the Step 2 degree count),
-    // small and medium density, serial and sharded. All three build benches get
-    // extra samples: iterations are cheap (tens to hundreds of ms — the
-    // small one especially is noise-dominated at few samples) and their
-    // medians feed the derived ratio and the CI regression gate, so they
-    // must hold still on noisy shared hosts.
+    // small and medium density. Both build benches get extra samples:
+    // iterations are cheap (tens to hundreds of ms — the small one
+    // especially is noise-dominated at few samples) and their medians
+    // feed the CI regression gate, so they must hold still on noisy
+    // shared hosts.
     let gb_iters = iters.max(1) * 2 + 1;
     if want("graph_build_bulk_small") {
         let small = GraphFixture::new(small_scale(), 3, 8, config.seed);
@@ -417,42 +416,18 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             }),
         });
     }
-    if want("graph_build_bulk_medium") || want("graph_build_parallel_medium") {
+    if want("graph_build_bulk_medium") {
         let medium = GraphFixture::new(medium_scale(), 3, 32, config.seed);
-        let mut bulk_medium = None;
-        if want("graph_build_bulk_medium") {
-            let stats = time_ns(warmup, gb_iters, || {
+        entries.push(BenchEntry {
+            name: "graph_build_bulk_medium",
+            stats: time_ns(warmup, gb_iters, || {
                 black_box(medium.planner.build_graph_with_jobs(
                     &medium.requests,
                     &medium.placement,
                     1,
                 ));
-            });
-            entries.push(BenchEntry {
-                name: "graph_build_bulk_medium",
-                stats,
-            });
-            bulk_medium = Some(stats);
-        }
-        if want("graph_build_parallel_medium") {
-            let stats = time_ns(warmup, gb_iters, || {
-                black_box(medium.planner.build_graph_with_jobs(
-                    &medium.requests,
-                    &medium.placement,
-                    par_jobs,
-                ));
-            });
-            entries.push(BenchEntry {
-                name: "graph_build_parallel_medium",
-                stats,
-            });
-            if let Some(bulk) = bulk_medium {
-                derived.push(DerivedEntry {
-                    name: "graph_build_parallel_speedup",
-                    value: bulk.median_ns as f64 / stats.median_ns as f64,
-                });
-            }
-        }
+            }),
+        });
     }
 
     // Rolling-horizon re-planning: the same sliding-window schedule run
@@ -492,7 +467,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         let mut rebuild_medium = None;
         if want("window_replan_incremental_medium") {
             let stats = time_ns(warmup, iters, || {
-                let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks, 1);
+                let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
                 for (r, h) in &schedule {
                     w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
                     black_box(w.graph().graph.edge_count());
@@ -545,7 +520,7 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         // invariant (DESIGN §12).
         #[cfg(feature = "bench-alloc")]
         if want("window_replan_incremental_medium") {
-            let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks, 1);
+            let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
             for (r, h) in &schedule {
                 w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
             }
@@ -1049,7 +1024,7 @@ mod tests {
             ],
             derived: vec![
                 DerivedEntry {
-                    name: "graph_build_parallel_speedup",
+                    name: "island_sim_speedup",
                     value: 2.5,
                 },
                 DerivedEntry {
@@ -1067,7 +1042,7 @@ mod tests {
         assert!(json.contains("\"host\": {\"available_parallelism\": 4, \"parallel_jobs\": 4},"));
         assert!(json.contains("\"a\": {\"median_ns\": 10, \"p10_ns\": 5, \"p90_ns\": 20},"));
         assert!(json.contains("\"b\": {\"median_ns\": 30, \"p10_ns\": 25, \"p90_ns\": 40}\n"));
-        assert!(json.contains("\"graph_build_parallel_speedup\": 2.500,"));
+        assert!(json.contains("\"island_sim_speedup\": 2.500,"));
         assert!(json.contains("\"incremental_replan_speedup\": 3.250\n"));
         assert_eq!(report.stats("b").unwrap().median_ns, 30);
         assert!(report.stats("c").is_none());

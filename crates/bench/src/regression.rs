@@ -223,7 +223,7 @@ mod tests {
                 })
                 .collect(),
             derived: vec![DerivedEntry {
-                name: "graph_build_parallel_speedup",
+                name: "incremental_replan_speedup",
                 value: 2.0,
             }],
             host: HostContext {

@@ -58,9 +58,9 @@ BENCH:
 
 MISC:
     --jobs, -j <n>           worker threads for parallel work: grid cells,
-                             MWIS conflict-graph build, per-disk offline
-                             evaluation, and island-parallel event replay
-                             (one event loop per replica-sharing island).
+                             per-disk offline evaluation, and
+                             island-parallel event replay (one event
+                             loop per replica-sharing island).
                              Results are bit-identical for any value.
                              Precedence: this flag > SPINDOWN_JOBS env
                              var > 1

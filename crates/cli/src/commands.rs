@@ -4,8 +4,9 @@
 //! file and streams records line by line ([`SpcStream`]/[`SrtStream`]),
 //! so ingestion stays constant-memory regardless of trace size.
 //! Commands that only need one pass (stats) or two passes (simulate
-//! with an event-loop scheduler) never materialize a [`Trace`]; only
-//! the offline MWIS plan and `compare` do.
+//! with an event-loop scheduler) never materialize a trace; only the
+//! offline MWIS plan, `compare` and `replan` do, and they free it once
+//! its requests are extracted.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -24,7 +25,7 @@ use spindown_core::sched::{MwisPlanner, WindowedPlanner};
 use spindown_core::system::{run_system_streamed_with_jobs, PolicyKind, SystemConfig};
 use spindown_disk::power::PowerParams;
 use spindown_sim::time::SimDuration;
-use spindown_trace::record::{Trace, TraceRecord};
+use spindown_trace::record::TraceRecord;
 use spindown_trace::spc::SpcStream;
 use spindown_trace::srt::SrtStream;
 use spindown_trace::stats::TraceStats;
@@ -246,14 +247,16 @@ impl Workload {
     }
 }
 
-/// Drains a full pass into an in-memory [`Trace`] — only for commands
-/// that genuinely need the whole workload at once (offline MWIS plans,
-/// `compare`). Returns the skipped-line count alongside.
-fn materialize(workload: &Workload) -> Result<(Trace, usize), CommandError> {
+/// Drains a full pass into the engine's time-sorted read requests — only
+/// for commands that genuinely need the whole workload at once (offline
+/// MWIS plans, `compare`, `replan`). Returns the skipped-line count
+/// alongside. The intermediate trace is freed here, before any planning
+/// starts.
+fn materialize(workload: &Workload) -> Result<(Vec<Request>, usize), CommandError> {
     let mut pass = workload.open()?;
     let trace =
         collect_trace(&mut pass).map_err(|e: StreamError| CommandError::Parse(e.to_string()))?;
-    Ok((trace, pass.skipped()))
+    Ok((requests_from_trace(&trace), pass.skipped()))
 }
 
 fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError> {
@@ -293,10 +296,9 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
         }
         None => {
             // Offline MWIS plans over the whole stream: materialize. The
-            // graph build and per-disk evaluation fan out across --jobs
-            // workers (bit-identical to serial for any count).
-            let (trace, skipped) = materialize(workload)?;
-            let requests = requests_from_trace(&trace);
+            // per-disk evaluation fans out across --jobs workers
+            // (bit-identical to serial for any count).
+            let (requests, skipped) = materialize(workload)?;
             let m = run_experiment(&requests, &spec, cli.effective_jobs());
             let span_s = requests.last().map(|r| r.at.as_secs_f64()).unwrap_or(0.0);
             Ok(simulate_report(cli, requests.len(), span_s, skipped, &m))
@@ -305,8 +307,7 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
 }
 
 fn compare_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError> {
-    let (trace, skipped) = materialize(workload)?;
-    let requests = requests_from_trace(&trace);
+    let (requests, skipped) = materialize(workload)?;
     let mut s = compare_report(cli, &requests);
     if skipped > 0 {
         let _ = write!(s, "\n(skipped {skipped} malformed trace lines)");
@@ -322,8 +323,7 @@ fn compare_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErro
 /// bit pattern, so two runs are byte-comparable end to end — the CI
 /// determinism job diffs `--jobs 1` against `--jobs 8` outputs.
 fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError> {
-    let (trace, skipped) = materialize(workload)?;
-    let requests = requests_from_trace(&trace);
+    let (requests, skipped) = materialize(workload)?;
     let spec = spec(cli, SchedulerArg::Mwis);
     let placement = PlacementMap::build(data_space(&requests), &spec.placement, spec.seed);
     let SchedulerKind::Mwis {
@@ -338,7 +338,7 @@ fn replan_command(cli: &Cli, workload: &Workload) -> Result<String, CommandError
         solver,
         max_successors,
     };
-    let mut w = WindowedPlanner::new(planner, cli.disks, cli.effective_jobs());
+    let mut w = WindowedPlanner::new(planner, cli.disks);
 
     // FNV-1a over (window, position, disk) triples and the claimed
     // saving's bit pattern: any divergence in any window's plan flips

@@ -161,8 +161,8 @@ fn replan_output_is_jobs_invariant() {
 fn compare_output_is_jobs_invariant() {
     // Replication 1 makes every disk its own replica island, so at
     // `--jobs 8` each event scheduler replays through the stream
-    // splitter and the MWIS graph build shards; at `--jobs 1` the same
-    // islands run inline. The report must not depend on the path.
+    // splitter; at `--jobs 1` the same islands run inline. The report
+    // must not depend on the path.
     let run = |jobs: &str| {
         let out = bin()
             .args([

@@ -338,7 +338,7 @@ pub fn run_experiment(requests: &[Request], spec: &ExperimentSpec, jobs: usize) 
                 solver: *solver,
                 max_successors: *max_successors,
             };
-            let (assignment, _) = planner.plan(requests, &placement, jobs);
+            let (assignment, _) = planner.plan(requests, &placement);
             let mechanics = Mechanics::new(
                 spec.system.geometry.clone(),
                 SimRng::seed_from_u64(spec.seed),

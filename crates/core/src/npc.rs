@@ -179,7 +179,7 @@ mod tests {
             solver: MwisSolver::exact_default(),
             max_successors: 16,
         };
-        let (assignment, _) = planner.plan(&inst.requests, &inst.placement, 1);
+        let (assignment, _) = planner.plan(&inst.requests, &inst.placement);
         let planned = evaluate_offline(
             &inst.requests,
             &assignment,
@@ -207,7 +207,7 @@ mod tests {
             solver: MwisSolver::GwMin,
             max_successors: 16,
         };
-        let (assignment, _) = planner.plan(&inst.requests, &inst.placement, 1);
+        let (assignment, _) = planner.plan(&inst.requests, &inst.placement);
         let orient = orientation(&inst, &assignment);
         assert_eq!(orient.len(), 3);
         for (o, &(vi, vj)) in orient.iter().zip(&toy_graph().edges) {

@@ -666,7 +666,7 @@ mod tests {
             solver: MwisSolver::exact_default(),
             max_successors: 16,
         };
-        let (assignment, _) = planner.plan(&reqs, &placement, 1);
+        let (assignment, _) = planner.plan(&reqs, &placement);
         let planned = evaluate_offline(&reqs, &assignment, 4, &params, None, None);
         let (_, optimal) = brute_force_optimal(&reqs, &placement, &params, 100_000).expect("small");
         assert!(

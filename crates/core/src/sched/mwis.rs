@@ -33,18 +33,17 @@
 //! over two node triples, so the graph derives a node's neighborhood on
 //! every walk from the buckets of its two requests, and answers
 //! `has_edge` from the two triples alone; the build's one Step 2 pass
-//! only counts the degrees. Steps 3–4 read that graph through
-//! [`Adjacency`] and nothing else. The rolling-horizon
-//! [`WindowedPlanner`] keeps the same canonical graph per window: it
-//! re-runs Step 1 only where arrivals can add nodes, re-sorts the
-//! buckets, and updates the degrees by delta.
+//! only counts the degrees, one request bucket at a time. Steps 3–4
+//! read that graph through [`Adjacency`] and nothing else. The
+//! rolling-horizon [`WindowedPlanner`] keeps the same canonical graph
+//! per window: it re-runs Step 1 only where arrivals can add nodes,
+//! re-sorts the buckets, and updates the degrees by delta.
 
 use spindown_disk::power::PowerParams;
-use spindown_sim::pool;
 use spindown_sim::time::SimTime;
 
 use spindown_graph::mwis as solvers;
-use spindown_graph::{Adjacency, NodeId};
+use spindown_graph::{bitset, Adjacency, NodeId};
 
 use crate::model::{Assignment, DiskId, Request};
 use crate::saving::SavingModel;
@@ -235,6 +234,27 @@ impl Adjacency for ConflictGraph {
         }
     }
 
+    /// The unordered walk, testing each bucket entry's alive bit before
+    /// it reads the entry's triple: a dead entry costs one bit test.
+    #[inline]
+    fn for_each_live_neighbor(&self, v: NodeId, alive: &[u64], mut f: impl FnMut(NodeId)) {
+        let node = self.nodes[v as usize];
+        for &u in self.bucket(node.0) {
+            if bitset::test(alive, u as usize) && u != v && conflict(self.nodes[u as usize], node) {
+                f(u);
+            }
+        }
+        for &u in self.bucket(node.1) {
+            if !bitset::test(alive, u as usize) {
+                continue;
+            }
+            let other = self.nodes[u as usize];
+            if other.0 != node.0 && conflict(other, node) {
+                f(u);
+            }
+        }
+    }
+
     /// The Step 2 rule on the two node triples: `O(1)`.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let (a, b) = (self.nodes[u as usize], self.nodes[v as usize]);
@@ -262,33 +282,6 @@ impl PlanScratch {
     /// An empty scratch; buffers are sized lazily by the first solve.
     pub fn new() -> Self {
         PlanScratch::default()
-    }
-}
-
-/// Minimum build size — candidate-pair units, `requests ×
-/// max_successors` — below which [`MwisPlanner::build_graph_with_jobs`]
-/// stays serial regardless of the requested worker count.
-///
-/// Sharding a build costs two pool spawns (Step 1 over disk ranges, then
-/// the Step 2 degree count over node ranges) plus the Step 1
-/// concatenation; on builds enumerating fewer than ~2 k candidate
-/// pairs the whole serial build finishes in tens of microseconds, below
-/// the spawn overhead alone, which is how
-/// `graph_build_parallel_speedup` regressed under 1.0 on few-core hosts.
-/// This mirrors the offline evaluator's
-/// [`MIN_PARALLEL_WORK`](crate::offline::MIN_PARALLEL_WORK) guard; the
-/// value is recorded in DESIGN.md §12. The parallel-determinism suite's
-/// instances all enumerate ≥ 2 400 candidate pairs, so the sharded path
-/// stays genuinely exercised.
-pub const MIN_PARALLEL_BUILD_WORK: usize = 1 << 11;
-
-/// Shards per build pass over `len` tasks: one when serial, so `jobs = 1`
-/// makes no per-shard allocations, else the pool's default.
-fn build_shards(jobs: usize, len: usize) -> usize {
-    if jobs == 1 {
-        1
-    } else {
-        pool::default_shards(jobs, len)
     }
 }
 
@@ -340,6 +333,70 @@ fn request_buckets(requests: usize, nodes: &[(u32, u32, DiskId)]) -> (Vec<usize>
             .enumerate()
             .flat_map(|(v, &(i, j, _))| [(i as usize, v as NodeId), (j as usize, v as NodeId)])
     })
+}
+
+/// Step 2's degree count over the request buckets `start`/`bucket` of
+/// `nodes` (as [`request_buckets`] lays them out), one bucket at a time.
+///
+/// Every entry of request `r`'s bucket names `r` in one of two roles:
+/// as its earlier request (`i == r`) or as its later one (`j == r`). Two
+/// entries in the same role always conflict (they claim the same
+/// saving, or the same successor); entries in different roles conflict
+/// only on different disks, since on one disk they chain. So an entry
+/// conflicts with `|B(r)| − 1` bucket-mates less the other-role entries
+/// on its own disk. A node also meets its twins, the same `(i, j)` on
+/// other disks, in both of its buckets, so its earlier-request bucket
+/// subtracts them once.
+///
+/// Each bucket's triples are read once, and the count stays linear in
+/// the bucket: node ids are disk-major and each disk emits its nodes in
+/// the order of their earlier request, so one disk's entries sit
+/// together in a bucket, the later-request role first. `twins` counts,
+/// per later request, the current bucket's earlier-role entries naming
+/// it, and is all zero between buckets.
+fn step2_degrees(start: &[usize], bucket: &[NodeId], nodes: &[(u32, u32, DiskId)]) -> Vec<u32> {
+    let requests = start.len() - 1;
+    let mut degrees = vec![0u32; nodes.len()];
+    let mut twins = vec![0u32; requests];
+    let widest = start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let mut triples: Vec<(u32, u32, DiskId)> = Vec::with_capacity(widest);
+    for r in 0..requests {
+        let ids = &bucket[start[r]..start[r + 1]];
+        let others = ids.len().saturating_sub(1) as u32;
+        let r = r as u32;
+        triples.clear();
+        triples.extend(ids.iter().map(|&u| nodes[u as usize]));
+        for &(i, j, _) in &triples {
+            if i == r {
+                twins[j as usize] += 1;
+            }
+        }
+        let mut x = 0;
+        while x < ids.len() {
+            let disk = triples[x].2;
+            let end = x + triples[x..].iter().take_while(|t| t.2 == disk).count();
+            let split = x + triples[x..end].iter().take_while(|t| t.1 == r).count();
+            debug_assert!(
+                triples[split..end].iter().all(|t| t.0 == r),
+                "request {r}, disk {}: a later-role entry follows an earlier-role one",
+                disk.0
+            );
+            let (later, earlier) = ((split - x) as u32, (end - split) as u32);
+            for &u in &ids[x..split] {
+                degrees[u as usize] += others - earlier;
+            }
+            for (&u, t) in ids[split..end].iter().zip(&triples[split..end]) {
+                degrees[u as usize] += others - later - (twins[t.1 as usize] - 1);
+            }
+            x = end;
+        }
+        for &(i, j, _) in &triples {
+            if i == r {
+                twins[j as usize] = 0;
+            }
+        }
+    }
+    degrees
 }
 
 /// The offline scheduler.
@@ -399,14 +456,11 @@ impl MwisPlanner {
 
     /// Step 1: one node per candidate saving `X(i,j,k) > 0`, returned as
     /// node weights and `(i, j, k)` triples in canonical disk-major
-    /// order. Contiguous disk ranges fan out over the pool;
-    /// concatenating their outputs in shard order is the serial emission
-    /// sequence, so node ids are the same for any `jobs`.
+    /// order.
     fn step1_nodes(
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
-        jobs: usize,
     ) -> (Vec<f64>, Vec<(u32, u32, DiskId)>) {
         debug_assert!(
             requests.windows(2).all(|w| w[0].at <= w[1].at),
@@ -414,22 +468,10 @@ impl MwisPlanner {
         );
         let model = SavingModel::new(&self.params);
         let (start, list) = disk_lists(requests, placement);
-        let disks = start.len() - 1;
-        let ranges = pool::shard_ranges(disks, build_shards(jobs, disks));
         let ms = self.max_successors;
-        let parts = pool::map_indexed(jobs, ranges.len(), |s| {
-            let (mut weights, mut nodes) = (Vec::new(), Vec::new());
-            for k in ranges[s].clone() {
-                let run = &list[start[k]..start[k + 1]];
-                Self::step1_disk(&model, requests, ms, k, run, &mut weights, &mut nodes);
-            }
-            (weights, nodes)
-        });
-        let mut parts = parts.into_iter();
-        let (mut weights, mut nodes) = parts.next().unwrap_or_default();
-        for (w, n) in parts {
-            weights.extend(w);
-            nodes.extend(n);
+        let (mut weights, mut nodes) = (Vec::new(), Vec::new());
+        for (k, run) in start.windows(2).map(|w| &list[w[0]..w[1]]).enumerate() {
+            Self::step1_disk(&model, requests, ms, k, run, &mut weights, &mut nodes);
         }
         (weights, nodes)
     }
@@ -441,18 +483,14 @@ impl MwisPlanner {
     /// gives flat per-request buckets of ascending node ids, which the
     /// [`ConflictGraph`] keeps: its Step 2 walks read them on every
     /// visit. The one Step 2 pass here counts each node's conflicts into
-    /// its degree, `O(Σ_r |bucket_r|²)` with every node walking the
-    /// buckets of its two requests. The build makes a constant number of
-    /// allocations whatever the stream length, and nothing it allocates
-    /// grows with the edge count.
+    /// its degree, one bucket at a time and linear in each bucket, so it
+    /// reads each node triple twice in all. The build makes a constant
+    /// number of allocations whatever the stream length, and nothing it
+    /// allocates grows with the edge count.
     ///
-    /// Step 1 shards over contiguous disk ranges and the degree count
-    /// over contiguous node ranges, each shard writing only its own
-    /// disjoint chunk of the degrees ([`pool::map_chunks_mut`]), so the
-    /// graph is **bit-identical** for any worker count. `jobs <= 1`
-    /// spawns nothing, and neither do builds smaller than
-    /// [`MIN_PARALLEL_BUILD_WORK`] candidate pairs — too little work to
-    /// amortize the pool spawns.
+    /// The build is serial: `jobs` is accepted and ignored, so the graph
+    /// is the same for any value. The end-to-end benchmark
+    /// (`e2ebench/`) calls this signature.
     ///
     /// # Panics
     ///
@@ -461,48 +499,22 @@ impl MwisPlanner {
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
-        jobs: usize,
+        _jobs: usize,
     ) -> ConflictGraph {
-        let work = requests.len().saturating_mul(self.max_successors);
-        let jobs = if work < MIN_PARALLEL_BUILD_WORK {
-            1
-        } else {
-            jobs.max(1)
-        };
-        let (weights, nodes) = self.step1_nodes(requests, placement, jobs);
+        let (weights, nodes) = self.step1_nodes(requests, placement);
         let (start, bucket) = request_buckets(requests.len(), &nodes);
-        let mut cg = ConflictGraph {
+        let degrees = step2_degrees(&start, &bucket, &nodes);
+        let edges = degrees.iter().map(|&d| d as usize).sum::<usize>() / 2;
+        ConflictGraph {
             graph: ImplicitGraph {
                 weights,
-                degrees: Vec::new(),
+                degrees,
                 start,
                 bucket,
-                edges: 0,
+                edges,
             },
             nodes,
-        };
-
-        // Step 2 degree count: each shard counts its nodes' conflicts
-        // into its own chunk of the degrees.
-        let n = cg.nodes.len();
-        let ranges = pool::shard_ranges(n, build_shards(jobs, n));
-        let node_bounds: Vec<usize> = std::iter::once(0)
-            .chain(ranges.iter().map(|r| r.end))
-            .collect();
-        let mut degrees = vec![0u32; n];
-        let half: usize = pool::map_chunks_mut(jobs, &mut degrees, &node_bounds, |s, chunk| {
-            let mut sum = 0;
-            for (degree, v) in chunk.iter_mut().zip(ranges[s].clone()) {
-                cg.for_each_neighbor_unordered(v as NodeId, |_| *degree += 1);
-                sum += *degree as usize;
-            }
-            sum
-        })
-        .into_iter()
-        .sum();
-        cg.graph.degrees = degrees;
-        cg.graph.edges = half / 2;
-        cg
+        }
     }
 
     /// Runs Step 3 on a built graph, returning the selected node ids.
@@ -535,20 +547,15 @@ impl MwisPlanner {
         }
     }
 
-    /// Full pipeline: build, solve, derive (Step 4). Returns the
-    /// assignment and the solver's total claimed saving (joules), with the
-    /// conflict graph already dropped. Only the build fans out across
-    /// `jobs` workers ([`build_graph_with_jobs`]), so the plan is
-    /// bit-identical for any `jobs` value.
-    ///
-    /// [`build_graph_with_jobs`]: MwisPlanner::build_graph_with_jobs
+    /// Full pipeline: build, solve, derive (Step 4), all serial. Returns
+    /// the assignment and the solver's total claimed saving (joules),
+    /// with the conflict graph already dropped.
     pub fn plan(
         &self,
         requests: &[Request],
         placement: &dyn LocationProvider,
-        jobs: usize,
     ) -> (Assignment, f64) {
-        let cg = self.build_graph_with_jobs(requests, placement, jobs);
+        let cg = self.build_graph_with_jobs(requests, placement, 1);
         let selected = self.solve(&cg);
         self.derive_plan(requests, placement, &cg.graph, &cg.nodes, &selected)
     }
@@ -697,8 +704,6 @@ pub struct ReplanStats {
 pub struct WindowedPlanner {
     planner: MwisPlanner,
     disks: u32,
-    /// Workers for the cold-start build.
-    jobs: usize,
     /// Current window, time-sorted, `index == position`.
     requests: Vec<Request>,
     /// The current window's canonical conflict graph.
@@ -710,13 +715,11 @@ pub struct WindowedPlanner {
 impl WindowedPlanner {
     /// An empty window over a fleet of `disks` disks. The first
     /// [`advance`](WindowedPlanner::advance) loads the first window with
-    /// a build over `jobs` workers, bit-identical for any count; later
-    /// advances are delta-sized and serial.
-    pub fn new(planner: MwisPlanner, disks: u32, jobs: usize) -> Self {
+    /// a from-scratch build; later advances are delta-sized.
+    pub fn new(planner: MwisPlanner, disks: u32) -> Self {
         WindowedPlanner {
             planner,
             disks,
-            jobs,
             requests: Vec::new(),
             graph: ConflictGraph::default(),
             scratch: PlanScratch::new(),
@@ -820,11 +823,9 @@ impl WindowedPlanner {
 
         if self.requests.is_empty() {
             // Cold start: the delta is the whole window, so run the
-            // sharded from-scratch build. Every node counts as
-            // appended and every edge as staged.
-            self.graph = self
-                .planner
-                .build_graph_with_jobs(&reqs, placement, self.jobs);
+            // from-scratch build. Every node counts as appended and
+            // every edge as staged.
+            self.graph = self.planner.build_graph_with_jobs(&reqs, placement, 1);
             self.stats.appended_nodes_total += self.graph.nodes.len() as u64;
             self.stats.staged_edges_total += self.graph.graph.edge_count() as u64;
             self.stats.compactions += 1;
@@ -1099,7 +1100,7 @@ mod tests {
     fn fig4_step4_assignment_matches_schedule_c() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::exact_default());
-        let (assignment, claimed) = p.plan(&reqs, &placement, 1);
+        let (assignment, claimed) = p.plan(&reqs, &placement);
         assert_eq!(claimed, 11.0);
         // Any optimum attains schedule C's energy of 19 under the offline
         // model (Fig. 3(b) — the paper's §2.3.2 arithmetic).
@@ -1129,7 +1130,7 @@ mod tests {
             MwisSolver::GwMinLocalSearch,
         ] {
             let p = planner(solver);
-            let (_, claimed) = p.plan(&reqs, &placement, 1);
+            let (_, claimed) = p.plan(&reqs, &placement);
             assert_eq!(claimed, 11.0, "{solver:?} missed the optimum");
         }
     }
@@ -1137,7 +1138,7 @@ mod tests {
     #[test]
     fn assignments_respect_placement() {
         let (reqs, placement) = paper_instance();
-        let (assignment, _) = planner(MwisSolver::GwMin).plan(&reqs, &placement, 1);
+        let (assignment, _) = planner(MwisSolver::GwMin).plan(&reqs, &placement);
         for (r, req) in reqs.iter().enumerate() {
             assert!(
                 placement
@@ -1225,22 +1226,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_build_matches_serial_on_paper_instance() {
-        let (reqs, placement) = paper_instance();
-        let p = planner(MwisSolver::GwMin);
-        let serial = p.build_graph_with_jobs(&reqs, &placement, 1);
-        for jobs in [1usize, 2, 3, 8] {
-            let par = p.build_graph_with_jobs(&reqs, &placement, jobs);
-            assert_eq!(par.nodes, serial.nodes, "jobs {jobs}");
-            assert_eq!(par.graph, serial.graph, "jobs {jobs}");
-            let (a_par, s_par) = p.plan(&reqs, &placement, jobs);
-            let (a_ser, s_ser) = p.plan(&reqs, &placement, 1);
-            assert_eq!(a_par.disks, a_ser.disks, "jobs {jobs}");
-            assert_eq!(s_par, s_ser, "jobs {jobs}");
-        }
-    }
-
     /// One [`PlanScratch`] threaded through consecutive solves of
     /// *different* instances (the paper window, a shifted copy, the
     /// empty stream, then the paper window again) must reproduce what
@@ -1265,7 +1250,7 @@ mod tests {
                 p.solve_into(&cg, &mut scratch);
                 let warm =
                     p.derive_plan(window, &placement, &cg.graph, &cg.nodes, &scratch.selected);
-                let fresh = p.plan(window, &placement, 1);
+                let fresh = p.plan(window, &placement);
                 assert_eq!(warm.0.disks, fresh.0.disks, "window {w}");
                 assert_eq!(warm.1, fresh.1, "window {w}");
             }
@@ -1273,10 +1258,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_handles_empty_stream() {
+    fn build_handles_empty_stream() {
         let placement = ExplicitPlacement::new(vec![vec![DiskId(0)]], 1);
         let p = planner(MwisSolver::GwMin);
-        let cg = p.build_graph_with_jobs(&[], &placement, 8);
+        let cg = p.build_graph_with_jobs(&[], &placement, 1);
         assert_eq!(cg.graph.len(), 0);
         assert!(cg.nodes.is_empty());
     }
@@ -1285,7 +1270,7 @@ mod tests {
     fn empty_stream_plans_trivially() {
         let placement = ExplicitPlacement::new(vec![vec![DiskId(0)]], 1);
         let p = planner(MwisSolver::GwMin);
-        let (a, saving) = p.plan(&[], &placement, 1);
+        let (a, saving) = p.plan(&[], &placement);
         assert!(a.is_empty());
         assert_eq!(saving, 0.0);
     }
@@ -1308,7 +1293,7 @@ mod tests {
         let (reqs, placement) = paper_instance();
         for solver in [MwisSolver::GwMin, MwisSolver::GwMin2] {
             let p = planner(solver);
-            let mut w = WindowedPlanner::new(p.clone(), 4, 1);
+            let mut w = WindowedPlanner::new(p.clone(), 4);
             // Load the full instance, then slide the horizon forward one
             // request at a time with no arrivals.
             let horizons: Vec<(usize, u64)> =
@@ -1320,7 +1305,7 @@ mod tests {
                 let (got_a, got_s) = w.advance(&arrivals, SimTime::from_secs(h), &placement);
                 let window =
                     rebase(&reqs[reqs.iter().filter(|r| r.at < SimTime::from_secs(h)).count()..]);
-                let (want_a, want_s) = p.plan(&window, &placement, 1);
+                let (want_a, want_s) = p.plan(&window, &placement);
                 assert_eq!(got_a.disks, want_a.disks, "{solver:?} horizon {h}");
                 assert_eq!(got_s, want_s, "{solver:?} horizon {h}");
                 assert_eq!(w.window(), &window[..], "{solver:?} horizon {h}");
@@ -1342,7 +1327,7 @@ mod tests {
     fn windowed_empty_delta_skips_compaction() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
+        let mut w = WindowedPlanner::new(p.clone(), 4);
         let first = w.advance(&reqs, SimTime::from_secs(0), &placement);
         let compactions = w.stats().compactions;
         let again = w.advance(&[], SimTime::from_secs(0), &placement);
@@ -1355,7 +1340,7 @@ mod tests {
     fn fresh_planner_empty_advance_reports_the_built_empty_graph() {
         let (_, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
+        let mut w = WindowedPlanner::new(p.clone(), 4);
         let (a, saving) = w.advance(&[], SimTime::from_secs(0), &placement);
         assert!(a.is_empty());
         assert_eq!(saving, 0.0);
@@ -1369,7 +1354,7 @@ mod tests {
     fn windowed_full_turnover_matches_fresh_window() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p.clone(), 4, 1);
+        let mut w = WindowedPlanner::new(p.clone(), 4);
         w.advance(&reqs, SimTime::from_secs(0), &placement);
         // Retire everything, admit a shifted copy of the whole instance.
         let shifted: Vec<Request> = reqs
@@ -1380,23 +1365,10 @@ mod tests {
             })
             .collect();
         let (got_a, got_s) = w.advance(&shifted, SimTime::from_secs(50), &placement);
-        let (want_a, want_s) = p.plan(&rebase(&shifted), &placement, 1);
+        let (want_a, want_s) = p.plan(&rebase(&shifted), &placement);
         assert_eq!(got_a.disks, want_a.disks);
         assert_eq!(got_s, want_s);
         assert_eq!(w.window().len(), 6);
-    }
-
-    #[test]
-    fn windowed_cold_start_is_jobs_invariant() {
-        let (reqs, placement) = paper_instance();
-        let p = planner(MwisSolver::GwMin);
-        let mut w1 = WindowedPlanner::new(p.clone(), 4, 1);
-        let a1 = w1.advance(&reqs, SimTime::from_secs(0), &placement);
-        let mut w8 = WindowedPlanner::new(p, 4, 8);
-        let a8 = w8.advance(&reqs, SimTime::from_secs(0), &placement);
-        assert_eq!(a1, a8);
-        assert_eq!(w1.graph().graph, w8.graph().graph);
-        assert_eq!(w1.stats(), w8.stats(), "counters must be jobs-invariant");
     }
 
     #[test]
@@ -1404,32 +1376,10 @@ mod tests {
     fn windowed_rejects_out_of_order_arrivals() {
         let (reqs, placement) = paper_instance();
         let p = planner(MwisSolver::GwMin);
-        let mut w = WindowedPlanner::new(p, 4, 1);
+        let mut w = WindowedPlanner::new(p, 4);
         w.advance(&reqs, SimTime::from_secs(0), &placement);
         let early = rebase(&reqs[..1]); // t = 0, before the tail at t = 13
         w.advance(&early, SimTime::from_secs(0), &placement);
-    }
-
-    #[test]
-    fn small_builds_stay_serial_under_threshold() {
-        // The paper instance is far below MIN_PARALLEL_BUILD_WORK, so
-        // the jobs > 1 path must produce the serial build (it *is* the
-        // serial build); a fabricated planner with a huge fan-out
-        // crosses the threshold and still matches bit-for-bit.
-        let (reqs, placement) = paper_instance();
-        let p = planner(MwisSolver::GwMin);
-        assert!(reqs.len() * p.max_successors < MIN_PARALLEL_BUILD_WORK);
-        let serial = p.build_graph_with_jobs(&reqs, &placement, 1);
-        let gated = p.build_graph_with_jobs(&reqs, &placement, 8);
-        assert_eq!(serial.graph, gated.graph);
-        let wide = MwisPlanner {
-            max_successors: MIN_PARALLEL_BUILD_WORK, // 6 × this ≥ threshold
-            ..p.clone()
-        };
-        let serial = wide.build_graph_with_jobs(&reqs, &placement, 1);
-        let sharded = wide.build_graph_with_jobs(&reqs, &placement, 8);
-        assert_eq!(serial.graph, sharded.graph);
-        assert_eq!(serial.nodes, sharded.nodes);
     }
 
     #[test]
@@ -1447,7 +1397,7 @@ mod tests {
             })
             .collect();
         let p = planner(MwisSolver::GwMin);
-        let (a, saving) = p.plan(&reqs, &placement, 1);
+        let (a, saving) = p.plan(&reqs, &placement);
         assert_eq!(saving, 5.0, "gap-0 pair saves E_max");
         assert_eq!(a.disk_of(0), DiskId(0));
         assert_eq!(a.disk_of(1), DiskId(0));

@@ -71,7 +71,7 @@ fn build_allocs(requests: usize) -> (u64, usize, usize) {
 /// whole `requests` fixture as its window, with the window's node count.
 fn cold_start_allocs(requests: usize) -> (u64, usize) {
     let (requests, placement, planner) = fixture(requests);
-    let mut w = WindowedPlanner::new(planner, 20, 1);
+    let mut w = WindowedPlanner::new(planner, 20);
     reset_thread_allocs();
     w.advance_window(&requests, SimTime::ZERO, &placement);
     let allocs = thread_allocs();

@@ -1,21 +1,21 @@
-//! Seeded determinism suite for the intra-run parallel substrates.
+//! Seeded determinism suite for the offline MWIS plan and its parallel
+//! evaluation.
 //!
 //! The worker pool's contract is that parallelism changes wall-clock,
-//! never bytes: the sharded conflict-graph build and the fanned per-disk
-//! offline evaluation must return **bit-identical** results for any
-//! worker count. This suite pins that contract across `jobs ∈ {1, 2, 8}`
-//! on seeded instances spanning sparse to dense conflict structure,
-//! mirroring the solver differential suites: the serial path is the
-//! oracle and every parallel output is compared with exact equality
-//! (node tables, weights, degrees and request buckets through
-//! `PartialEq`, full `RunMetrics` including the response histogram).
-//! The graphs are also pinned to FNV digests recorded on an earlier
-//! build and to an all-pairs brute force of the Step 2 conflict rule.
-//! The conflict graph stores no edges, so its neighbor walks and
-//! `has_edge` are checked against each other, against that brute force,
-//! and through the greedy and local-search solvers against a `CsrGraph`
-//! of the same edges, on instances where one `(i, j)` pair has nodes on
-//! several disks.
+//! never bytes: the fanned per-disk offline evaluation must return
+//! **bit-identical** results for any worker count. This suite pins that
+//! contract across `jobs ∈ {1, 2, 8}` on seeded instances spanning
+//! sparse to dense conflict structure, mirroring the solver
+//! differential suites: the serial path is the oracle and every parallel
+//! output is compared with exact equality (full `RunMetrics` including
+//! the response histogram). The conflict graphs, which the serial build
+//! makes, are pinned to FNV digests recorded on an earlier build (node
+//! tables, weights, degrees and every neighbor walk) and to an all-pairs
+//! brute force of the Step 2 conflict rule. The conflict graph stores no
+//! edges, so its three neighbor walks and `has_edge` are checked against
+//! each other, against that brute force, and through the greedy and
+//! local-search solvers against a `CsrGraph` of the same edges, on
+//! instances where one `(i, j)` pair has nodes on several disks.
 
 mod common;
 
@@ -33,7 +33,8 @@ use spindown_core::sched::mwis::ConflictGraph;
 use spindown_core::sched::{ExplicitPlacement, MwisPlanner, MwisSolver};
 use spindown_core::system::SystemConfig;
 use spindown_disk::power::PowerParams;
-use spindown_graph::{mwis, Adjacency, CsrGraph, NodeId};
+use spindown_graph::{bitset, mwis, Adjacency, CsrGraph, NodeId};
+use spindown_sim::rng::SimRng;
 use spindown_trace::synth::arrivals::OnOffProcess;
 use spindown_trace::synth::{CelloLike, TraceGenerator};
 
@@ -172,34 +173,18 @@ fn fig4() -> (Vec<Request>, ExplicitPlacement, MwisPlanner) {
     (paper::offline_requests(), paper::placement(), planner)
 }
 
-/// The sharded Step 1/Step 2 build yields the same `ConflictGraph` —
-/// node triples, weights, degrees, request buckets — as the serial
-/// path, for every worker count, on every density, and every graph
-/// matches its recorded [`GRAPH_DIGESTS`] entry.
+/// Every instance's conflict graph, then the Fig. 4 one, matches its
+/// recorded [`GRAPH_DIGESTS`] entry: node order, weight bits, stored
+/// degrees and ascending walks.
 #[test]
-fn conflict_graph_is_bit_identical_across_jobs() {
-    for (inst, &(name, digest)) in INSTANCES.iter().zip(&GRAPH_DIGESTS) {
-        assert_eq!(inst.name, name);
-        let (requests, placement) = inst.workload();
-        let planner = inst.planner();
-        let serial = planner.build_graph_with_jobs(&requests, &placement, 1);
+fn conflict_graphs_match_recorded_digests() {
+    for ((name, cg), &(want_name, digest)) in built_graphs().iter().zip(&GRAPH_DIGESTS) {
+        assert_eq!(name, &want_name);
         assert!(
-            !serial.graph.is_empty(),
-            "{}: degenerate instance (no nodes) proves nothing",
-            inst.name
+            !cg.graph.is_empty(),
+            "{name}: degenerate instance (no nodes) proves nothing"
         );
-        for jobs in JOBS {
-            let par = planner.build_graph_with_jobs(&requests, &placement, jobs);
-            assert_eq!(par.nodes, serial.nodes, "{} jobs {jobs}", inst.name);
-            assert_eq!(par.graph, serial.graph, "{} jobs {jobs}", inst.name);
-            assert_eq!(graph_digest(&par), digest, "{} jobs {jobs}", inst.name);
-        }
-    }
-    let (requests, placement, planner) = fig4();
-    let (name, digest) = GRAPH_DIGESTS[INSTANCES.len()];
-    for jobs in JOBS {
-        let cg = planner.build_graph_with_jobs(&requests, &placement, jobs);
-        assert_eq!(graph_digest(&cg), digest, "{name} jobs {jobs}");
+        assert_eq!(graph_digest(cg), digest, "{name}");
     }
 }
 
@@ -215,47 +200,30 @@ fn has_edge_pairs(cg: &ConflictGraph) -> Vec<(NodeId, NodeId)> {
     pairs
 }
 
-/// Every instance's conflict graph, at every worker count, has
-/// exactly the edges the all-pairs Step 2 brute force derives from its
-/// node table, both along its neighbor walks and by `has_edge` over all
-/// node pairs. Instances above [`BRUTE_FORCE_MAX_NODES`] are skipped.
+/// Every instance's conflict graph has exactly the edges the all-pairs
+/// Step 2 brute force derives from its node table, both along its
+/// neighbor walks and by `has_edge` over all node pairs. Instances above
+/// [`BRUTE_FORCE_MAX_NODES`] are skipped.
 #[test]
 fn conflict_graph_matches_all_pairs_brute_force() {
     let mut checked = Vec::new();
-    for inst in &INSTANCES {
-        let (requests, placement) = inst.workload();
-        let planner = inst.planner();
-        let mut want = None;
-        for jobs in JOBS {
-            let cg = planner.build_graph_with_jobs(&requests, &placement, jobs);
-            if cg.nodes.len() > BRUTE_FORCE_MAX_NODES {
-                break;
-            }
-            let want = want.get_or_insert_with(|| {
-                let want = brute_force_conflicts(&cg.nodes);
-                assert_eq!(has_edge_pairs(&cg), want, "{}: has_edge", inst.name);
-                want
-            });
-            assert_eq!(
-                &edge_list(&cg),
-                want,
-                "{} jobs {jobs}: conflict edges vs all-pairs brute force",
-                inst.name
-            );
+    for (name, cg) in built_graphs() {
+        if cg.nodes.len() > BRUTE_FORCE_MAX_NODES {
+            continue;
         }
-        if want.is_some() {
-            checked.push(inst.name);
-        }
+        let want = brute_force_conflicts(&cg.nodes);
+        assert_eq!(has_edge_pairs(cg), want, "{name}: has_edge");
+        assert_eq!(edge_list(cg), want, "{name}: conflict edges");
+        checked.push(*name);
     }
-    let (requests, placement, planner) = fig4();
-    let cg = planner.build_graph_with_jobs(&requests, &placement, 1);
-    assert_eq!(edge_list(&cg), brute_force_conflicts(&cg.nodes));
-    assert_eq!(has_edge_pairs(&cg), brute_force_conflicts(&cg.nodes));
-    assert_eq!(checked, ["sparse-rf1", "moderate-rf3", "many-disks"]);
+    assert_eq!(
+        checked,
+        ["sparse-rf1", "moderate-rf3", "many-disks", "fig4"]
+    );
 }
 
-/// Each instance's serial conflict graph, then the Fig. 4 one, built
-/// once for the tests that share them.
+/// Each instance's conflict graph, then the Fig. 4 one, built once for
+/// the tests that share them.
 fn built_graphs() -> &'static [(&'static str, ConflictGraph)] {
     static GRAPHS: OnceLock<Vec<(&str, ConflictGraph)>> = OnceLock::new();
     GRAPHS.get_or_init(|| {
@@ -318,6 +286,40 @@ fn unordered_walk_visits_the_ascending_neighbors_once() {
     );
 }
 
+/// The live walk visits exactly the unordered walk's neighbors whose
+/// alive bit is set, each once, on every node of every instance (twins
+/// included, the walking node itself alive or dead), under seeded
+/// random alive masks.
+#[test]
+fn live_walk_visits_the_live_unordered_neighbors_once() {
+    let mut rng = SimRng::seed_from_u64(0x11fe_3a1c);
+    let (mut want, mut live) = (Vec::new(), Vec::new());
+    for (name, cg) in built_graphs() {
+        let n = cg.len();
+        for density in [0.2, 0.8] {
+            let mut alive = vec![0u64; bitset::words_for(n)];
+            for v in 0..n {
+                if rng.next_f64() < density {
+                    bitset::set(&mut alive, v);
+                }
+            }
+            for v in 0..n as NodeId {
+                want.clear();
+                live.clear();
+                cg.for_each_neighbor_unordered(v, |u| {
+                    if bitset::test(&alive, u as usize) {
+                        want.push(u);
+                    }
+                });
+                cg.for_each_live_neighbor(v, &alive, |u| live.push(u));
+                want.sort_unstable();
+                live.sort_unstable();
+                assert_eq!(live, want, "{name} node {v} density {density}");
+            }
+        }
+    }
+}
+
 /// GWMIN, GWMIN2 and local search from the GWMIN set select the same
 /// nodes on the conflict graph as on a `CsrGraph` built from its edge
 /// list and weights, on every instance.
@@ -338,26 +340,6 @@ fn solvers_select_the_same_nodes_as_on_csr() {
     }
 }
 
-/// The full plan (build + solve + Step 4 derivation) is invariant in
-/// `jobs`: the same assignment and the same claimed saving.
-#[test]
-fn mwis_plan_is_bit_identical_across_jobs() {
-    for inst in &INSTANCES {
-        let (requests, placement) = inst.workload();
-        let planner = inst.planner();
-        let (serial_assignment, serial_saving) = planner.plan(&requests, &placement, 1);
-        for jobs in JOBS {
-            let (assignment, saving) = planner.plan(&requests, &placement, jobs);
-            assert_eq!(
-                assignment.disks, serial_assignment.disks,
-                "{} jobs {jobs}",
-                inst.name
-            );
-            assert_eq!(saving, serial_saving, "{} jobs {jobs}", inst.name);
-        }
-    }
-}
-
 /// Fanned per-disk offline evaluation returns the identical
 /// `RunMetrics` — energies, spin counts, per-disk summaries, and the
 /// merged response histogram — for every worker count.
@@ -366,11 +348,11 @@ fn offline_report_is_bit_identical_across_jobs() {
     for inst in &INSTANCES {
         let (requests, placement) = inst.workload();
         let planner = inst.planner();
-        let (assignment, _) = planner.plan(&requests, &placement, 1);
+        let (assignment, _) = planner.plan(&requests, &placement);
         let params = PowerParams::barracuda();
         let mechanics = spindown_disk::mechanics::Mechanics::new(
             spindown_disk::mechanics::DiskGeometry::cheetah_15k5(),
-            spindown_sim::rng::SimRng::seed_from_u64(inst.seed),
+            SimRng::seed_from_u64(inst.seed),
         );
         for mech in [None, Some(&mechanics)] {
             let serial = evaluate_offline_with_jobs(
@@ -405,8 +387,8 @@ fn offline_report_is_bit_identical_across_jobs() {
 }
 
 /// End to end through the experiment layer: a full MWIS experiment run
-/// (placement, graph build, solve, offline evaluation) is invariant in
-/// `jobs`.
+/// (placement, graph build, solve, fanned offline evaluation) is
+/// invariant in `jobs`.
 #[test]
 fn mwis_experiment_is_bit_identical_across_jobs() {
     let inst = &INSTANCES[1];

@@ -255,7 +255,7 @@ fn check_counters(
 fn drive(inst: &Instance) -> u64 {
     let (reqs, placement) = inst.workload();
     let planner = inst.planner();
-    let mut w = WindowedPlanner::new(planner.clone(), inst.disks, 1);
+    let mut w = WindowedPlanner::new(planner.clone(), inst.disks);
     let mut fed = 0usize;
     let mut dirty_advances = 0u64;
     let mut prev = HashSet::new();

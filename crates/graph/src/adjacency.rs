@@ -1,7 +1,8 @@
 //! The neighbor interface the MWIS solvers read.
 //!
 //! [`Adjacency`] is everything [`crate::mwis`] asks of a graph: the node
-//! count, node weights and degrees, two neighbor walks and an edge test.
+//! count, node weights and degrees, three neighbor walks and an edge
+//! test.
 //! [`CsrGraph`](crate::CsrGraph) implements it from stored, sorted
 //! neighbor slices and is the reference for arbitrary graphs. A graph
 //! whose edges follow from a rule over its nodes can implement it with
@@ -10,13 +11,19 @@
 //! neighborhood from its node table and per-request node buckets on
 //! every walk.
 //!
-//! The two walks differ only in order. The ascending walk fixes the
-//! order where a result depends on it (a floating-point sum over the
-//! neighborhood, a scan of candidates); the unordered walk serves every
-//! caller that only counts, marks or visits. It defaults to the
-//! ascending walk, and a graph that derives its neighborhoods may
-//! override it with a cheaper one.
+//! The ascending and the unordered walk differ only in order. The
+//! ascending walk fixes the order where a result depends on it (a
+//! floating-point sum over the neighborhood, a scan of candidates); the
+//! unordered walk serves every caller that only counts, marks or
+//! visits. It defaults to the ascending walk, and a graph that derives
+//! its neighborhoods may override it with a cheaper one. The live walk
+//! is the unordered walk restricted to the neighbors whose bit is set in
+//! a word-packed alive set ([`crate::bitset`]), the greedy solvers'
+//! remaining graph. It defaults to filtering the unordered walk; a graph
+//! that derives its neighborhoods may override it to test the bit before
+//! it derives the edge, so a dead candidate costs no edge test.
 
+use crate::bitset;
 use crate::NodeId;
 
 /// A node-weighted undirected graph over the dense ids `0..len()`, read
@@ -44,6 +51,18 @@ pub trait Adjacency {
     /// chooses; by default, the ascending walk.
     fn for_each_neighbor_unordered(&self, v: NodeId, f: impl FnMut(NodeId)) {
         self.for_each_neighbor(v, f);
+    }
+
+    /// Calls `f` on every neighbor `u` of `v` whose bit is set in
+    /// `alive` (the [`bitset`] layout over `0..len()`), in an order the
+    /// implementation chooses; by default, the unordered walk filtered
+    /// by the alive bit.
+    fn for_each_live_neighbor(&self, v: NodeId, alive: &[u64], mut f: impl FnMut(NodeId)) {
+        self.for_each_neighbor_unordered(v, |u| {
+            if bitset::test(alive, u as usize) {
+                f(u);
+            }
+        });
     }
 
     /// `true` if the edge `{u, v}` exists.

@@ -13,9 +13,9 @@
 //! Beyond the single-bit primitives, the module carries **fused
 //! word-at-a-time kernels** — [`extract_and_clear`], [`and_not_assign`],
 //! [`or_assign`], [`and_into`], [`and_assign`], [`weight_sum`],
-//! [`intersection_weight`], [`first_set_masked`], [`ones_masked`], and the
-//! test-and-clear [`take`] — so a hot loop touches each word once instead
-//! of composing two or three single-purpose passes. Each fused kernel is
+//! [`intersection_weight`], [`first_set_masked`] and [`ones_masked`] —
+//! so a hot loop touches each word once instead of composing two or
+//! three single-purpose passes. Each fused kernel is
 //! definitionally equivalent to a composition of the simple primitives
 //! above it; the differential tests in this module and in
 //! `tests/kernel_differential.rs` pin that equivalence on random words, so
@@ -58,18 +58,6 @@ pub fn intersection_count(a: &[u64], b: &[u64]) -> usize {
         .zip(b)
         .map(|(x, y)| (x & y).count_ones() as usize)
         .sum()
-}
-
-/// Tests bit `i` and clears it in one access — the fused form of
-/// [`test`] + [`clear`] used by the greedy engine's neighbor marking
-/// (one load/store on the word instead of two loads and a store).
-#[inline]
-pub fn take(words: &mut [u64], i: usize) -> bool {
-    let w = &mut words[i / 64];
-    let mask = 1u64 << (i % 64);
-    let was = *w & mask != 0;
-    *w &= !mask;
-    was
 }
 
 /// Index of the lowest set bit, if any.
@@ -308,18 +296,6 @@ mod tests {
                 s
             })
             .collect()
-    }
-
-    #[test]
-    fn take_is_test_then_clear() {
-        let mut fused = words(7, 3);
-        let mut composed = fused.clone();
-        for i in [0usize, 1, 63, 64, 100, 191, 5, 64] {
-            let expect = test(&composed, i);
-            clear(&mut composed, i);
-            assert_eq!(take(&mut fused, i), expect, "bit {i}");
-            assert_eq!(fused, composed, "bit {i}");
-        }
     }
 
     #[test]

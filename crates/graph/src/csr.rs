@@ -267,6 +267,27 @@ mod tests {
     }
 
     #[test]
+    fn live_walk_is_the_unordered_walk_filtered_by_the_alive_bit() {
+        // Node 69 sits in the second alive word.
+        let edges = [(0, 1), (0, 2), (0, 69), (3, 69), (2, 3)];
+        let g = CsrGraph::from_unique_edges(vec![1.0; 70], &edges);
+        let mut alive = vec![0u64; crate::bitset::words_for(70)];
+        for v in [1, 3, 69] {
+            crate::bitset::set(&mut alive, v);
+        }
+        let live = |v| {
+            let mut got = Vec::new();
+            g.for_each_live_neighbor(v, &alive, |u| got.push(u));
+            got
+        };
+        assert_eq!(live(0), [1, 69], "dead 2 skipped, dead 0 may walk");
+        assert_eq!(live(69), [3], "dead 0 skipped");
+        assert_eq!(live(2), [3]);
+        assert_eq!(live(3), [69], "dead 2 skipped");
+        assert!(live(1).is_empty(), "its one neighbor is dead");
+    }
+
+    #[test]
     fn independent_set_checks() {
         let g = CsrGraph::from_unique_edges(vec![1.0; 4], &[(0, 1), (2, 3)]);
         assert!(g.is_independent_set(&[0, 2]));

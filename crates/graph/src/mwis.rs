@@ -18,9 +18,11 @@
 //! Every solver reads an [`Adjacency`]: [`CsrGraph`](crate::CsrGraph)
 //! for arbitrary graphs, or a graph that derives its neighborhoods, like
 //! the planner's conflict graph. Walks that feed a floating-point sum
-//! are ascending and [`local_search`] sorts its swap candidates, so the
-//! results do not depend on how the graph stores its edges; every other
-//! walk is unordered.
+//! are ascending, the greedy's cascades subtract dead weights in
+//! ascending kill order, and [`local_search`] sorts its swap candidates,
+//! so the results do not depend on how the graph stores its edges. Every
+//! other walk is unordered, and the greedy's cascades walk only live
+//! neighbors.
 //!
 //! The greedy engine is a **word-blocked tournament tree**: a block is
 //! the 64 nodes of one word of the alive bitset (from [`crate::bitset`]),
@@ -32,13 +34,16 @@
 //! `greedy_tree`), so the tree takes half a byte per node where a
 //! per-node tree takes 32, and unlike a lazy heap it never pops a stale
 //! entry. Per node there is one hot record holding only the statistic
-//! the score family reads (GWMIN a degree, GWMIN2 a neighbor-weight)
-//! plus the cascade stamp. All of it lives in a caller-owned
+//! the score family reads (GWMIN a 4-byte degree, GWMIN2 an 8-byte
+//! neighbor-weight sum). A cascade kills the selected node's whole
+//! neighborhood before it walks any dead node, so every walk meets only
+//! survivors, and each survivor is re-scored at its decrement. The
+//! records, the tree and the alive set live in a caller-owned
 //! [`GreedyScratch`], so a warm repeated solve performs zero
 //! allocations. The engine selects exactly the sets of the eager-heap
 //! cascade; `tests/kernel_differential.rs` pins the two against each
 //! other, over one block and many, with that engine kept as a test-only
-//! reference.
+//! //! reference.
 //!
 //! All solvers return node lists sorted ascending, so results are
 //! deterministic and directly comparable.
@@ -113,10 +118,10 @@ fn gwmin2_score(w: f64, _deg: usize, nbr_w: f64) -> f64 {
 }
 
 /// Reusable working memory of the blocked tournament greedy engine: the
-/// word-packed alive set, the cascade's touched-survivor staging list,
-/// the block tournament tree with its per-block dirty stamps and dirty
-/// list, and one hot-record lane per score family (only the lane the
-/// solver uses is ever populated; the other stays empty).
+/// word-packed alive set, the cascade's ascending kill list, the block
+/// tournament tree with its per-block dirty stamps and dirty list, and
+/// one hot-record lane per score family (only the lane the solver uses
+/// is ever populated; the other stays empty).
 ///
 /// Buffers are grown on first use and retained across solves, so a
 /// scratch that has been warmed on an instance performs **zero
@@ -126,8 +131,8 @@ fn gwmin2_score(w: f64, _deg: usize, nbr_w: f64) -> f64 {
 #[derive(Default)]
 pub struct GreedyScratch {
     bufs: EngineBufs,
-    deg_lane: Vec<Hot<DegStat>>,
-    nbr_lane: Vec<Hot<NbrWStat>>,
+    deg_lane: Vec<DegStat>,
+    nbr_lane: Vec<NbrWStat>,
 }
 
 impl GreedyScratch {
@@ -140,32 +145,25 @@ impl GreedyScratch {
 /// The buffers both score families share. A block is the 64 nodes of one
 /// `alive` word; `tree` holds `2 × blocks` slots, and a block whose
 /// stored maximum may be stale carries the current cascade number in
-/// `block_stamp` and sits once in `dirty` until its rescan.
+/// `block_stamp` and sits once in `dirty` until its rescan. `killed`
+/// holds the selected node's neighbors that die in the current cascade.
 #[derive(Default)]
 struct EngineBufs {
     alive: Vec<u64>,
-    touched: Vec<NodeId>,
+    killed: Vec<NodeId>,
     tree: Vec<u128>,
     block_stamp: Vec<u32>,
     dirty: Vec<u32>,
 }
 
-/// Per-node hot record of the engine: the score-specific statistic and
-/// the cascade stamp that dedups touched-survivor staging. One 8-byte
-/// (GWMIN) or 16-byte (GWMIN2) record per node, so the cascade's random
-/// access to a survivor touches a single cache line. No per-node
-/// priority is stored anywhere: a node's score is recomputed from this
-/// record and its weight whenever its block's maximum is needed.
-#[derive(Copy, Clone)]
-struct Hot<S> {
-    stat: S,
-    stamp: u32,
-}
-
-/// The per-node statistic a greedy score family maintains. Specializing
-/// the engine over this trait halves the cascade's memory traffic: GWMIN
-/// updates only degrees and never gathers the dying neighbor's weight,
-/// GWMIN2 only the neighbor-weight sum.
+/// The per-node statistic a greedy score family maintains, which is the
+/// engine's whole per-node hot record: 4 bytes under GWMIN (a degree), 8
+/// under GWMIN2 (a neighbor-weight sum), so a survivor's re-score touches
+/// one small record. No per-node priority is stored anywhere: a node's
+/// score is recomputed from this record and its weight whenever it is
+/// needed. Specializing the engine over this trait halves the cascade's
+/// memory traffic: GWMIN updates only degrees and never gathers the
+/// dying neighbor's weight, GWMIN2 only the neighbor-weight sum.
 trait GreedyStat: Copy {
     /// Whether the kill loop must gather the dying neighbor's weight.
     const NEEDS_DEAD_WEIGHT: bool;
@@ -178,7 +176,7 @@ trait GreedyStat: Copy {
 
     /// Selects this stat's hot-record lane out of the shared scratch,
     /// handing back the shared buffers in the same borrow.
-    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs)
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Self>, &mut EngineBufs)
     where
         Self: Sized;
 }
@@ -206,7 +204,7 @@ impl GreedyStat for DegStat {
         w / (self.deg as f64 + 1.0)
     }
 
-    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs) {
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Self>, &mut EngineBufs) {
         (&mut scratch.deg_lane, &mut scratch.bufs)
     }
 }
@@ -237,7 +235,7 @@ impl GreedyStat for NbrWStat {
         gwmin2_score(w, 0, self.nbr_w)
     }
 
-    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Hot<Self>>, &mut EngineBufs) {
+    fn lanes(scratch: &mut GreedyScratch) -> (&mut Vec<Self>, &mut EngineBufs) {
         (&mut scratch.nbr_lane, &mut scratch.bufs)
     }
 }
@@ -308,12 +306,12 @@ fn tree_update(tree: &mut [u128], blocks: usize, b: usize, val: u128) {
 /// block's alive word), or [`DEAD`] when none is alive — each score
 /// recomputed from the node's hot record and weight.
 #[inline]
-fn block_max<S: GreedyStat>(g: &impl Adjacency, hot: &[Hot<S>], b: usize, mut word: u64) -> u128 {
+fn block_max<S: GreedyStat>(g: &impl Adjacency, hot: &[S], b: usize, mut word: u64) -> u128 {
     let mut best = DEAD;
     while word != 0 {
         let v = b * 64 + word.trailing_zeros() as usize;
         word &= word - 1;
-        let key = ord_key(hot[v].stat.score(g.weight(v as NodeId)));
+        let key = ord_key(hot[v].score(g.weight(v as NodeId)));
         best = best.max(pack(key, v as u32));
     }
     best
@@ -331,29 +329,35 @@ fn mark_dirty(block_stamp: &mut [u32], dirty: &mut Vec<u32>, b: usize, cascade: 
 /// The greedy engine, monomorphized per score family. Same cascade
 /// semantics as the heap engines it replaced — select the
 /// maximum-priority node, kill its neighborhood, decrement each survivor
-/// once per dead neighbor, re-score each touched survivor once per
-/// cascade — over a tournament tree whose leaves are the maxima of
-/// 64-node blocks (one `alive` word each). Selection is one root read.
-/// Within a cascade:
+/// once per dead neighbor — over a tournament tree whose leaves are the
+/// maxima of 64-node blocks (one `alive` word each). Selection is one
+/// root read. A cascade runs in three phases:
 ///
-/// * the selected node held its block's maximum, and a kill that removes
-///   its block's stored maximum (the slot's low word names the holder)
-///   marks that block dirty;
-/// * a re-scored survivor that beats its block's maximum updates the
-///   tree at once; one that held the maximum and fell (only a
-///   non-positive or NaN weight makes a score fall) marks its block
-///   dirty; survivors of blocks already dirty are skipped;
-/// * every dirty block is rescanned once, after the refreshes, from its
-///   alive bits, hot records and weights.
+/// 1. **Kill.** Every alive neighbor of the selected node dies before
+///    any survivor is touched, and the kill list is sorted ascending.
+///    The selected node held its block's maximum, and a kill that
+///    removes its block's stored maximum (the slot's low word names the
+///    holder) marks that block dirty.
+/// 2. **Decrement.** Each killed node, in ascending order, walks its
+///    live neighbors ([`Adjacency::for_each_live_neighbor`]), which are
+///    all survivors, since the whole kill set is already dead. Each
+///    survivor is re-scored at every decrement: a score above its
+///    block's maximum updates the tree at once; a fall of the node that
+///    held the maximum (only a non-positive or NaN weight makes a score
+///    fall) marks its block dirty; survivors of dirty blocks are only
+///    decremented.
+/// 3. **Rescan.** Every dirty block is rescanned once, from its alive
+///    bits, hot records and weights.
 ///
-/// Each leaf then again equals the maximum over its block's alive nodes
-/// of `key << 64 | !node`, so the root is the maximum of the same total
-/// order a per-node tree holds, and the selections are identical.
+/// No survivor dies during phase 2, so each clean leaf stays the
+/// maximum over its block's alive nodes of `key << 64 | !node` through
+/// every re-score, and the rescans restore the dirty ones. The root is
+/// then the maximum of the same total order a per-node tree holds, and
+/// the selections are identical.
 ///
-/// The selected node's neighbors die in ascending order: a survivor next
-/// to several of them has their weights subtracted in that order (GWMIN2),
-/// so the kill order fixes the rounding. Each dying neighbor's own walk
-/// touches every survivor at most once and runs unordered.
+/// A survivor next to several dead nodes has their weights subtracted
+/// in ascending kill order (GWMIN2), the order of the eager cascade, so
+/// the kill order fixes the rounding. Each walk itself runs unordered.
 fn greedy_tree<S: GreedyStat>(
     g: &impl Adjacency,
     scratch: &mut GreedyScratch,
@@ -367,17 +371,14 @@ fn greedy_tree<S: GreedyStat>(
     let (hot, bufs) = S::lanes(scratch);
     let EngineBufs {
         alive,
-        touched,
+        killed,
         tree,
         block_stamp,
         dirty,
     } = bufs;
 
     hot.clear();
-    hot.extend((0..n).map(|v| Hot {
-        stat: S::init(g, v as NodeId),
-        stamp: 0,
-    }));
+    hot.extend((0..n).map(|v| S::init(g, v as NodeId)));
     let blocks = bitset::words_for(n);
     alive.clear();
     alive.resize(blocks, u64::MAX);
@@ -407,51 +408,42 @@ fn greedy_tree<S: GreedyStat>(
         out.push(v as NodeId);
         bitset::clear(alive, v);
         cascade += 1;
-        touched.clear();
         dirty.clear();
         mark_dirty(block_stamp, dirty, v / 64, cascade);
-        // Kill neighbors; decrement the stat of *their* survivors.
-        g.for_each_neighbor(v as NodeId, |u| {
-            if !bitset::take(alive, u as usize) {
-                return;
-            }
+        // Kill the whole neighborhood first.
+        killed.clear();
+        g.for_each_live_neighbor(v as NodeId, alive, |u| killed.push(u));
+        killed.sort_unstable();
+        for &u in killed.iter() {
+            bitset::clear(alive, u as usize);
             let ub = u as usize / 64;
             if holds(tree[blocks + ub], u) {
                 mark_dirty(block_stamp, dirty, ub, cascade);
             }
+        }
+        // Decrement each survivor once per dead neighbor, in ascending
+        // kill order, and re-score it at once.
+        for &u in killed.iter() {
             let uw = if S::NEEDS_DEAD_WEIGHT {
                 g.weight(u)
             } else {
                 0.0
             };
-            g.for_each_neighbor_unordered(u, |w2| {
-                let wi = w2 as usize;
-                if !bitset::test(alive, wi) {
+            g.for_each_live_neighbor(u, alive, |t| {
+                let ti = t as usize;
+                hot[ti].on_neighbor_death(uw);
+                let tb = ti / 64;
+                if block_stamp[tb] == cascade {
                     return;
                 }
-                let h = &mut hot[wi];
-                h.stat.on_neighbor_death(uw);
-                if h.stamp != cascade {
-                    h.stamp = cascade;
-                    touched.push(w2);
+                let key = pack(ord_key(hot[ti].score(g.weight(t))), t);
+                let leaf = tree[blocks + tb];
+                if key > leaf {
+                    tree_update(tree, blocks, tb, key);
+                } else if key < leaf && holds(leaf, t) {
+                    mark_dirty(block_stamp, dirty, tb, cascade);
                 }
             });
-        });
-        // One re-score per surviving touched node, now that every
-        // decrement of this cascade has landed.
-        for &t in touched.iter() {
-            let ti = t as usize;
-            let tb = ti / 64;
-            if !bitset::test(alive, ti) || block_stamp[tb] == cascade {
-                continue;
-            }
-            let key = pack(ord_key(hot[ti].stat.score(g.weight(t))), t);
-            let leaf = tree[blocks + tb];
-            if key > leaf {
-                tree_update(tree, blocks, tb, key);
-            } else if key < leaf && holds(leaf, t) {
-                mark_dirty(block_stamp, dirty, tb, cascade);
-            }
         }
         for &b in dirty.iter() {
             let b = b as usize;

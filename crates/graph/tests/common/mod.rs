@@ -175,8 +175,8 @@ impl GreedyState {
 /// refreshed entry. Each intermediate push is invalidated by the next
 /// decrement's epoch bump, so per alive node only the latest entry is
 /// ever acted on — the same selection the production engine makes with
-/// one update per touched survivor per cascade, at `O(d̄)`-fold the heap
-/// traffic. (Staleness here also uses the epoch
+/// a tree of block maxima and no per-node heap entries. (Staleness here
+/// also uses the epoch
 /// counter: the historical `f64` equality test on the accumulated
 /// neighbor weight was exact-by-accident and fell apart on `NaN`.)
 fn greedy_by_eager(g: &CsrGraph, score: impl Fn(f64, usize, f64) -> f64) -> Vec<NodeId> {

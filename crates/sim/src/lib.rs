@@ -23,7 +23,7 @@
 //! The simulation kernel itself is single-threaded by design: event-order
 //! determinism is what makes the paper's figures exactly reproducible.
 //! Parallelism lives strictly *around* it — independent grid cells,
-//! sharded conflict-graph enumeration, per-disk offline evaluation — and
+//! per-disk offline evaluation, replica islands — and
 //! the pool's index-addressed result slots keep every parallel output
 //! bit-identical to the serial one.
 

@@ -2,8 +2,9 @@
 //!
 //! One clamp-and-spawn implementation shared by every parallel substrate
 //! in the workspace: experiment-grid cells
-//! (`spindown-bench`'s `EvalGrid`), sharded conflict-graph construction
-//! and per-disk offline evaluation (`spindown-core`). The contract is
+//! (`spindown-bench`'s `EvalGrid`) and per-disk offline evaluation
+//! (`spindown-core`); the island-parallel replay cuts its worker groups
+//! with [`shard_ranges`]. The contract is
 //! strict determinism: results land in **pre-sized, index-addressed
 //! slots**, so the output of [`map_indexed`] is bit-identical for every
 //! worker count — parallelism only changes wall-clock, never bytes.
@@ -129,7 +130,7 @@ impl Parallelism {
 /// own output slot and the caller concatenates slots in shard-index
 /// order, which keeps the merged result independent of both the worker
 /// count *and* the shard count whenever downstream consumers normalize
-/// order (e.g. CSR finalization sorts each adjacency slice).
+/// order.
 pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -188,62 +189,6 @@ where
                 .expect("work queue computed every slot")
         })
         .collect()
-}
-
-/// Hands out the consecutive chunks `data[bounds[s]..bounds[s + 1]]` to
-/// up to `jobs` workers, calling `f(s, chunk)` once per chunk, and
-/// returns the results in chunk order.
-///
-/// Each chunk is a disjoint `&mut` borrow cut by `split_at_mut`, so a
-/// shard writes its own region of one shared output array in place: no
-/// per-shard buffer, no merge, no atomic writes. Empty chunks (repeated
-/// bounds) are allowed. Scheduling, determinism and panic propagation
-/// are those of [`map_indexed`]: whatever the worker count, chunk `s`
-/// sees the same slice and result `s` lands in slot `s`.
-///
-/// # Panics
-///
-/// Panics unless `bounds` is non-decreasing, starts at 0 and ends at
-/// `data.len()`.
-pub fn map_chunks_mut<T, R, F>(jobs: usize, data: &mut [T], bounds: &[usize], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(
-        bounds.first() == Some(&0) && bounds.last() == Some(&data.len()),
-        "chunk bounds must run from 0 to the data length"
-    );
-    let mut chunks = Vec::with_capacity(bounds.len() - 1);
-    let mut rest = data;
-    for w in bounds.windows(2) {
-        assert!(w[0] <= w[1], "chunk bounds must be non-decreasing");
-        let (chunk, tail) = rest.split_at_mut(w[1] - w[0]);
-        chunks.push(Mutex::new(Some(chunk)));
-        rest = tail;
-    }
-    map_indexed(jobs, chunks.len(), |s| {
-        let chunk = chunks[s]
-            .lock()
-            .expect("no panics hold the chunk lock")
-            .take()
-            .expect("each chunk is handed out once");
-        f(s, chunk)
-    })
-}
-
-/// Default shard multiplier: sharding finer than the worker count lets
-/// the work queue absorb per-shard cost imbalance (dense disks, hot
-/// request buckets) without a scheduling heuristic. Four shards per
-/// worker keeps the merge bookkeeping negligible while bounding the
-/// worst-case idle tail at ~¼ of one worker's share.
-pub const SHARDS_PER_JOB: usize = 4;
-
-/// Shard count for `jobs` workers over `len` tasks:
-/// `jobs × SHARDS_PER_JOB`, clamped to `1..=len`.
-pub fn default_shards(jobs: usize, len: usize) -> usize {
-    jobs.saturating_mul(SHARDS_PER_JOB).clamp(1, len.max(1))
 }
 
 #[cfg(test)]
@@ -325,14 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn default_shards_oversubscribes_but_clamps() {
-        assert_eq!(default_shards(1, 1000), SHARDS_PER_JOB);
-        assert_eq!(default_shards(4, 1000), 4 * SHARDS_PER_JOB);
-        assert_eq!(default_shards(8, 5), 5, "never more shards than tasks");
-        assert_eq!(default_shards(8, 0), 1);
-    }
-
-    #[test]
     fn workers_share_one_queue() {
         // More tasks than workers with wildly uneven costs still produce
         // index-ordered output.
@@ -343,52 +280,5 @@ mod tests {
             i
         });
         assert_eq!(out, (0..37).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_chunks_mut_matches_serial_for_any_jobs() {
-        // Chunks 1 and 4 are empty, like a shard of isolated nodes.
-        let bounds = [0usize, 4, 4, 9, 17, 17];
-        let fill = |jobs| {
-            let mut data = vec![0usize; 17];
-            let lens = map_chunks_mut(jobs, &mut data, &bounds, |s, chunk| {
-                for (p, x) in chunk.iter_mut().enumerate() {
-                    *x = 100 * s + p;
-                }
-                chunk.len()
-            });
-            (data, lens)
-        };
-        let serial = fill(1);
-        assert_eq!(serial.1, vec![4, 0, 5, 8, 0]);
-        assert_eq!(serial.0[..6], [0, 1, 2, 3, 200, 201]);
-        assert_eq!(serial.0[16], 307);
-        for jobs in [2usize, 3, 8] {
-            assert_eq!(fill(jobs), serial, "jobs {jobs}");
-        }
-        let none: Vec<()> = map_chunks_mut(4, &mut [0u8; 0], &[0], |_, _| unreachable!());
-        assert!(none.is_empty(), "empty data, no chunks");
-    }
-
-    #[test]
-    fn map_chunks_mut_propagates_worker_panics() {
-        for jobs in [1usize, 2, 3, 8] {
-            let caught = std::panic::catch_unwind(|| {
-                let mut data = vec![0u32; 8];
-                map_chunks_mut(jobs, &mut data, &[0, 2, 4, 6, 8], |s, _| {
-                    assert_ne!(s, 2, "chunk 2 fails");
-                })
-            });
-            assert!(
-                caught.is_err(),
-                "jobs {jobs}: the panic must reach the caller"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk bounds")]
-    fn map_chunks_mut_rejects_bounds_short_of_the_data() {
-        map_chunks_mut(1, &mut [0u8; 4], &[0, 3], |_, _| ());
     }
 }

@@ -85,7 +85,7 @@ fn main() {
         let (i, j, k) = cg.nodes[v as usize];
         println!("    X(r{},r{},d{})", i + 1, j + 1, k.0 + 1);
     }
-    let (assignment, _) = planner.plan(&offline, &placement, 1);
+    let (assignment, _) = planner.plan(&offline, &placement);
     println!("  step 4: derived assignment:");
     for (r, d) in assignment.disks.iter().enumerate() {
         println!("    r{} -> d{}", r + 1, d.0 + 1);
