@@ -58,9 +58,12 @@ BENCH:
 
 MISC:
     --jobs, -j <n>           worker threads for parallel work: grid cells,
-                             per-disk offline evaluation, and
+                             the first pass over a trace file (read as
+                             <n> line-aligned byte ranges),
                              island-parallel event replay (one event
-                             loop per replica-sharing island).
+                             loop per replica-sharing island) and
+                             per-disk offline evaluation. The MWIS plan
+                             itself and replan are serial.
                              Results are bit-identical for any value.
                              Precedence: this flag > SPINDOWN_JOBS env
                              var > 1

@@ -2,7 +2,9 @@
 //!
 //! Trace files are never slurped into memory: every pass re-opens the
 //! file and streams records line by line ([`SpcStream`]/[`SrtStream`]),
-//! so ingestion stays constant-memory regardless of trace size.
+//! so ingestion stays constant-memory regardless of trace size. The
+//! first pass of a replay reads a file as `--jobs` line-aligned byte
+//! ranges on as many threads (`Workload::scan`).
 //! Commands that only need one pass (stats) or two passes (simulate
 //! with an event-loop scheduler) never materialize a trace; only the
 //! offline MWIS plan, `compare` and `replan` do, and they free it once
@@ -10,13 +12,13 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Take};
 use std::path::PathBuf;
 
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{
     build_scheduler, data_space, requests_from_trace, run_always_on_baseline, run_experiment,
-    scan_stream, ExperimentSpec, SchedulerKind,
+    scan_stream, ExperimentSpec, SchedulerKind, StreamScan,
 };
 use spindown_core::metrics::RunMetrics;
 use spindown_core::model::Request;
@@ -24,7 +26,9 @@ use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::{MwisPlanner, WindowedPlanner};
 use spindown_core::system::{run_system_streamed_with_jobs, PolicyKind, SystemConfig};
 use spindown_disk::power::PowerParams;
+use spindown_sim::pool;
 use spindown_sim::time::SimDuration;
+use spindown_trace::ranges::{join_passes, line_starts, range_reader, RangePass};
 use spindown_trace::record::TraceRecord;
 use spindown_trace::spc::SpcStream;
 use spindown_trace::srt::SrtStream;
@@ -103,10 +107,11 @@ enum Workload {
     FlashCrowd(FlashCrowdLike, u64),
 }
 
-/// One streaming pass over a workload's records.
+/// One streaming pass over a workload's records (of one byte range of a
+/// trace file, or of all of it).
 enum RecordPass {
-    Spc(SpcStream<BufReader<File>>),
-    Srt(SrtStream<BufReader<File>>),
+    Spc(SpcStream<BufReader<Take<File>>>),
+    Srt(SrtStream<BufReader<Take<File>>>),
     Synth(Box<dyn Iterator<Item = TraceRecord> + Send>),
 }
 
@@ -136,6 +141,15 @@ impl RecordPass {
     /// Malformed lines skipped so far (lenient parsing only).
     fn skipped(&self) -> usize {
         self.skipped_lines()
+    }
+
+    /// Trace-file lines read so far (0 for a synthetic workload).
+    fn lines_read(&self) -> usize {
+        match self {
+            RecordPass::Spc(s) => s.lines_read(),
+            RecordPass::Srt(s) => s.lines_read(),
+            RecordPass::Synth(_) => 0,
+        }
     }
 }
 
@@ -226,14 +240,22 @@ impl Workload {
     }
 
     fn open(&self) -> Result<RecordPass, CommandError> {
+        self.open_range(0, None)
+    }
+
+    /// A pass over the bytes of a trace file from `start` up to `end`,
+    /// or to its end without one ([`line_starts`]); a synthetic
+    /// workload's pass is always whole.
+    fn open_range(&self, start: u64, end: Option<u64>) -> Result<RecordPass, CommandError> {
         match self {
             Workload::File {
                 path,
                 format,
                 policy,
             } => {
-                let file = File::open(path).map_err(|e| CommandError::Io(path.clone(), e))?;
-                let reader = BufReader::new(file);
+                let io = |e| CommandError::Io(path.clone(), e);
+                let file = File::open(path).map_err(io)?;
+                let reader = range_reader(file, start, end).map_err(io)?;
                 Ok(match format {
                     FileFormat::Spc => RecordPass::Spc(SpcStream::new(reader, *policy)),
                     FileFormat::Srt => RecordPass::Srt(SrtStream::new(reader, *policy)),
@@ -244,6 +266,40 @@ impl Workload {
             Workload::Diurnal(gen, seed) => Ok(RecordPass::Synth(Box::new(gen.stream(*seed)))),
             Workload::FlashCrowd(gen, seed) => Ok(RecordPass::Synth(Box::new(gen.stream(*seed)))),
         }
+    }
+
+    /// Pass one of a replay: the scan summary and the malformed lines
+    /// skipped. A regular trace file is cut into `jobs` line-aligned
+    /// byte ranges, scanned on `jobs` workers and merged exactly
+    /// ([`StreamScan::merge`], [`join_passes`]); any other file, such as
+    /// a pipe, is one range. A synthetic workload is scanned whole.
+    fn scan(&self, jobs: usize) -> Result<(StreamScan, usize), CommandError> {
+        let Workload::File { path, .. } = self else {
+            let mut pass = self.open()?;
+            let scan = scan_stream(&mut pass).map_err(|e| CommandError::Parse(e.to_string()))?;
+            return Ok((scan, pass.skipped()));
+        };
+        let io = |e| CommandError::Io(path.clone(), e);
+        let starts = if std::fs::metadata(path).map_err(io)?.is_file() {
+            line_starts(&mut File::open(path).map_err(io)?, jobs).map_err(io)?
+        } else {
+            vec![0]
+        };
+        let passes = pool::map_indexed(jobs, starts.len(), |k| {
+            let mut pass = self.open_range(starts[k], starts.get(k + 1).copied())?;
+            let outcome = scan_stream(&mut pass);
+            Ok(RangePass {
+                outcome,
+                lines: pass.lines_read(),
+                skipped: pass.skipped(),
+            })
+        });
+        let passes = passes
+            .into_iter()
+            .collect::<Result<Vec<_>, CommandError>>()?;
+        let (scans, skipped) =
+            join_passes(passes).map_err(|e| CommandError::Parse(e.to_string()))?;
+        Ok((StreamScan::merge(scans), skipped))
     }
 }
 
@@ -266,9 +322,7 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
             // Constant-memory path: pass one folds the stream to its
             // scan summary, pass two feeds the event loop(s) directly —
             // one per placement island when --jobs allows.
-            let mut pass1 = workload.open()?;
-            let scan = scan_stream(&mut pass1).map_err(|e| CommandError::Parse(e.to_string()))?;
-            let skipped_scan = pass1.skipped();
+            let (scan, skipped_scan) = workload.scan(cli.effective_jobs())?;
             let reads = scan.reads();
             let span_s = scan.span_s();
             let placement = PlacementMap::build(scan.data_space(), &spec.placement, spec.seed);
@@ -773,6 +827,146 @@ mod tests {
         cli.source = SourceArg::TraceFile(std::path::PathBuf::from("/definitely/not/here.spc"));
         let err = execute(&cli).unwrap_err();
         assert!(matches!(err, CommandError::Io(_, _)));
+    }
+
+    /// A trace-file workload over `text`, written to a file named `name`
+    /// in the tests' scratch directory.
+    fn spc_file(name: &str, text: &[u8], policy: ParsePolicy) -> Workload {
+        let dir = std::env::temp_dir().join("spindown-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        Workload::File {
+            path,
+            format: FileFormat::Spc,
+            policy,
+        }
+    }
+
+    /// `scan_stream` over the whole pass, as pass one returned it before
+    /// it read ranges: the scan and skip count, or the error's text.
+    fn whole_scan(workload: &Workload) -> Result<(StreamScan, usize), String> {
+        let mut pass = workload.open().unwrap();
+        match scan_stream(&mut pass) {
+            Ok(scan) => Ok((scan, pass.skipped())),
+            Err(e) => Err(CommandError::Parse(e.to_string()).to_string()),
+        }
+    }
+
+    /// Pass one over `text` by 1–8 ranges equals the whole-file scan in
+    /// every field, under both policies.
+    fn assert_range_scans_match(name: &str, text: &[u8]) {
+        for policy in [ParsePolicy::Strict, ParsePolicy::Lenient] {
+            let workload = spc_file(name, text, policy);
+            let whole = whole_scan(&workload);
+            for parts in 1..=8 {
+                let got = workload.scan(parts).map_err(|e| e.to_string());
+                assert_eq!(got, whole, "{name}, {policy:?}, {parts} parts");
+            }
+            if let Workload::File { path, .. } = workload {
+                std::fs::remove_file(path).ok();
+            }
+        }
+    }
+
+    /// Twenty-four 20-byte SPC lines, half of them reads.
+    fn even_lines() -> Vec<String> {
+        (0..24)
+            .map(|i| {
+                let op = if i % 2 == 0 { 'r' } else { 'w' };
+                format!("0,{:04},8192,{op},{i:03}.5\n", (i * 37) % 11)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn range_scans_equal_the_whole_file_scan() {
+        let lines = even_lines();
+        assert!(lines.iter().all(|l| l.len() == 20));
+        let text = lines.concat();
+        // 480 bytes: every even share of 2, 3, 4, 6 and 8 parts is a
+        // line start, and of 5 and 7 parts is not.
+        assert_range_scans_match("ranges-even.spc", text.as_bytes());
+        assert_range_scans_match(
+            "ranges-comments.spc",
+            b"# header\n\n0,1,8192,r,0.5\n  \n# mid\n0,2,8192,w,0.6\n\n0,3,8192,r,0.7\n#\n",
+        );
+        assert_range_scans_match(
+            "ranges-crlf.spc",
+            b"0,1,8192,r,0.5\r\n0,2,8192,r,0.6\r\n\r\n0,1,8192,r,0.9\r\n0,7,8192,r,1.5\r\n",
+        );
+        assert_range_scans_match(
+            "ranges-no-newline.spc",
+            b"0,5,8192,r,0.5\n0,2,8192,r,0.6\n0,9,8192,r,0.75",
+        );
+        assert_range_scans_match("ranges-empty.spc", b"");
+        assert_range_scans_match("ranges-one-line.spc", b"0,42,8192,r,3.25\n");
+        assert_range_scans_match(
+            "ranges-three-lines.spc",
+            b"0,1,8192,w,0.5\n0,2,8192,r,0.6\n0,2,8192,r,0.7\n",
+        );
+        assert_range_scans_match(
+            "ranges-writes-only.spc",
+            b"0,1,8192,w,0.5\n0,2,8192,w,0.6\n",
+        );
+    }
+
+    #[test]
+    fn range_scans_report_the_first_bad_line_of_the_file() {
+        // A bad line at every position lands in every range of every cut:
+        // Strict names it by its line in the file, Lenient counts it.
+        let lines = even_lines();
+        for bad in 0..lines.len() {
+            let mut text = lines.clone();
+            text[bad] = "0,1,8192,x,1.0\n".to_string();
+            text[(bad + 7) % lines.len()] = "garbage\n".to_string();
+            assert_range_scans_match("ranges-bad.spc", text.concat().as_bytes());
+        }
+        let strict = spc_file(
+            "ranges-bad-line.spc",
+            lines.concat().replace("r,020.5", "r,-1").as_bytes(),
+            ParsePolicy::Strict,
+        );
+        let err = strict.scan(8).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "cannot parse trace: line 21: invalid number in field timestamp"
+        );
+        if let Workload::File { path, .. } = strict {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_pipe_is_scanned_as_one_range() {
+        let text = even_lines().concat();
+        let regular = spc_file("pipe-reference.spc", text.as_bytes(), ParsePolicy::Strict);
+        let want = whole_scan(&regular).unwrap();
+        let dir = std::env::temp_dir().join("spindown-cli-test");
+        let path = dir.join("ranges-pipe.spc");
+        std::fs::remove_file(&path).ok();
+        let made = std::process::Command::new("mkfifo")
+            .arg(&path)
+            .status()
+            .expect("mkfifo runs");
+        assert!(made.success());
+        let writer = {
+            let path = path.clone();
+            std::thread::spawn(move || std::fs::write(path, text))
+        };
+        let pipe = Workload::File {
+            path: path.clone(),
+            format: FileFormat::Spc,
+            policy: ParsePolicy::Strict,
+        };
+        let got = pipe.scan(4).map_err(|e| e.to_string());
+        writer.join().unwrap().unwrap();
+        assert_eq!(got, Ok(want));
+        std::fs::remove_file(path).ok();
+        if let Workload::File { path, .. } = regular {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! into one [`RunMetrics`] row, the unit every figure in the paper's
 //! evaluation is built from.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 
 use spindown_disk::mechanics::Mechanics;
 use spindown_sim::rng::SimRng;
@@ -168,6 +170,48 @@ impl StreamScan {
     /// arrival time after pass two).
     pub fn span_s(&self) -> f64 {
         self.end.saturating_since(self.anchor).as_secs_f64()
+    }
+
+    /// The scan of a stream read as consecutive parts, from the parts'
+    /// scans in stream order: equal, field for field, to [`scan_stream`]
+    /// over the whole stream. Reads add up; the anchor is the first read
+    /// of the earliest part that has one; `end` is the latest; the
+    /// parts' sorted id tables are k-way merged, so no id is hashed
+    /// again.
+    pub fn merge(parts: Vec<StreamScan>) -> StreamScan {
+        let reads = parts.iter().map(|p| p.reads).sum();
+        let anchor = parts
+            .iter()
+            .find(|p| p.reads > 0)
+            .map_or(SimTime::ZERO, |p| p.anchor);
+        let end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
+        let longest = parts.iter().map(|p| p.ids.len()).max().unwrap_or(0);
+        let mut tables: Vec<std::vec::IntoIter<u64>> =
+            parts.into_iter().map(|p| p.ids.into_iter()).collect();
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = tables
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(t, ids)| Some(Reverse((ids.next()?, t))))
+            .collect();
+        let mut ids = Vec::with_capacity(longest);
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((id, t)) = *head;
+            if ids.last() != Some(&id) {
+                ids.push(id);
+            }
+            match tables[t].next() {
+                Some(next) => *head = Reverse((next, t)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        StreamScan {
+            ids,
+            reads,
+            anchor,
+            end,
+        }
     }
 
     /// Adapts a second pass over the same records into a request source
@@ -540,6 +584,48 @@ mod tests {
         let b = run_experiment(&reqs, &spec, 1);
         assert_eq!(a.energy_j, b.energy_j);
         assert_eq!(a.spinups, b.spinups);
+    }
+
+    #[test]
+    fn merged_part_scans_equal_the_whole_scan() {
+        use spindown_trace::synth::FinancialLike;
+        let records = FinancialLike {
+            requests: 3_000,
+            data_items: 700,
+            write_fraction: 0.5,
+            ..FinancialLike::default()
+        }
+        .generate(5)
+        .records()
+        .to_vec();
+        let scan = |part: &[TraceRecord]| scan_stream(part.iter().map(|r| Ok::<_, ()>(*r)));
+        let whole = scan(&records).unwrap();
+        let first_read = records.iter().position(|r| r.op == OpKind::Read).unwrap();
+        let writes_only: Vec<TraceRecord> = records
+            .iter()
+            .filter(|r| r.op == OpKind::Write)
+            .copied()
+            .collect();
+        // Cut points include empty parts and a first part with no read.
+        for cuts in [
+            vec![],
+            vec![0],
+            vec![first_read],
+            vec![1, 2, 3],
+            vec![1_000, 1_000, 2_999],
+            vec![375, 750, 1_125, 1_500, 1_875, 2_250, 2_625],
+        ] {
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain([&records.len()]) {
+                parts.push(scan(&records[start..cut]).unwrap());
+                start = cut;
+            }
+            assert_eq!(StreamScan::merge(parts), whole, "cuts {cuts:?}");
+        }
+        let no_reads = scan(&writes_only).unwrap();
+        assert_eq!(StreamScan::merge(vec![no_reads.clone()]), no_reads);
+        assert_eq!(StreamScan::merge(Vec::new()), scan(&[]).unwrap());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! One clamp-and-spawn implementation shared by every parallel substrate
 //! in the workspace: experiment-grid cells
-//! (`spindown-bench`'s `EvalGrid`) and per-disk offline evaluation
-//! (`spindown-core`); the island-parallel replay cuts its worker groups
-//! with [`shard_ranges`]. The contract is
+//! (`spindown-bench`'s `EvalGrid`), per-disk offline evaluation
+//! (`spindown-core`) and the CLI's first pass over the line-aligned byte
+//! ranges of a trace file; the island-parallel replay cuts its worker
+//! groups with [`shard_ranges`]. The contract is
 //! strict determinism: results land in **pre-sized, index-addressed
 //! slots**, so the output of [`map_indexed`] is bit-identical for every
 //! worker count — parallelism only changes wall-clock, never bytes.

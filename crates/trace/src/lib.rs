@@ -20,12 +20,15 @@
 //!   real traces (each available as a lazy stream adapter too);
 //! * [`stream`] — the pull-based [`stream::RecordStream`] pipeline:
 //!   incremental parsers, lazy adapters and policies that let multi-GB
-//!   traces flow to the simulator in constant memory.
+//!   traces flow to the simulator in constant memory;
+//! * [`ranges`] — line-aligned byte ranges of one file, each read by
+//!   its own parser stream, for passes that parse on several threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod lines;
+pub mod ranges;
 pub mod record;
 pub mod spc;
 pub mod split;

@@ -28,6 +28,11 @@ impl<R> LineReader<R> {
     pub(crate) fn skipped(&self) -> usize {
         self.skipped
     }
+
+    /// Lines read so far, blank and comment lines included.
+    pub(crate) fn lines_read(&self) -> usize {
+        self.line_no
+    }
 }
 
 impl<R: BufRead> LineReader<R> {

@@ -139,6 +139,13 @@ impl<R> SpcStream<R> {
     pub fn skipped(&self) -> usize {
         self.lines.skipped()
     }
+
+    /// Lines read so far, blank and comment lines included. A stream
+    /// over one range of a file numbers its lines from the range's start
+    /// ([`crate::ranges`]).
+    pub fn lines_read(&self) -> usize {
+        self.lines.lines_read()
+    }
 }
 
 impl<R> crate::stream::SkipCount for SpcStream<R> {

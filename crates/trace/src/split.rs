@@ -15,19 +15,31 @@
 //! Properties:
 //!
 //! * **Order-preserving** — each group receives exactly its items, in
-//!   upstream order (a `reading` flag serializes the read-route-park
-//!   transaction, so per-group FIFO order is independent of thread
-//!   timing).
-//! * **Bounded, block-granularity backpressure** — a group's parked full
-//!   blocks never exceed `capacity` items; the reader blocks at a block
-//!   boundary until the lagging consumer drains. With the open
+//!   upstream order. One consumer at a time holds the `reading` flag and
+//!   drives the source, so per-group FIFO order is independent of thread
+//!   timing.
+//! * **Parsing outside the lock** — the reader pulls one block of items
+//!   (`block_len`, each with its group) from the source without holding
+//!   the splitter's state lock, then parks the whole block under it. The
+//!   source and the router sit behind their own mutex, which only the
+//!   flag holder locks, so while the reader parses, the other consumers
+//!   take the blocks already parked for them.
+//! * **Bounded, block-granularity backpressure** — a foreign group's
+//!   parked full blocks never exceed `capacity` items; the reader blocks
+//!   at a block boundary until the lagging consumer drains. With the open
 //!   (partially-filled) block, a group buffers at most
-//!   `capacity + block_len` items; the observed maximum is reported by
+//!   `capacity + block_len` items. The reader's own group is never held
+//!   back (its consumer is the reader) and holds at most
+//!   `2·block_len − 1` items: fewer than `block_len` in its open block
+//!   when it starts reading, plus one pulled block, after which it stops
+//!   once a block of its own is parked. As `block_len <= capacity`, the
+//!   first bound covers every group; the observed maximum is reported by
 //!   [`StreamSplitter::high_water`].
 //! * **Recycled blocks** — drained block buffers return through a free
 //!   list, so steady-state routing performs no allocation.
 //! * **Fail-fast** — an upstream error is latched and returned to every
-//!   group after its buffered items, matching the serial pipeline's abort
+//!   group after its buffered items (those pulled before the error in the
+//!   same block included), matching the serial pipeline's abort
 //!   semantics.
 //!
 //! Deadlock freedom relies on one contract: **every group is consumed by a
@@ -36,7 +48,7 @@
 //! until its substream ends).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Per-group buffer: parked full blocks plus the block being filled.
 struct GroupState<T> {
@@ -49,11 +61,7 @@ struct GroupState<T> {
 }
 
 /// Shared state behind the splitter's mutex.
-struct SplitState<'a, T, E> {
-    /// The single upstream source; `None` result means exhausted.
-    source: Box<dyn FnMut() -> Option<Result<T, E>> + Send + 'a>,
-    /// Maps an item to its consumer group, `0..n_groups`.
-    route: Box<dyn FnMut(&T) -> usize + Send + 'a>,
+struct SplitState<T, E> {
     groups: Vec<GroupState<T>>,
     /// Drained block buffers awaiting reuse.
     free: Vec<Vec<T>>,
@@ -67,11 +75,42 @@ struct SplitState<'a, T, E> {
     high_water: usize,
 }
 
+/// The upstream side, behind its own mutex: only the consumer holding
+/// the `reading` flag locks it.
+struct Reader<'a, T, E> {
+    /// The single upstream source; `None` result means exhausted.
+    source: Box<dyn FnMut() -> Option<Result<T, E>> + Send + 'a>,
+    /// Maps an item to its consumer group, `0..n_groups`.
+    route: Box<dyn FnMut(&T) -> usize + Send + 'a>,
+    /// The block being pulled: items with their groups, in upstream order.
+    pulled: Vec<(usize, T)>,
+}
+
+impl<T, E> Reader<'_, T, E> {
+    /// Pulls up to `n` routed items into `pulled`. Returns `None` when
+    /// the block filled, `Some(Ok(()))` when the source ended and
+    /// `Some(Err(e))` when it failed, after the items before the failure.
+    fn pull(&mut self, n: usize) -> Option<Result<(), E>> {
+        while self.pulled.len() < n {
+            match (self.source)() {
+                None => return Some(Ok(())),
+                Some(Err(e)) => return Some(Err(e)),
+                Some(Ok(item)) => {
+                    let g = (self.route)(&item);
+                    self.pulled.push((g, item));
+                }
+            }
+        }
+        None
+    }
+}
+
 /// Splits one sorted upstream into per-group sorted substreams of record
 /// blocks with bounded lookahead. See the [module docs](self) for the
 /// contract.
 pub struct StreamSplitter<'a, T, E> {
-    state: Mutex<SplitState<'a, T, E>>,
+    state: Mutex<SplitState<T, E>>,
+    reader: Mutex<Reader<'a, T, E>>,
     ready: Condvar,
     /// Full-block backpressure threshold, in items.
     capacity: usize,
@@ -104,8 +143,6 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
         let block_len = capacity.min(Self::DEFAULT_BLOCK);
         StreamSplitter {
             state: Mutex::new(SplitState {
-                source,
-                route,
                 groups: (0..n_groups)
                     .map(|_| GroupState {
                         blocks: VecDeque::new(),
@@ -119,6 +156,11 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
                 reading: false,
                 high_water: 0,
             }),
+            reader: Mutex::new(Reader {
+                source,
+                route,
+                pulled: Vec::with_capacity(block_len),
+            }),
             ready: Condvar::new(),
             capacity,
             block_len,
@@ -130,6 +172,10 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
         self.block_len
     }
 
+    fn lock_state(&self) -> MutexGuard<'_, SplitState<T, E>> {
+        self.state.lock().expect("splitter lock poisoned")
+    }
+
     /// Next block for `group`, swapped into `out` (cleared first; its
     /// spare buffer is recycled into the free list). Returns
     /// `Some(Ok(()))` with `out` holding ≥ 1 item in upstream order,
@@ -138,7 +184,7 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
     /// once the upstream is exhausted and the group has drained.
     pub fn pull_block(&self, group: usize, out: &mut Vec<T>) -> Option<Result<(), E>> {
         out.clear();
-        let mut st = self.state.lock().expect("splitter lock poisoned");
+        let mut st = self.lock_state();
         loop {
             if let Some(mut block) = st.groups[group].blocks.pop_front() {
                 st.groups[group].buffered -= block.len();
@@ -165,66 +211,76 @@ impl<'a, T, E: Clone> StreamSplitter<'a, T, E> {
                 st = self.ready.wait(st).expect("splitter lock poisoned");
                 continue;
             }
-            // Become the reader and drive the source until our own next
-            // block fills (or the stream ends or errors).
+            // Become the reader: pull a block from the source without the
+            // state lock, park it under the lock, and repeat until our own
+            // next block is parked (or the stream ends or errors).
             st.reading = true;
-            loop {
-                match (st.source)() {
-                    None => {
-                        st.done = true;
-                        break;
-                    }
-                    Some(Err(e)) => {
-                        st.error = Some(e);
-                        break;
-                    }
-                    Some(Ok(item)) => {
-                        let g = (st.route)(&item);
-                        debug_assert!(g < st.groups.len(), "route out of range");
-                        if st.groups[g].open.is_empty() && st.groups[g].open.capacity() == 0 {
-                            let buf = st.free.pop().unwrap_or_default();
-                            st.groups[g].open = buf;
-                        }
-                        st.groups[g].open.push(item);
-                        st.groups[g].buffered += 1;
-                        st.high_water = st.high_water.max(st.groups[g].buffered);
-                        if st.groups[g].open.len() >= self.block_len {
-                            // Block boundary: apply backpressure, blocking
-                            // while the group's parked blocks sit at
-                            // capacity. Its consumer is live by contract
-                            // and pops under this same lock, so the wait
-                            // always terminates.
-                            while g != group
-                                && st.groups[g].buffered - st.groups[g].open.len() >= self.capacity
-                            {
-                                st = self.ready.wait(st).expect("splitter lock poisoned");
-                            }
-                            let spare = st.free.pop().unwrap_or_default();
-                            let full = std::mem::replace(&mut st.groups[g].open, spare);
-                            st.groups[g].blocks.push_back(full);
-                            if g == group {
-                                break;
-                            }
-                            // Wake the block's consumer without waiting for
-                            // our own block to complete.
-                            self.ready.notify_all();
-                        }
-                    }
+            drop(st);
+            let mut reader = self.reader.lock().expect("splitter reader lock poisoned");
+            st = loop {
+                let end = reader.pull(self.block_len);
+                let mut st = self.lock_state();
+                for (g, item) in reader.pulled.drain(..) {
+                    st = self.park(st, group, g, item);
                 }
-            }
+                match end {
+                    Some(Ok(())) => st.done = true,
+                    Some(Err(e)) => st.error = Some(e),
+                    None => {}
+                }
+                if !st.groups[group].blocks.is_empty() || st.done || st.error.is_some() {
+                    break st;
+                }
+                drop(st);
+            };
             st.reading = false;
             self.ready.notify_all();
             // Loop back to take our block / tail / latched error.
         }
     }
 
+    /// Appends `item` to group `g`'s open block on behalf of the reader
+    /// consuming `reader_group`. A block that fills is parked; for a
+    /// foreign group that first waits while the group's parked blocks sit
+    /// at capacity. Its consumer is live by contract and pops under the
+    /// same lock, so the wait always terminates.
+    fn park<'s>(
+        &'s self,
+        mut st: MutexGuard<'s, SplitState<T, E>>,
+        reader_group: usize,
+        g: usize,
+        item: T,
+    ) -> MutexGuard<'s, SplitState<T, E>> {
+        debug_assert!(g < st.groups.len(), "route out of range");
+        if st.groups[g].open.capacity() == 0 {
+            let buf = st.free.pop().unwrap_or_default();
+            st.groups[g].open = buf;
+        }
+        st.groups[g].open.push(item);
+        st.groups[g].buffered += 1;
+        st.high_water = st.high_water.max(st.groups[g].buffered);
+        if st.groups[g].open.len() >= self.block_len {
+            while g != reader_group
+                && st.groups[g].buffered - st.groups[g].open.len() >= self.capacity
+            {
+                st = self.ready.wait(st).expect("splitter lock poisoned");
+            }
+            let spare = st.free.pop().unwrap_or_default();
+            let full = std::mem::replace(&mut st.groups[g].open, spare);
+            st.groups[g].blocks.push_back(full);
+            if g != reader_group {
+                // Wake the block's consumer without waiting for our own
+                // block to complete.
+                self.ready.notify_all();
+            }
+        }
+        st
+    }
+
     /// Largest per-group buffered item count observed so far. Call after
     /// all groups have drained for the run's lookahead high-water mark.
     pub fn high_water(&self) -> usize {
-        self.state
-            .lock()
-            .expect("splitter lock poisoned")
-            .high_water
+        self.lock_state().high_water
     }
 }
 
@@ -364,6 +420,97 @@ mod tests {
         assert_eq!(block, vec![1]);
         assert_eq!(s.pull_block(1, &mut block), Some(Err("boom".to_string())));
         assert_eq!(s.pull_block(0, &mut block), Some(Err("boom".to_string())));
+    }
+
+    #[test]
+    fn an_error_inside_a_pulled_block_follows_its_earlier_items() {
+        // Blocks of 4: the reader's second pull is 8, 9 and then the
+        // error; items after the error are never pulled.
+        let mut items: Vec<Result<i32, String>> = (0..10).map(Ok).collect();
+        items.push(Err("boom".to_string()));
+        items.extend((10..20).map(Ok));
+        let s = StreamSplitter::new(
+            vec_source(items),
+            Box::new(|x: &i32| (*x % 2) as usize),
+            2,
+            4,
+        );
+        let mut block = Vec::new();
+        assert_eq!(s.pull_block(0, &mut block), Some(Ok(())));
+        assert_eq!(block, vec![0, 2, 4, 6]);
+        assert_eq!(s.pull_block(0, &mut block), Some(Ok(())));
+        assert_eq!(block, vec![8]);
+        assert_eq!(s.pull_block(0, &mut block), Some(Err("boom".to_string())));
+        assert_eq!(s.pull_block(1, &mut block), Some(Ok(())));
+        assert_eq!(block, vec![1, 3, 5, 7]);
+        assert_eq!(s.pull_block(1, &mut block), Some(Ok(())));
+        assert_eq!(block, vec![9]);
+        assert_eq!(s.pull_block(1, &mut block), Some(Err("boom".to_string())));
+        assert_eq!(s.pull_block(0, &mut block), Some(Err("boom".to_string())));
+    }
+
+    #[test]
+    fn the_readers_own_group_holds_under_two_blocks() {
+        // Group 0 reads alone: each pulled block of 256 carries 255 of its
+        // items and one of group 1's, so its open block is mostly full
+        // when a pull starts and a pull can carry it past one block.
+        let items: Vec<Result<i32, String>> = (0..4 * 256).map(Ok).collect();
+        let s = StreamSplitter::new(
+            vec_source(items),
+            Box::new(|x: &i32| usize::from(*x % 256 == 255)),
+            2,
+            StreamSplitter::<i32, String>::DEFAULT_CAPACITY,
+        );
+        let own = pull_all(&s, 0);
+        assert_eq!(own.len(), 4 * 255);
+        assert_eq!(pull_all(&s, 1), vec![255, 511, 767, 1023]);
+        assert!(
+            s.high_water() < 2 * s.block_len(),
+            "high water {}",
+            s.high_water()
+        );
+    }
+
+    #[test]
+    fn four_groups_with_a_slow_consumer_keep_order_and_bound() {
+        let n: u32 = 60_000;
+        let cap = 64;
+        // The top two bits of a multiplicative hash: an irregular mix.
+        let route = |x: &u32| (x.wrapping_mul(0x9e37_79b9) >> 30) as usize;
+        let s = StreamSplitter::new(
+            vec_source((0..n).map(Ok).collect()),
+            Box::new(route),
+            4,
+            cap,
+        );
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4usize)
+                .map(|g| {
+                    let s = &s;
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut block = Vec::new();
+                        while let Some(r) = s.pull_block(g, &mut block) {
+                            r.unwrap();
+                            out.extend_from_slice(&block);
+                            if g == 3 {
+                                std::thread::sleep(std::time::Duration::from_micros(50));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            for (g, h) in handles.into_iter().enumerate() {
+                let want: Vec<u32> = (0..n).filter(|x| route(x) == g).collect();
+                assert_eq!(h.join().unwrap(), want, "group {g}");
+            }
+        });
+        assert!(
+            s.high_water() <= cap + s.block_len(),
+            "high water {}",
+            s.high_water()
+        );
     }
 
     #[test]

@@ -18,10 +18,16 @@
 //! * half the rounds render time-sorted records, half unsorted ones:
 //!   wrapped in `EnsureSorted`, a Lenient stream stops at its first
 //!   record that is earlier than the one before it;
+//! * the same text read as 1 to 8 line-aligned ranges (`ranges`), each
+//!   by its own stream, joins to the whole stream's records and skip
+//!   count, and Strict to its first error at its line in the file;
 //! * nothing panics.
+
+use std::io::{BufReader, Cursor, Take};
 
 use spindown_sim::rng::SimRng;
 use spindown_sim::time::SimTime;
+use spindown_trace::ranges::{join_passes, line_starts, range_reader, RangePass};
 use spindown_trace::record::{OpKind, Trace, TraceRecord};
 use spindown_trace::spc::{self, SpcErrorKind, SpcParseError, SpcStream};
 use spindown_trace::srt::{self, SrtErrorKind, SrtParseError, SrtStream};
@@ -414,6 +420,65 @@ fn check_streams<'t, E, S>(
     assert!(strict.next().is_none());
 }
 
+/// The reader of one range of an in-memory text.
+type RangeReader<'t> = BufReader<Take<Cursor<&'t [u8]>>>;
+
+/// Reads `text` as 1 to 8 line-aligned ranges, each by its own stream
+/// (`open`; `counts` gives a stream's lines read and lines skipped), and
+/// checks the joined result against `expected`, the outcome of each
+/// line: under Lenient every record in order and the skip count, under
+/// Strict the first malformed line's error with its line in the file.
+fn check_ranges<'t, E, S>(
+    text: &'t [u8],
+    expected: &[Option<Result<TraceRecord, E>>],
+    open: impl Fn(RangeReader<'t>, ParsePolicy) -> S,
+    counts: impl Fn(&S) -> (usize, usize),
+) where
+    E: std::fmt::Debug + Clone + Into<StreamError>,
+    S: Iterator<Item = Result<TraceRecord, E>>,
+{
+    let want: Vec<TraceRecord> = expected
+        .iter()
+        .filter_map(|e| e.as_ref()?.as_ref().ok().copied())
+        .collect();
+    let malformed = expected
+        .iter()
+        .filter(|e| matches!(e, Some(Err(_))))
+        .count();
+    let first_error: Option<StreamError> = expected
+        .iter()
+        .flatten()
+        .find_map(|e| e.as_ref().err())
+        .map(|e| e.clone().into());
+    for parts in 1..=8 {
+        let starts = line_starts(&mut Cursor::new(text), parts).unwrap();
+        let join = |policy| {
+            join_passes((0..starts.len()).map(|k| {
+                let end = starts.get(k + 1).copied();
+                let reader = range_reader(Cursor::new(text), starts[k], end).unwrap();
+                let mut stream = open(reader, policy);
+                let outcome = (&mut stream)
+                    .map(|r| r.map_err(Into::into))
+                    .collect::<Result<Vec<_>, StreamError>>();
+                let (lines, skipped) = counts(&stream);
+                RangePass {
+                    outcome,
+                    lines,
+                    skipped,
+                }
+            }))
+        };
+        let (records, skipped) = join(ParsePolicy::Lenient).expect("lenient");
+        assert_eq!(records.concat(), want, "{parts} parts");
+        assert_eq!(skipped, malformed, "{parts} parts");
+        match (join(ParsePolicy::Strict), &first_error) {
+            (Err(got), Some(want_err)) => assert_eq!(&got, want_err, "{parts} parts"),
+            (Ok((records, 0)), None) => assert_eq!(records.concat(), want),
+            (got, want_err) => panic!("{parts} parts: expected {want_err:?}, got {got:?}"),
+        }
+    }
+}
+
 #[test]
 fn spc_mutation_corpus() {
     let mut rng = SimRng::seed_from_u64(0x5bc_0001);
@@ -439,12 +504,11 @@ fn spc_mutation_corpus() {
             .enumerate()
             .map(|(i, line)| spc_general(line, i + 1))
             .collect();
-        check_streams(
-            &joined(&lines),
-            &expected,
-            SpcStream::new,
-            SpcStream::skipped,
-        );
+        let text = joined(&lines);
+        check_streams(&text, &expected, SpcStream::new, SpcStream::skipped);
+        check_ranges(&text, &expected, SpcStream::new, |s| {
+            (s.lines_read(), s.skipped())
+        });
     }
 }
 
@@ -468,12 +532,11 @@ fn srt_mutation_corpus() {
             .enumerate()
             .map(|(i, line)| srt_general(line, i + 1))
             .collect();
-        check_streams(
-            &joined(&lines),
-            &expected,
-            SrtStream::new,
-            SrtStream::skipped,
-        );
+        let text = joined(&lines);
+        check_streams(&text, &expected, SrtStream::new, SrtStream::skipped);
+        check_ranges(&text, &expected, SrtStream::new, |s| {
+            (s.lines_read(), s.skipped())
+        });
     }
 }
 
