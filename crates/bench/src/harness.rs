@@ -19,7 +19,7 @@ use std::time::Instant;
 use spindown_core::cost::CostFunction;
 use spindown_core::experiment::{build_scheduler, data_space, scan_stream, SchedulerKind};
 use spindown_core::model::{Assignment, DiskId, Request};
-use spindown_core::offline::evaluate_offline_with_jobs;
+use spindown_core::offline::evaluate_offline;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 #[cfg(feature = "bench-alloc")]
 use spindown_core::sched::PlanScratch;
@@ -155,9 +155,9 @@ pub struct BenchReport {
     /// All benchmark results, in execution order.
     pub entries: Vec<BenchEntry>,
     /// Ratios and gauges computed from this run's entries, among them
-    /// `incremental_replan_speedup` (delta-maintained vs rebuilt
-    /// re-planning), `allocs_per_solve` (heap allocations inside a warm
-    /// production solve, `bench-alloc` builds only), and the intra-run
+    /// `allocs_per_solve` and `window_replan_allocs_per_solve` (heap
+    /// allocations inside a warm production solve, `bench-alloc` builds
+    /// only), and the intra-run
     /// parallelism ratio `island_sim_speedup` (serial vs
     /// [`PARALLEL_BENCH_JOBS`]-worker runs of the same fixture).
     pub derived: Vec<DerivedEntry>,
@@ -430,19 +430,13 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         });
     }
 
-    // Rolling-horizon re-planning: the same sliding-window schedule run
-    // through the incrementally maintained WindowedPlanner (resume-region
-    // Step 1 re-emission, re-sorted request buckets, and degrees updated
-    // from the retired and new nodes' conflicts only) versus a
-    // from-scratch conflict-graph build (full Step 1/2) per window. Each
-    // window's solve is identical on both paths (the maintained graph is
-    // bit-identical to the rebuilt one, and `mwis_*` already times it),
-    // so the fixtures time graph maintenance alone — the work the
-    // incremental path replaces — and the derived
-    // `incremental_replan_speedup` is their ratio. The schedule ramps
-    // from empty (cold start admits only the first step) and then slides
-    // at full width, the production regime where window >> step.
-    if want("window_replan_incremental_medium") || want("window_replan_rebuild_medium") {
+    // Rolling-horizon re-planning: `WindowedPlanner::advance_window`
+    // over a sliding-window schedule, which rebuilds each window's
+    // conflict graph and counts its delta against the previous one. The
+    // solve is excluded (`mwis_*` already times it). The schedule ramps
+    // from empty (the first advance admits only the first step) and then
+    // slides at full width, the production regime where window >> step.
+    if want("window_replan_rebuild_medium") {
         let scale = Scale {
             requests: 1_400,
             data_items: 150,
@@ -463,67 +457,27 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
             schedule.push((fed..to, horizon));
             fed = to;
         }
-        let mut incr_medium = None;
-        let mut rebuild_medium = None;
-        if want("window_replan_incremental_medium") {
-            let stats = time_ns(warmup, iters, || {
-                let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
-                for (r, h) in &schedule {
-                    w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
-                    black_box(w.graph().graph.edge_count());
-                }
-            });
-            entries.push(BenchEntry {
-                name: "window_replan_incremental_medium",
-                stats,
-            });
-            incr_medium = Some(stats);
-        }
-        if want("window_replan_rebuild_medium") {
-            // The naive re-planner's graph phase: every window re-runs
-            // the full from-scratch build. Windows are pre-rebased so
-            // the rebuild side pays only for building, not bookkeeping.
-            let windows: Vec<Vec<Request>> = schedule
-                .iter()
-                .map(|(r, h)| {
-                    let start = fix.requests.partition_point(|q| q.at < *h);
-                    fix.requests[start..r.end]
-                        .iter()
-                        .enumerate()
-                        .map(|(p, q)| Request {
-                            index: p as u32,
-                            ..*q
-                        })
-                        .collect()
-                })
-                .collect();
-            let stats = time_ns(warmup, iters, || {
-                for window in &windows {
-                    black_box(fix.planner.build_graph_with_jobs(window, &fix.placement, 1));
-                }
-            });
-            entries.push(BenchEntry {
-                name: "window_replan_rebuild_medium",
-                stats,
-            });
-            rebuild_medium = Some(stats);
-        }
-        if let (Some(incr), Some(rebuild)) = (incr_medium, rebuild_medium) {
-            derived.push(DerivedEntry {
-                name: "incremental_replan_speedup",
-                value: rebuild.median_ns as f64 / incr.median_ns as f64,
-            });
-        }
-        // Warm-window solve allocations: after the slide, re-solving the
-        // maintained canonical graph with a warmed scratch must not
-        // touch the heap — the measured form of the warm-start
-        // invariant (DESIGN §12).
-        #[cfg(feature = "bench-alloc")]
-        if want("window_replan_incremental_medium") {
+        let slide = || {
             let mut w = WindowedPlanner::new(fix.planner.clone(), scale.disks);
             for (r, h) in &schedule {
                 w.advance_window(&fix.requests[r.clone()], *h, &fix.placement);
+                black_box(w.graph().graph.edge_count());
             }
+            w
+        };
+        entries.push(BenchEntry {
+            name: "window_replan_rebuild_medium",
+            stats: time_ns(warmup, iters, || {
+                black_box(slide());
+            }),
+        });
+        // Warm-window solve allocations: after the slide, re-solving the
+        // last window's graph with a warmed scratch must not touch the
+        // heap — the measured form of the warm-start invariant
+        // (DESIGN §12).
+        #[cfg(feature = "bench-alloc")]
+        {
+            let w = slide();
             let mut scratch = PlanScratch::new();
             fix.planner.solve_into(w.graph(), &mut scratch); // warm
             spindown_alloctrack::reset_thread_allocs();
@@ -569,14 +523,13 @@ pub fn run_benches(config: &BenchConfig) -> BenchReport {
         entries.push(BenchEntry {
             name: "offline_eval_serial_medium",
             stats: time_ns(warmup, gb_iters, || {
-                black_box(evaluate_offline_with_jobs(
+                black_box(evaluate_offline(
                     &requests,
                     &assignment,
                     scale.disks,
                     &params,
                     None,
                     Some(&mechanics),
-                    1,
                 ));
             }),
         });
@@ -1028,8 +981,8 @@ mod tests {
                     value: 2.5,
                 },
                 DerivedEntry {
-                    name: "incremental_replan_speedup",
-                    value: 3.25,
+                    name: "predictive_vs_2cpm_energy_ratio",
+                    value: 0.75,
                 },
             ],
             host: HostContext {
@@ -1043,10 +996,13 @@ mod tests {
         assert!(json.contains("\"a\": {\"median_ns\": 10, \"p10_ns\": 5, \"p90_ns\": 20},"));
         assert!(json.contains("\"b\": {\"median_ns\": 30, \"p10_ns\": 25, \"p90_ns\": 40}\n"));
         assert!(json.contains("\"island_sim_speedup\": 2.500,"));
-        assert!(json.contains("\"incremental_replan_speedup\": 3.250\n"));
+        assert!(json.contains("\"predictive_vs_2cpm_energy_ratio\": 0.750\n"));
         assert_eq!(report.stats("b").unwrap().median_ns, 30);
         assert!(report.stats("c").is_none());
-        assert_eq!(report.derived("incremental_replan_speedup"), Some(3.25));
+        assert_eq!(
+            report.derived("predictive_vs_2cpm_energy_ratio"),
+            Some(0.75)
+        );
         assert!(report.derived("missing").is_none());
         // Balanced braces — cheap structural sanity for the hand emitter.
         assert_eq!(

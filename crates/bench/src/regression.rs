@@ -223,7 +223,7 @@ mod tests {
                 })
                 .collect(),
             derived: vec![DerivedEntry {
-                name: "incremental_replan_speedup",
+                name: "predictive_vs_2cpm_energy_ratio",
                 value: 2.0,
             }],
             host: HostContext {

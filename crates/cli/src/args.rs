@@ -44,7 +44,7 @@ SCHEDULER (simulate):
     --beta <b>               Eq. 6 unit factor       [default: 100]
     --interval-ms <ms>       WSC batch interval      [default: 100]
 
-REPLAN (rolling-horizon incremental re-planning):
+REPLAN (rolling-horizon re-planning):
     --window-s <s>           planning-window length in seconds   [default: 60]
     --step-s <s>             horizon advance per window, seconds [default: 10]
 
@@ -59,11 +59,11 @@ BENCH:
 MISC:
     --jobs, -j <n>           worker threads for parallel work: grid cells,
                              the first pass over a trace file (read as
-                             <n> line-aligned byte ranges),
+                             <n> line-aligned byte ranges) and
                              island-parallel event replay (one event
-                             loop per replica-sharing island) and
-                             per-disk offline evaluation. The MWIS plan
-                             itself and replan are serial.
+                             loop per replica-sharing island). The MWIS
+                             plan, its offline evaluation and replan
+                             are serial.
                              Results are bit-identical for any value.
                              Precedence: this flag > SPINDOWN_JOBS env
                              var > 1
@@ -161,8 +161,8 @@ pub enum Command {
     Compare,
     /// Print trace statistics only.
     Stats,
-    /// Stream the workload through the rolling-horizon incremental
-    /// re-planner and report per-window plan aggregates.
+    /// Stream the workload through the rolling-horizon re-planner and
+    /// report per-window plan aggregates.
     Replan,
     /// Run the zero-dependency micro-benchmarks and write JSON.
     Bench,
@@ -209,8 +209,8 @@ pub struct Cli {
     pub window_s: u64,
     /// `replan` horizon advance per window, seconds.
     pub step_s: u64,
-    /// Worker threads for parallel work (grids, benches, the intra-run
-    /// MWIS/offline substrates, and island-parallel event replay).
+    /// Worker threads for parallel work (grids, benches, the range scan
+    /// of a trace file, and island-parallel event replay).
     /// `None` defers to the `SPINDOWN_JOBS` environment variable (see
     /// [`Cli::effective_jobs`]).
     pub jobs: Option<usize>,

@@ -350,8 +350,7 @@ fn simulate_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErr
         }
         None => {
             // Offline MWIS plans over the whole stream: materialize. The
-            // per-disk evaluation fans out across --jobs workers
-            // (bit-identical to serial for any count).
+            // plan and its evaluation are serial.
             let (requests, skipped) = materialize(workload)?;
             let m = run_experiment(&requests, &spec, cli.effective_jobs());
             let span_s = requests.last().map(|r| r.at.as_secs_f64()).unwrap_or(0.0);
@@ -369,10 +368,10 @@ fn compare_command(cli: &Cli, workload: &Workload) -> Result<String, CommandErro
     Ok(s)
 }
 
-/// Streams the workload through the rolling-horizon incremental
-/// re-planner: every `--step-s` seconds of trace time the horizon
-/// advances, retiring expired requests and admitting the new arrivals,
-/// and the delta-maintained window is re-planned. The report carries a
+/// Streams the workload through the rolling-horizon re-planner: every
+/// `--step-s` seconds of trace time the horizon advances, retiring
+/// expired requests and admitting the new arrivals, and the window's
+/// conflict graph is rebuilt and re-planned. The report carries a
 /// FNV-1a digest over every per-window assignment and claimed-saving
 /// bit pattern, so two runs are byte-comparable end to end — the CI
 /// determinism job diffs `--jobs 1` against `--jobs 8` outputs.

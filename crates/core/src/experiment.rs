@@ -14,7 +14,7 @@ use spindown_trace::record::{OpKind, Trace, TraceRecord};
 use crate::cost::CostFunction;
 use crate::metrics::RunMetrics;
 use crate::model::{DataId, Request};
-use crate::offline::evaluate_offline_with_jobs;
+use crate::offline::evaluate_offline;
 use crate::placement::{PlacementConfig, PlacementMap};
 use crate::sched::{
     HeuristicScheduler, MwisPlanner, MwisSolver, RandomScheduler, Scheduler, StaticScheduler,
@@ -363,8 +363,9 @@ pub fn build_scheduler(kind: &SchedulerKind, seed: u64) -> Option<Box<dyn Schedu
 /// (advance spin-up, no spin-up delays), as in the paper (§4.3:
 /// "configured to an offline model with no disk spin-up delay"). The plan
 /// returns, freeing its conflict graph, before the evaluation starts.
-/// Every substrate is bit-identical for any thread count, so the returned
-/// metrics do not depend on `jobs`.
+/// Only the event replay uses the `jobs` workers; the plan and its
+/// evaluation are serial. The replay is bit-identical for any thread
+/// count, so the returned metrics do not depend on `jobs`.
 ///
 /// # Panics
 ///
@@ -387,14 +388,13 @@ pub fn run_experiment(requests: &[Request], spec: &ExperimentSpec, jobs: usize) 
                 spec.system.geometry.clone(),
                 SimRng::seed_from_u64(spec.seed),
             );
-            evaluate_offline_with_jobs(
+            evaluate_offline(
                 requests,
                 &assignment,
                 spec.placement.disks,
                 &spec.system.power,
                 None,
                 Some(&mechanics),
-                jobs,
             )
         }
         online_or_batch => {

@@ -23,7 +23,6 @@
 //! * [`experiment`] — one-call experiment runner used by the figure
 //!   harness;
 //! * [`npc`] — the Theorem 3 reduction from maximum independent set;
-//! * [`offload`] — write off-loading (the §2.1 assumption, implemented);
 //! * [`paper_example`] — the paper's Figs. 2–4 running example as a
 //!   shared fixture.
 //!
@@ -59,7 +58,6 @@ pub mod metrics;
 pub mod model;
 pub mod npc;
 pub mod offline;
-pub mod offload;
 pub mod paper_example;
 pub mod placement;
 pub mod refine;

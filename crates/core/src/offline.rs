@@ -16,7 +16,6 @@
 use spindown_disk::mechanics::Mechanics;
 use spindown_disk::power::PowerParams;
 use spindown_disk::state::DiskPowerState;
-use spindown_sim::pool;
 use spindown_sim::stats::LatencyHistogram;
 use spindown_sim::time::SimTime;
 
@@ -36,6 +35,10 @@ use crate::sched::LocationProvider;
 ///   power; when `None`, I/O time is fully negligible (the paper's
 ///   analysis mode) and responses are zero.
 ///
+/// The disks are evaluated one after another in disk order, each into
+/// one scratch response histogram that is merged and reset in turn, so
+/// the evaluation allocates no histogram per disk.
+///
 /// # Panics
 ///
 /// Panics if the assignment length differs from the request count, or a
@@ -47,69 +50,6 @@ pub fn evaluate_offline(
     params: &PowerParams,
     horizon: Option<SimTime>,
     mechanics: Option<&Mechanics>,
-) -> RunMetrics {
-    evaluate_offline_with_jobs(requests, assignment, disks, params, horizon, mechanics, 1)
-}
-
-/// Minimum total work — `disks × requests` — below which
-/// [`evaluate_offline_with_jobs`] ignores `jobs` and stays serial.
-///
-/// The per-disk reconstruction is a single cheap pass over each disk's
-/// request list, so on small and medium instances the thread spawn plus
-/// per-slot histogram allocation and merge of the fan-out costs more
-/// than it saves (the committed benchmark history shows the 180-disk ×
-/// 100 k-request fixture running ~29 % *slower* parallel than serial).
-/// Below this threshold the evaluator takes the serial path, which also
-/// reuses one scratch [`LatencyHistogram`] across all disks instead of
-/// allocating one per disk.
-pub const MIN_PARALLEL_WORK: u64 = 1 << 25;
-
-/// [`evaluate_offline`] with the per-disk timeline reconstruction fanned
-/// out across `jobs` worker threads.
-///
-/// Once the assignment is fixed the disks are independent, so each
-/// [`evaluate_disk`] call lands in its own index-addressed slot and the
-/// reduction — energy sums, spin counts, and the response-histogram
-/// merge — walks the slots in disk order on the serial path and the
-/// parallel path alike. The returned [`RunMetrics`] is therefore
-/// **bit-identical** for any `jobs` value; `jobs <= 1` never spawns a
-/// thread, and instances smaller than [`MIN_PARALLEL_WORK`] are forced
-/// serial so they never pay spawn/merge overhead.
-///
-/// # Panics
-///
-/// Panics if the assignment length differs from the request count, or a
-/// request is assigned to an out-of-range disk.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_offline_with_jobs(
-    requests: &[Request],
-    assignment: &Assignment,
-    disks: u32,
-    params: &PowerParams,
-    horizon: Option<SimTime>,
-    mechanics: Option<&Mechanics>,
-    jobs: usize,
-) -> RunMetrics {
-    let work = disks as u64 * requests.len() as u64;
-    let jobs = if work < MIN_PARALLEL_WORK { 1 } else { jobs };
-    evaluate_offline_impl(
-        requests, assignment, disks, params, horizon, mechanics, jobs,
-    )
-}
-
-/// [`evaluate_offline_with_jobs`] without the [`MIN_PARALLEL_WORK`]
-/// guard — the fan-out runs for any `jobs > 1`. Kept separate so the
-/// serial/parallel bit-identity tests can exercise the parallel
-/// reduction on instances far below the production threshold.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_offline_impl(
-    requests: &[Request],
-    assignment: &Assignment,
-    disks: u32,
-    params: &PowerParams,
-    horizon: Option<SimTime>,
-    mechanics: Option<&Mechanics>,
-    jobs: usize,
 ) -> RunMetrics {
     assert_eq!(
         requests.len(),
@@ -134,37 +74,18 @@ fn evaluate_offline_impl(
     }
 
     let mut response = LatencyHistogram::default();
+    let mut scratch = LatencyHistogram::default();
     let mut per_disk_summary = Vec::with_capacity(disks as usize);
     let mut total_energy = 0.0;
     let mut total_up = 0;
     let mut total_down = 0;
-
-    {
-        let mut fold = |s: DiskSummary, hist: &LatencyHistogram| {
-            total_energy += s.energy_j;
-            total_up += s.spinups;
-            total_down += s.spindowns;
-            per_disk_summary.push(s);
-            response.merge(hist);
-        };
-
-        if jobs <= 1 {
-            // Serial: one scratch histogram, reset per disk — no per-disk
-            // allocation at all.
-            let mut scratch = LatencyHistogram::default();
-            for list in &per_disk {
-                let s =
-                    evaluate_disk_into(list, params, &model, horizon_s, mechanics, &mut scratch);
-                fold(s, &scratch);
-            }
-        } else {
-            let evaluated = pool::map_indexed(jobs, per_disk.len(), |d| {
-                evaluate_disk(&per_disk[d], params, &model, horizon_s, mechanics)
-            });
-            for (s, hist) in evaluated {
-                fold(s, &hist);
-            }
-        }
+    for list in &per_disk {
+        let s = evaluate_disk_into(list, params, &model, horizon_s, mechanics, &mut scratch);
+        total_energy += s.energy_j;
+        total_up += s.spinups;
+        total_down += s.spindowns;
+        per_disk_summary.push(s);
+        response.merge(&scratch);
     }
 
     RunMetrics {
@@ -185,6 +106,26 @@ fn evaluate_offline_impl(
     }
 }
 
+/// [`evaluate_offline`] under the signature the end-to-end benchmark
+/// (`e2ebench/`) calls: `jobs` is accepted and ignored, since the
+/// evaluation is serial.
+///
+/// # Panics
+///
+/// As [`evaluate_offline`].
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate_offline_with_jobs(
+    requests: &[Request],
+    assignment: &Assignment,
+    disks: u32,
+    params: &PowerParams,
+    horizon: Option<SimTime>,
+    mechanics: Option<&Mechanics>,
+    _jobs: usize,
+) -> RunMetrics {
+    evaluate_offline(requests, assignment, disks, params, horizon, mechanics)
+}
+
 /// Reconstructs one disk's timeline. States over the horizon:
 ///
 /// * unused disk — standby throughout, zero transitions;
@@ -192,21 +133,8 @@ fn evaluate_offline_impl(
 ///   the whole gap if it is inside the saving window, else idle `TB`,
 ///   spin down, standby, spin up in advance of the next request; after the
 ///   last request idle `TB`, spin down, standby to the horizon.
-fn evaluate_disk(
-    list: &[&Request],
-    params: &PowerParams,
-    model: &SavingModel,
-    horizon_s: f64,
-    mechanics: Option<&Mechanics>,
-) -> (DiskSummary, LatencyHistogram) {
-    let mut response = LatencyHistogram::default();
-    let summary = evaluate_disk_into(list, params, model, horizon_s, mechanics, &mut response);
-    (summary, response)
-}
-
-/// [`evaluate_disk`] writing into a caller-owned response histogram
-/// (reset on entry), so the serial path can reuse one scratch histogram
-/// across every disk.
+///
+/// Writes the responses into `response`, which it resets first.
 fn evaluate_disk_into(
     list: &[&Request],
     params: &PowerParams,
@@ -557,64 +485,9 @@ mod tests {
         assert!(m.per_disk[0].state_fractions[DiskPowerState::Active.index()] > 0.0);
     }
 
-    #[test]
-    fn parallel_offline_eval_is_bit_identical() {
-        let reqs = toy_requests(&[0, 1, 3, 5, 12, 13]);
-        let assignment = Assignment {
-            disks: vec![
-                DiskId(0),
-                DiskId(0),
-                DiskId(1),
-                DiskId(2),
-                DiskId(3),
-                DiskId(2),
-            ],
-        };
-        let mech = Mechanics::new(
-            spindown_disk::mechanics::DiskGeometry::cheetah_15k5(),
-            spindown_sim::rng::SimRng::seed_from_u64(7),
-        );
-        for mechanics in [None, Some(&mech)] {
-            let serial = evaluate_offline_impl(
-                &reqs,
-                &assignment,
-                4,
-                &PowerParams::barracuda(),
-                None,
-                mechanics,
-                1,
-            );
-            for jobs in [2usize, 3, 8] {
-                // The raw fan-out (below the production threshold).
-                let par = evaluate_offline_impl(
-                    &reqs,
-                    &assignment,
-                    4,
-                    &PowerParams::barracuda(),
-                    None,
-                    mechanics,
-                    jobs,
-                );
-                assert_eq!(par, serial, "jobs {jobs}");
-                // The public entry forces this tiny instance serial; the
-                // result must be indistinguishable either way.
-                let guarded = evaluate_offline_with_jobs(
-                    &reqs,
-                    &assignment,
-                    4,
-                    &PowerParams::barracuda(),
-                    None,
-                    mechanics,
-                    jobs,
-                );
-                assert_eq!(guarded, serial, "guarded jobs {jobs}");
-            }
-        }
-    }
-
-    /// The scratch-histogram serial path must leave no residue between
-    /// disks: a disk with zero requests after a loaded disk reports an
-    /// empty response histogram.
+    /// The scratch histogram must leave no residue between disks: a
+    /// disk with zero requests after a loaded disk reports an empty
+    /// response histogram.
     #[test]
     fn serial_scratch_histogram_resets_between_disks() {
         let reqs = toy_requests(&[0, 1, 2]);

@@ -281,17 +281,34 @@ mod tests {
     #[test]
     fn never_worsens_and_reports_exact_delta() {
         // Random instances: refined energy <= original, and the reported
-        // delta matches the evaluator exactly.
-        let params = paper_example::params();
+        // delta matches the evaluator exactly. The paper example's
+        // params have no transition times. Under Barracuda's, a first
+        // request at 0–20 s may come before T_up = 10 s, and gaps of up
+        // to 60 s fall on both sides of the saving window.
+        let cases = [
+            (paper_example::params(), 8_000, 8_000),
+            (PowerParams::barracuda(), 20_000, 60_000),
+        ];
+        for (params, first_ms, gap_ms) in cases {
+            check_exact_delta(&params, first_ms, gap_ms);
+        }
+    }
+
+    /// Seeded instances of 2–7 requests on 3 disks, the first request at
+    /// `[0, first_ms)` ms and each later one `[0, gap_ms)` ms after the
+    /// one before. Refine must move requests in some of them, so the
+    /// delta check is not only `0 == 0`.
+    fn check_exact_delta(params: &PowerParams, first_ms: u64, gap_ms: u64) {
         let mut rng = SimRng::seed_from_u64(5);
-        for case in 0..30 {
+        let mut moved = 0;
+        for case in 0..200 {
             let n = 2 + (case % 6);
             let disks = 3u32;
             let mut t = 0u64;
             let mut locations = Vec::new();
             let mut requests = Vec::new();
             for i in 0..n {
-                t += rng.next_below(8_000);
+                t += rng.next_below(if i == 0 { first_ms } else { gap_ms });
                 let mut locs: Vec<DiskId> =
                     (0..disks).filter(|_| rng.chance(0.6)).map(DiskId).collect();
                 if locs.is_empty() {
@@ -312,18 +329,18 @@ mod tests {
                 assignment.disks[r] = placement.locations(req.data)[0];
             }
             let before =
-                evaluate_offline(&requests, &assignment, disks, &params, None, None).energy_j;
-            let stats =
-                refine_assignment(&requests, &mut assignment, &placement, &params, None, 20);
+                evaluate_offline(&requests, &assignment, disks, params, None, None).energy_j;
+            let stats = refine_assignment(&requests, &mut assignment, &placement, params, None, 20);
             let after =
-                evaluate_offline(&requests, &assignment, disks, &params, None, None).energy_j;
+                evaluate_offline(&requests, &assignment, disks, params, None, None).energy_j;
             assert!(after <= before + 1e-9, "case {case}: {after} > {before}");
             assert!(
-                (stats.energy_delta_j - (after - before)).abs() < 1e-6,
+                (stats.energy_delta_j - (after - before)).abs() < 1e-9,
                 "case {case}: delta {} vs {}",
                 stats.energy_delta_j,
                 after - before
             );
+            moved += usize::from(stats.moves > 0);
             // Still a valid schedule.
             for (r, req) in requests.iter().enumerate() {
                 assert!(placement
@@ -331,6 +348,7 @@ mod tests {
                     .contains(&assignment.disk_of(r)));
             }
         }
+        assert!(moved >= 50, "only {moved} of 200 instances moved a request");
     }
 
     #[test]

@@ -35,9 +35,8 @@
 //! `has_edge` from the two triples alone; the build's one Step 2 pass
 //! only counts the degrees, one request bucket at a time. Steps 3–4
 //! read that graph through [`Adjacency`] and nothing else. The
-//! rolling-horizon [`WindowedPlanner`] keeps the same canonical graph
-//! per window: it re-runs Step 1 only where arrivals can add nodes,
-//! re-sorts the buckets, and updates the degrees by delta.
+//! rolling-horizon [`WindowedPlanner`] runs the same build over every
+//! window it plans.
 
 use spindown_disk::power::PowerParams;
 use spindown_sim::time::SimTime;
@@ -421,42 +420,10 @@ impl MwisPlanner {
         }
     }
 
-    /// Step 1 inner loop for one disk: emits every candidate saving
-    /// `X(i,j,k) > 0` among successor pairs on `list` (the disk's
-    /// time-ordered request ids), appending to `weights`/`nodes`. Shared
-    /// verbatim by the from-scratch build and the rolling-horizon delta
-    /// walk so the two cannot diverge.
-    fn step1_disk(
-        model: &SavingModel,
-        requests: &[Request],
-        max_successors: usize,
-        k: usize,
-        list: &[u32],
-        weights: &mut Vec<f64>,
-        nodes: &mut Vec<(u32, u32, DiskId)>,
-    ) {
-        for (pos, &i) in list.iter().enumerate() {
-            let ti = requests[i as usize].at;
-            for &j in list[pos + 1..].iter().take(max_successors) {
-                let tj = requests[j as usize].at;
-                // Strict ordering per Eq. 4 (t_i < t_j). Same-instant
-                // pairs are ordered by stream index, which is the
-                // paper's batch situation — allow them with gap 0.
-                let x = model.pair_saving_j(ti, tj);
-                if x <= 0.0 {
-                    // Later successors only have larger gaps on this
-                    // disk, so stop early.
-                    break;
-                }
-                weights.push(x);
-                nodes.push((i, j, DiskId(k as u32)));
-            }
-        }
-    }
-
-    /// Step 1: one node per candidate saving `X(i,j,k) > 0`, returned as
-    /// node weights and `(i, j, k)` triples in canonical disk-major
-    /// order.
+    /// Step 1: one node per candidate saving `X(i,j,k) > 0` among the
+    /// nearest successor pairs on each disk's time-ordered request list,
+    /// returned as node weights and `(i, j, k)` triples in canonical
+    /// disk-major order.
     fn step1_nodes(
         &self,
         requests: &[Request],
@@ -468,10 +435,25 @@ impl MwisPlanner {
         );
         let model = SavingModel::new(&self.params);
         let (start, list) = disk_lists(requests, placement);
-        let ms = self.max_successors;
         let (mut weights, mut nodes) = (Vec::new(), Vec::new());
         for (k, run) in start.windows(2).map(|w| &list[w[0]..w[1]]).enumerate() {
-            Self::step1_disk(&model, requests, ms, k, run, &mut weights, &mut nodes);
+            for (pos, &i) in run.iter().enumerate() {
+                let ti = requests[i as usize].at;
+                for &j in run[pos + 1..].iter().take(self.max_successors) {
+                    let tj = requests[j as usize].at;
+                    // Strict ordering per Eq. 4 (t_i < t_j). Same-instant
+                    // pairs are ordered by stream index, which is the
+                    // paper's batch situation — allow them with gap 0.
+                    let x = model.pair_saving_j(ti, tj);
+                    if x <= 0.0 {
+                        // Later successors only have larger gaps on this
+                        // disk, so stop early.
+                        break;
+                    }
+                    weights.push(x);
+                    nodes.push((i, j, DiskId(k as u32)));
+                }
+            }
         }
         (weights, nodes)
     }
@@ -633,15 +615,15 @@ impl MwisPlanner {
 
 /// Counters kept by [`WindowedPlanner`]: cumulative delta sizes across
 /// every advance plus gauges describing the most recent window, as the
-/// `replan` report prints them. The ratio of `appended_nodes_total` to
-/// `graph_nodes × windows` is the turnover the incremental path paid
-/// for, versus the full rebuild a from-scratch planner would have run.
+/// `replan` report prints them. Each advance rebuilds its window's graph,
+/// and the delta counters compare that graph's node table with the
+/// previous window's.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplanStats {
     /// Windows planned so far (every advance call).
     pub windows: u64,
-    /// Advances that changed the node set: at least one node retired or
-    /// was appended. The cold start always counts one.
+    /// Advances that changed the node set: the previous window was
+    /// empty, or at least one node retired or was appended.
     pub compactions: u64,
     /// Requests retired across all advances.
     pub retired_requests_total: u64,
@@ -664,38 +646,23 @@ pub struct ReplanStats {
     pub graph_edges: usize,
 }
 
-/// Rolling-horizon incremental re-planner (ROADMAP; the paper's offline
-/// planner run as a sliding window).
+/// Rolling-horizon re-planner (ROADMAP; the paper's offline planner run
+/// as a sliding window).
 ///
 /// Holds one planning window of requests and its [`ConflictGraph`], and
 /// [`advance`](WindowedPlanner::advance)s the window by retiring
 /// everything before a new horizon and admitting a batch of arrivals.
-/// The first advance into an empty window is a from-scratch
-/// [`MwisPlanner::build_graph_with_jobs`]; every later one computes the
-/// **delta**:
+/// Each advance that changes the window runs
+/// [`MwisPlanner::build_graph_with_jobs`] over it, so every window's
+/// graph, and with the shared Step 4 derivation
+/// ([`MwisPlanner::derive_plan`]) every plan, is the one-shot planner's.
+/// `core/tests/window_replan_differential.rs` pins both per window.
 ///
-/// * **Step 1.** A node retires iff its earlier request does. Arrivals
-///   extend the per-disk lists, and only each disk's *resume region* —
-///   its last `max_successors` surviving positions, the only ones whose
-///   successor enumeration can grow — is re-run through the shared
-///   Step 1 helper (`MwisPlanner::step1_disk`), which yields the new
-///   nodes. A walk merging each disk's surviving nodes with that
-///   re-emission gives the next node table in the canonical disk-major
-///   order of a from-scratch build, plus an old→new id map.
-/// * **Step 2.** The per-request buckets are re-sorted over the next
-///   node table, and the degrees are updated by delta. A survivor keeps
-///   its degree, less one per retired neighbor (each retired node walks
-///   its conflicts over the previous buckets) and plus one per new
-///   neighbor. A new node counts all of its conflicts over the next
-///   buckets, which is also where each of its surviving neighbors gains
-///   one. No edge is stored, so nothing else changes.
-///
-/// The graph is therefore **bit-identical** to
-/// [`MwisPlanner::build_graph_with_jobs`] over the new window, and the
-/// warm-scratch solve plus the shared Step 4 derivation
-/// ([`MwisPlanner::derive_plan`]) yield the bit-identical plan. The
-/// from-scratch path is retained as the per-window oracle, pinned by
-/// `core/tests/window_replan_differential.rs`.
+/// The delta counters of [`ReplanStats`] are read off the node tables.
+/// Retirement is a time prefix and arrivals join at the tail, so a
+/// surviving request keeps its successors on every disk: a node of the
+/// new window is new iff its later request arrived in this advance, and
+/// every other node was in the previous window.
 ///
 /// Solves run out of one [`PlanScratch`] warmed on the first window:
 /// later windows of no greater size allocate nothing in the greedy
@@ -706,16 +673,14 @@ pub struct WindowedPlanner {
     disks: u32,
     /// Current window, time-sorted, `index == position`.
     requests: Vec<Request>,
-    /// The current window's canonical conflict graph.
+    /// The current window's conflict graph.
     graph: ConflictGraph,
     scratch: PlanScratch,
     stats: ReplanStats,
 }
 
 impl WindowedPlanner {
-    /// An empty window over a fleet of `disks` disks. The first
-    /// [`advance`](WindowedPlanner::advance) loads the first window with
-    /// a from-scratch build; later advances are delta-sized.
+    /// An empty window over a fleet of `disks` disks.
     pub fn new(planner: MwisPlanner, disks: u32) -> Self {
         WindowedPlanner {
             planner,
@@ -734,7 +699,7 @@ impl WindowedPlanner {
 
     /// The current window's conflict graph and node table, as
     /// [`MwisPlanner::build_graph_with_jobs`] over
-    /// [`window`](WindowedPlanner::window) would build them.
+    /// [`window`](WindowedPlanner::window) builds them.
     pub fn graph(&self) -> &ConflictGraph {
         &self.graph
     }
@@ -764,9 +729,9 @@ impl WindowedPlanner {
     }
 
     /// Retires every request with `at < expired_horizon`, admits
-    /// `arrivals` at the tail and maintains the conflict graph by delta,
-    /// without solving it. Callers that only need the graph (or time
-    /// maintenance apart from the solve) pair this with
+    /// `arrivals` at the tail and builds the new window's conflict
+    /// graph, without solving it. Callers that only need the graph (or
+    /// time the build apart from the solve) pair this with
     /// [`plan_current`](WindowedPlanner::plan_current).
     ///
     /// `placement` must be the same provider on every call (placements
@@ -820,166 +785,41 @@ impl WindowedPlanner {
                 ..*r
             })
             .collect();
-
-        if self.requests.is_empty() {
-            // Cold start: the delta is the whole window, so run the
-            // from-scratch build. Every node counts as appended and
-            // every edge as staged.
-            self.graph = self.planner.build_graph_with_jobs(&reqs, placement, 1);
-            self.stats.appended_nodes_total += self.graph.nodes.len() as u64;
-            self.stats.staged_edges_total += self.graph.graph.edge_count() as u64;
-            self.stats.compactions += 1;
-            self.requests = reqs;
-            self.refresh_gauges();
-            return;
-        }
-
-        // ---- Step 1 delta: re-enumerate each disk's resume region ----
-        // Only the last `max_successors` surviving positions can gain
-        // successors (anything earlier already had a full fan-out or
-        // broke on the saving window), plus every arrival position.
-        // Re-running the shared Step 1 helper over that suffix
-        // reproduces the from-scratch emission for those positions:
-        // pairs among survivors are nodes we already hold, pairs with an
-        // arrival are new.
-        let (dstart, dlist) = disk_lists(&reqs, placement);
-        let disks = dstart.len() - 1;
-        let model = SavingModel::new(&self.planner.params);
-        let ms = self.planner.max_successors;
-        let (mut tmp_weights, mut tmp_nodes) = (Vec::new(), Vec::new());
-        let mut tmp_bounds = Vec::with_capacity(disks + 1);
-        tmp_bounds.push(0);
-        // Per disk: the first request id of the resume region.
-        let mut resume_req = Vec::with_capacity(disks);
-        for k in 0..disks {
-            let run = &dlist[dstart[k]..dstart[k + 1]];
-            let kept = run.partition_point(|&i| (i as usize) < survivors);
-            let resume = kept.saturating_sub(ms);
-            MwisPlanner::step1_disk(
-                &model,
-                &reqs,
-                ms,
-                k,
-                &run[resume..],
-                &mut tmp_weights,
-                &mut tmp_nodes,
-            );
-            tmp_bounds.push(tmp_nodes.len());
-            resume_req.push(run.get(resume).copied().unwrap_or(u32::MAX));
-        }
-
-        // ---- Canonical walk: the next node table and id map ----
-        // From-scratch ids follow disk-major emission: per disk, nodes
-        // grouped by the position of `i`, arrivals extending a survivor
-        // group right after its surviving pairs. Surviving nodes keep
-        // their relative order, so one pass merging each disk's
-        // surviving run with its resume re-emission numbers them all.
-        let old = &self.graph;
-        let mut weights = Vec::with_capacity(old.nodes.len() + tmp_nodes.len());
-        let mut nodes = Vec::with_capacity(old.nodes.len() + tmp_nodes.len());
-        // Old id → new id; `NodeId::MAX` marks a retired node.
-        let mut remap = vec![NodeId::MAX; old.nodes.len()];
-        let mut fresh: Vec<NodeId> = Vec::new();
-        let rebased = |(i, j, k): (u32, u32, DiskId)| (i - retired as u32, j - retired as u32, k);
-        let mut op = 0usize; // cursor over the old node table
-        for k in 0..disks {
-            let dk = DiskId(k as u32);
-            // Skip this disk's retired prefix.
-            while op < old.nodes.len() && old.nodes[op].2 == dk && old.nodes[op].0 < retired as u32
-            {
-                op += 1;
-            }
-            // (a) Surviving nodes whose `i` precedes the resume region.
-            while op < old.nodes.len()
-                && old.nodes[op].2 == dk
-                && old.nodes[op].0 - (retired as u32) < resume_req[k]
-            {
-                remap[op] = nodes.len() as NodeId;
-                nodes.push(rebased(old.nodes[op]));
-                weights.push(old.graph.weight(op as NodeId));
-                op += 1;
-            }
-            // (b) The resume region, replayed from the re-emission:
-            // survivor pairs consume their existing node, arrival pairs
-            // are new.
-            for t in tmp_bounds[k]..tmp_bounds[k + 1] {
-                if (tmp_nodes[t].1 as usize) < survivors {
-                    debug_assert!(
-                        op < old.nodes.len() && rebased(old.nodes[op]) == tmp_nodes[t],
-                        "resume re-emission diverged from the stored node run"
-                    );
-                    debug_assert_eq!(old.graph.weight(op as NodeId), tmp_weights[t]);
-                    remap[op] = nodes.len() as NodeId;
-                    op += 1;
-                } else {
-                    fresh.push(nodes.len() as NodeId);
-                }
-                nodes.push(tmp_nodes[t]);
-                weights.push(tmp_weights[t]);
-            }
-            debug_assert!(
-                op >= old.nodes.len() || old.nodes[op].2 != dk,
-                "disk {k} left surviving nodes unconsumed"
-            );
-        }
-        debug_assert_eq!(op, old.nodes.len());
-        let retired_nodes = old.nodes.len() + fresh.len() - nodes.len();
-        self.stats.retired_nodes_total += retired_nodes as u64;
-        self.stats.appended_nodes_total += fresh.len() as u64;
-        if retired_nodes > 0 || !fresh.is_empty() {
-            self.stats.compactions += 1;
-        }
-
-        // ---- Step 2 delta: the next buckets and degrees ----
-        // A survivor keeps its degree, less one per retired neighbor,
-        // walked from each retired node over the previous buckets.
-        let mut degrees = vec![0u32; nodes.len()];
-        for (u, &m) in remap.iter().enumerate() {
-            if m != NodeId::MAX {
-                degrees[m as usize] = old.graph.degrees[u];
-            }
-        }
-        for r in (0..remap.len()).filter(|&u| remap[u] == NodeId::MAX) {
-            old.for_each_neighbor_unordered(r as NodeId, |u| {
-                let m = remap[u as usize];
-                if m != NodeId::MAX {
-                    degrees[m as usize] -= 1;
-                }
-            });
-        }
-        let (start, bucket) = request_buckets(reqs.len(), &nodes);
-        let mut next = ConflictGraph {
-            graph: ImplicitGraph {
-                weights,
-                degrees: Vec::new(),
-                start,
-                bucket,
-                edges: 0,
-            },
-            nodes,
-        };
-        // A new node counts all of its conflicts, and each surviving one
-        // among them gains the new node. A node is new iff its later
-        // request arrived in this advance. `ends` counts every edge with
-        // a new endpoint twice: both ends of a new–new edge are walked,
-        // and a new–survivor edge is counted for both endpoints at once.
-        let mut ends = 0usize;
-        for &f in &fresh {
-            next.for_each_neighbor_unordered(f, |u| {
-                degrees[f as usize] += 1;
-                if (next.nodes[u as usize].1 as usize) < survivors {
-                    degrees[u as usize] += 1;
-                    ends += 2;
-                } else {
-                    ends += 1;
-                }
-            });
-        }
-        self.stats.staged_edges_total += (ends / 2) as u64;
-        next.graph.edges = degrees.iter().map(|&d| d as usize).sum::<usize>() / 2;
-        next.graph.degrees = degrees;
-        self.graph = next;
+        let was_empty = self.requests.is_empty();
+        let previous_nodes = self.graph.nodes.len();
+        self.graph = self.planner.build_graph_with_jobs(&reqs, placement, 1);
         self.requests = reqs;
+
+        // A node is new iff its later request arrived; the rest are the
+        // previous window's survivors.
+        let cg = &self.graph;
+        let is_new = |&(_, j, _): &(u32, u32, DiskId)| j as usize >= survivors;
+        let appended = cg.nodes.iter().filter(|n| is_new(n)).count();
+        let retired_nodes = previous_nodes - (cg.nodes.len() - appended);
+        // Edges with a new endpoint: the new nodes' degrees less the
+        // edges among them, which the build's per-bucket count gives
+        // over the new nodes alone. That subset keeps the canonical
+        // order, so the bucket layout the count relies on holds, and a
+        // node's twins share its later request, so they are new with it.
+        let mut fresh = Vec::with_capacity(appended);
+        let mut ends = 0usize;
+        for (v, n) in cg.nodes.iter().enumerate().filter(|(_, n)| is_new(n)) {
+            fresh.push(*n);
+            ends += cg.graph.degree(v as NodeId);
+        }
+        let (start, bucket) = request_buckets(self.requests.len(), &fresh);
+        let among = step2_degrees(&start, &bucket, &fresh)
+            .iter()
+            .map(|&d| d as usize)
+            .sum::<usize>()
+            / 2;
+
+        self.stats.retired_nodes_total += retired_nodes as u64;
+        self.stats.appended_nodes_total += appended as u64;
+        self.stats.staged_edges_total += (ends - among) as u64;
+        if was_empty || retired_nodes > 0 || appended > 0 {
+            self.stats.compactions += 1;
+        }
         self.refresh_gauges();
     }
 
@@ -1348,6 +1188,23 @@ mod tests {
             w.graph().graph,
             p.build_graph_with_jobs(w.window(), &placement, 1).graph
         );
+    }
+
+    /// The first window changes the node set even when it has no node;
+    /// a later advance that neither retires nor appends a node does not.
+    #[test]
+    fn windowed_first_window_counts_as_a_change_without_nodes() {
+        let (reqs, placement) = paper_instance();
+        let mut w = WindowedPlanner::new(planner(MwisSolver::GwMin), 4);
+        // r1 (d1 only), then r4 (d3, d4): no disk holds both.
+        w.advance(&reqs[..1], SimTime::ZERO, &placement);
+        assert!(w.graph().nodes.is_empty());
+        assert_eq!(w.stats().compactions, 1);
+        w.advance(&reqs[3..4], SimTime::ZERO, &placement);
+        assert!(w.graph().nodes.is_empty());
+        assert_eq!(w.stats().compactions, 1);
+        assert_eq!(w.stats().appended_nodes_total, 0);
+        assert_eq!(w.stats().staged_edges_total, 0);
     }
 
     #[test]

@@ -1,21 +1,16 @@
-//! Seeded determinism suite for the offline MWIS plan and its parallel
-//! evaluation.
+//! Seeded determinism suite for the offline MWIS plan.
 //!
-//! The worker pool's contract is that parallelism changes wall-clock,
-//! never bytes: the fanned per-disk offline evaluation must return
-//! **bit-identical** results for any worker count. This suite pins that
-//! contract across `jobs ∈ {1, 2, 8}` on seeded instances spanning
-//! sparse to dense conflict structure, mirroring the solver
-//! differential suites: the serial path is the oracle and every parallel
-//! output is compared with exact equality (full `RunMetrics` including
-//! the response histogram). The conflict graphs, which the serial build
-//! makes, are pinned to FNV digests recorded on an earlier build (node
-//! tables, weights, degrees and every neighbor walk) and to an all-pairs
-//! brute force of the Step 2 conflict rule. The conflict graph stores no
-//! edges, so its three neighbor walks and `has_edge` are checked against
-//! each other, against that brute force, and through the greedy and
-//! local-search solvers against a `CsrGraph` of the same edges, on
-//! instances where one `(i, j)` pair has nodes on several disks.
+//! A full MWIS experiment must return **bit-identical** `RunMetrics`
+//! (including the response histogram) for any worker count, checked
+//! across `jobs ∈ {1, 2, 8}`. The conflict graphs of seeded instances
+//! spanning sparse to dense conflict structure are pinned to FNV digests
+//! recorded on an earlier build (node tables, weights, degrees and every
+//! neighbor walk) and to an all-pairs brute force of the Step 2 conflict
+//! rule. The conflict graph stores no edges, so its three neighbor walks
+//! and `has_edge` are checked against each other, against that brute
+//! force, and through the greedy and local-search solvers against a
+//! `CsrGraph` of the same edges, on instances where one `(i, j)` pair
+//! has nodes on several disks.
 
 mod common;
 
@@ -26,7 +21,6 @@ use spindown_core::experiment::{
     data_space, requests_from_trace, run_experiment, ExperimentSpec, SchedulerKind,
 };
 use spindown_core::model::Request;
-use spindown_core::offline::evaluate_offline_with_jobs;
 use spindown_core::paper_example as paper;
 use spindown_core::placement::{PlacementConfig, PlacementMap};
 use spindown_core::sched::mwis::ConflictGraph;
@@ -340,55 +334,9 @@ fn solvers_select_the_same_nodes_as_on_csr() {
     }
 }
 
-/// Fanned per-disk offline evaluation returns the identical
-/// `RunMetrics` — energies, spin counts, per-disk summaries, and the
-/// merged response histogram — for every worker count.
-#[test]
-fn offline_report_is_bit_identical_across_jobs() {
-    for inst in &INSTANCES {
-        let (requests, placement) = inst.workload();
-        let planner = inst.planner();
-        let (assignment, _) = planner.plan(&requests, &placement);
-        let params = PowerParams::barracuda();
-        let mechanics = spindown_disk::mechanics::Mechanics::new(
-            spindown_disk::mechanics::DiskGeometry::cheetah_15k5(),
-            SimRng::seed_from_u64(inst.seed),
-        );
-        for mech in [None, Some(&mechanics)] {
-            let serial = evaluate_offline_with_jobs(
-                &requests,
-                &assignment,
-                inst.disks,
-                &params,
-                None,
-                mech,
-                1,
-            );
-            for jobs in JOBS {
-                let par = evaluate_offline_with_jobs(
-                    &requests,
-                    &assignment,
-                    inst.disks,
-                    &params,
-                    None,
-                    mech,
-                    jobs,
-                );
-                assert_eq!(
-                    par,
-                    serial,
-                    "{} jobs {jobs} mech {}",
-                    inst.name,
-                    mech.is_some()
-                );
-            }
-        }
-    }
-}
-
 /// End to end through the experiment layer: a full MWIS experiment run
-/// (placement, graph build, solve, fanned offline evaluation) is
-/// invariant in `jobs`.
+/// (placement, graph build, solve, offline evaluation) is invariant in
+/// `jobs`.
 #[test]
 fn mwis_experiment_is_bit_identical_across_jobs() {
     let inst = &INSTANCES[1];

@@ -1,35 +1,35 @@
-//! Seeded differential suite for the rolling-horizon incremental
-//! re-planner.
+//! Seeded differential suite for the rolling-horizon re-planner.
 //!
-//! `WindowedPlanner::advance` maintains the window's conflict graph by
-//! delta: it re-runs Step 1 only over each disk's resume region, then
-//! rewrites the CSR in one pass that renumbers every surviving row and
-//! applies the Step 2 rule to the new nodes. Its contract is
-//! **bit-identity**: after every advance, the maintained graph must
-//! equal `MwisPlanner::build_graph_with_jobs` on the same window — same
-//! node triples, weights, degrees and request buckets — and the returned plan
-//! must equal `MwisPlanner::plan` exactly (assignment and the
-//! claimed-saving `f64`, no tolerance).
+//! `WindowedPlanner::advance` rebuilds each window's conflict graph with
+//! `MwisPlanner::build_graph_with_jobs` and plans it out of one warm
+//! scratch. Its contract is **bit-identity**: after every advance, the
+//! window's graph must equal a fresh build over the same rebased window
+//! (same node triples, weights, degrees and request buckets), and the
+//! returned plan must equal `MwisPlanner::plan` exactly (assignment and
+//! the claimed-saving `f64`, no tolerance).
 //!
 //! The suite slides 100+ windows across seeded traces spanning sparse
 //! to dense conflict structure and checks windows against two
 //! references:
 //!
-//! * the from-scratch production path (`build_graph_with_jobs` / `plan`) on every
+//! * a fresh build and plan (`build_graph_with_jobs` / `plan`) on every
 //!   window, with exact `PartialEq` on the graph and the plan, and
-//! * on sampled windows, an all-pairs brute force over the maintained
+//! * on sampled windows, an all-pairs brute force over the window's
 //!   node table that states the Step 2 conflict rule directly — no
 //!   request buckets, no Step 1 helpers — compared edge for edge.
 //!
-//! Every advance's node and edge counters (`ReplanStats`, which the
-//! `replan` report prints) are checked against the node sets of the
-//! windows on either side of it.
+//! The planner derives each advance's delta counters (`ReplanStats`,
+//! which the `replan` report prints) from the new window's node table
+//! alone. `check_counters` derives them instead from the node sets of
+//! the windows on either side of the advance, keyed by absolute request
+//! positions, and the edges of the new window's graph, so it shares no
+//! counting code with the planner.
 //!
 //! Special windows are exercised explicitly: empty deltas (no retire,
-//! no arrivals — must keep the graph and count no compaction), full
-//! turnover (every request retires while a fresh batch arrives), and
-//! compaction boundaries (every advance that retires or appends a node
-//! counts exactly one; the counter pins the policy).
+//! no arrivals — must keep the graph and count no change of the node
+//! set), full turnover (every request retires while a fresh batch
+//! arrives), and node-set changes (every advance that retires or
+//! appends a node counts exactly one).
 
 mod common;
 
@@ -162,9 +162,9 @@ fn rebase(window: &[Request]) -> Vec<Request> {
         .collect()
 }
 
-/// Checks one settled window against the from-scratch CSR oracle and
-/// (when `check_pairs`) the all-pairs Step 2 brute force. The CSR graph
-/// is built once and reused for the plan derivation — the same pipeline
+/// Checks one settled window against a fresh build and (when
+/// `check_pairs`) the all-pairs Step 2 brute force. The fresh graph is
+/// built once and reused for the plan derivation — the same pipeline
 /// `MwisPlanner::plan` runs internally.
 #[allow(clippy::too_many_arguments)]
 fn check_window(
@@ -180,10 +180,10 @@ fn check_window(
     let ctx = format!("{} {label}", inst.name);
     assert_eq!(w.window(), window, "{ctx}: window contents");
 
-    // CSR backend: graph and plan, exact equality.
+    // A fresh build: graph and plan, exact equality.
     let oracle = planner.build_graph_with_jobs(window, placement, 1);
     assert_eq!(w.graph().nodes, oracle.nodes, "{ctx}: node table");
-    assert_eq!(w.graph().graph, oracle.graph, "{ctx}: CSR graph");
+    assert_eq!(w.graph().graph, oracle.graph, "{ctx}: graph");
     let sel = planner.solve(&oracle);
     let (want_a, want_s) =
         planner.derive_plan(window, placement, &oracle.graph, &oracle.nodes, &sel);

@@ -2,13 +2,12 @@
 //!
 //! One clamp-and-spawn implementation shared by every parallel substrate
 //! in the workspace: experiment-grid cells
-//! (`spindown-bench`'s `EvalGrid`), per-disk offline evaluation
-//! (`spindown-core`) and the CLI's first pass over the line-aligned byte
-//! ranges of a trace file; the island-parallel replay cuts its worker
-//! groups with [`shard_ranges`]. The contract is
-//! strict determinism: results land in **pre-sized, index-addressed
-//! slots**, so the output of [`map_indexed`] is bit-identical for every
-//! worker count — parallelism only changes wall-clock, never bytes.
+//! (`spindown-bench`'s `EvalGrid`) and the CLI's first pass over the
+//! line-aligned byte ranges of a trace file; the island-parallel replay
+//! cuts its worker groups with [`shard_ranges`]. The contract is strict
+//! determinism: results land in **pre-sized, index-addressed slots**, so
+//! the output of [`map_indexed`] is bit-identical for every worker
+//! count — parallelism only changes wall-clock, never bytes.
 //!
 //! Scheduling is a shared atomic cursor over the task index space (a
 //! work queue, not a static partition), so a straggler task cannot idle
