@@ -24,8 +24,10 @@ pub mod commands;
 
 pub use args::{Cli, Command, ParseError, SchedulerArg, SourceArg};
 
-/// Parses `argv` and executes the selected command, writing the report to
-/// `out`. Returns the process exit code.
+/// Parses `argv` and executes the selected command, writing the report,
+/// the help text or an `error: ...` line to `out`. Returns the process
+/// exit code; the binary prints `out` on standard output when the code is
+/// 0 and on standard error otherwise.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     match args::Cli::parse(argv) {
         Ok(cli) => match commands::execute(&cli) {

@@ -20,7 +20,8 @@ fn help_exits_zero_and_prints_usage() {
 fn missing_command_exits_nonzero_with_usage() {
     let out = bin().output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.stdout.is_empty());
+    let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("missing subcommand"));
     assert!(text.contains("USAGE"));
 }
@@ -35,10 +36,13 @@ fn degenerate_values_exit_two_without_panicking() {
     ] {
         let out = bin().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("missing or invalid value for --"), "{args:?}");
+        assert!(
+            stderr.starts_with("error: missing or invalid value for --"),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
@@ -63,7 +67,7 @@ fn simulate_small_synthetic_workload() {
     assert!(
         out.status.success(),
         "{}",
-        String::from_utf8_lossy(&out.stdout)
+        String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("scheduler: wsc"));
@@ -93,8 +97,9 @@ fn bad_trace_file_exits_one() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("error: cannot read"));
+    assert!(out.stdout.is_empty());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.starts_with("error: cannot read"), "{text}");
 }
 
 #[test]
@@ -120,7 +125,7 @@ fn replan_synthetic_workload() {
     assert!(
         out.status.success(),
         "{}",
-        String::from_utf8_lossy(&out.stdout)
+        String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("rolling-horizon replan report"), "{text}");

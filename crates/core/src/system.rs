@@ -332,13 +332,13 @@ impl InFlight {
 /// entry per arm, the engine keeps `desired` as the single source of
 /// truth and maintains one invariant: **whenever a timer is armed, some
 /// queued entry fires at or before its deadline.** A re-arm overwrites
-/// `desired` and only touches the wheel when the new deadline is earlier
+/// `desired` and only touches the queue when the new deadline is earlier
 /// than every entry already queued (predictive policies shrink timeouts,
 /// so deadlines move backward as well as forward); an entry that fires
 /// before the desired deadline re-schedules itself at that deadline
 /// instead of touching the disk. Delivery happens exactly at the desired
 /// deadline, and the disk still validates the token, so the scheme is
-/// behaviour-preserving — it only removes wheel traffic.
+/// behaviour-preserving — it only removes queue traffic.
 #[derive(Debug, Clone, Copy, Default)]
 struct IdleTimer {
     /// Latest armed `(deadline, token)`; `None` when nothing is armed
@@ -750,7 +750,7 @@ impl<'a, S: Scheduler> IslandEngine<'a, S> {
     }
 
     /// Schedules a disk directive, routing idle timers through the
-    /// per-disk coalescer: the wheel is touched only when no queued entry
+    /// per-disk coalescer: the queue is touched only when no queued entry
     /// would fire by the new deadline.
     fn schedule_directive(&mut self, local: u32, now: SimTime, dir: Directive) {
         if let DiskEvent::IdleTimeout(token) = dir.event {

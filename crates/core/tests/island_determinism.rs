@@ -419,3 +419,95 @@ fn always_on_policy_is_jobs_invariant() {
         assert_eq!(normalized(&par), normalized(&serial), "jobs {jobs}");
     }
 }
+
+/// Degenerate configurations through the event loop, under every event
+/// scheduler and the breakeven, always-on and quantile policies: zero
+/// requests, one disk, every disk failed at t = 0 (replication 1 and 2),
+/// and one failure after the last arrival. Each run must finish without
+/// a panic, count every arrival in `requests`, and give the same digest
+/// for every worker count.
+#[test]
+fn degenerate_configs_finish_with_jobs_invariant_digests() {
+    let requests = workload(400, 120, 6.0, 113);
+    let last = requests.last().expect("non-empty workload").at;
+    let placement = |disks: u32, replication: u32| {
+        PlacementMap::build(
+            data_space(&requests),
+            &PlacementConfig {
+                disks,
+                replication,
+                zipf_z: 1.0,
+            },
+            113,
+        )
+    };
+    let all_failed = |disks: u32| {
+        (0..disks)
+            .map(|disk| DiskFailure {
+                disk,
+                at: SimTime::ZERO,
+            })
+            .collect::<Vec<_>>()
+    };
+    let cases: [(&str, &[Request], PlacementMap, Vec<DiskFailure>); 5] = [
+        ("zero requests", &[], placement(8, 2), Vec::new()),
+        ("one disk", &requests, placement(1, 1), Vec::new()),
+        (
+            "all failed at 0, rf1",
+            &requests,
+            placement(8, 1),
+            all_failed(8),
+        ),
+        (
+            "all failed at 0, rf2",
+            &requests,
+            placement(8, 2),
+            all_failed(8),
+        ),
+        (
+            "failure after the last arrival",
+            &requests,
+            placement(8, 2),
+            vec![DiskFailure {
+                disk: 3,
+                at: last + SimDuration::from_secs(1),
+            }],
+        ),
+    ];
+    for (name, reqs, placement, failures) in &cases {
+        for policy in [
+            PolicyKind::Breakeven,
+            PolicyKind::AlwaysOn,
+            PolicyKind::Quantile,
+        ] {
+            let mut cfg = config(placement.disks(), 113, true);
+            cfg.policy = policy;
+            cfg.failures = failures.clone();
+            for kind in scheduler_kinds() {
+                let factory = || {
+                    build_scheduler(&kind, 113).expect("event-loop scheduler") as Box<dyn Scheduler>
+                };
+                let digests: Vec<u64> = JOBS
+                    .iter()
+                    .map(|&jobs| {
+                        let m = replay_jobs(reqs, placement, &factory, &cfg, jobs);
+                        assert_eq!(
+                            m.requests,
+                            reqs.len(),
+                            "{name} {:?} {} jobs {jobs}: arrivals not counted",
+                            cfg.policy,
+                            kind.label()
+                        );
+                        digest(&m)
+                    })
+                    .collect();
+                assert!(
+                    digests.iter().all(|&d| d == digests[0]),
+                    "{name} {:?} {}: digests differ across jobs {JOBS:?}: {digests:x?}",
+                    cfg.policy,
+                    kind.label()
+                );
+            }
+        }
+    }
+}

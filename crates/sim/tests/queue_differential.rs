@@ -1,90 +1,55 @@
-//! Differential torture suite: the timing wheel
-//! ([`spindown_sim::event::EventQueue`]) must produce **bit-identical pop
-//! sequences** to a plain `(time, seq)` binary heap on hundreds of seeded
-//! schedules — same `(time, payload)` stream, same `peek_time`, same
-//! `len`, same `now`, through interleaved schedule/pop traffic, rollover
-//! boundaries, far-future cross-level events, and clear-then-reuse.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Differential suite for [`spindown_sim::event::EventQueue`]: its pop
+//! sequence must be **bit-identical** to the simplest stable queue, a
+//! `Vec` kept sorted by time, on hundreds of seeded schedules — same
+//! `(time, payload)` stream, same `peek_time`, same `len`, same `now`,
+//! through interleaved schedule/pop traffic, heavy ties, times around
+//! powers of 64, far-future times up to `u64::MAX − 1` µs, and
+//! clear-then-reuse.
 
 use spindown_sim::event::{EventQueue, Scheduled};
 use spindown_sim::rng::SplitMix64;
 use spindown_sim::time::SimTime;
 
-/// The reference order: a max-heap inverted to pop the earliest time
-/// first and, among equal times, the lowest schedule sequence number.
-struct Entry<T> {
-    at: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The heap event queue the wheel replaced, trimmed to the calls this
-/// suite makes. FIFO among equal times is bought with a per-entry
-/// counter, which `clear` rewinds.
-struct HeapQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    seq: u64,
+/// The reference: pending events in a `Vec` sorted by time, each new
+/// entry inserted after every entry whose time is at most its own. Ties
+/// are FIFO by construction, and the front is always the next event.
+struct SortedVecQueue<T> {
+    pending: Vec<Scheduled<T>>,
     watermark: SimTime,
 }
 
-impl<T> HeapQueue<T> {
+impl<T> SortedVecQueue<T> {
     fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+        SortedVecQueue {
+            pending: Vec::new(),
             watermark: SimTime::ZERO,
         }
     }
 
     fn schedule(&mut self, at: SimTime, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        let i = self.pending.partition_point(|e| e.at <= at);
+        self.pending.insert(i, Scheduled { at, payload });
     }
 
     fn pop(&mut self) -> Option<Scheduled<T>> {
-        let e = self.heap.pop()?;
+        if self.pending.is_empty() {
+            return None;
+        }
+        let e = self.pending.remove(0);
         self.watermark = e.at;
-        Some(Scheduled {
-            at: e.at,
-            payload: e.payload,
-        })
+        Some(e)
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.pending.first().map(|e| e.at)
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
     fn now(&self) -> SimTime {
@@ -92,8 +57,7 @@ impl<T> HeapQueue<T> {
     }
 
     fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
+        self.pending.clear();
         self.watermark = SimTime::ZERO;
     }
 }
@@ -101,16 +65,16 @@ impl<T> HeapQueue<T> {
 /// Both queues under lockstep: every operation is applied to both and
 /// every observable compared.
 struct Pair {
-    wheel: EventQueue<u64>,
-    heap: HeapQueue<u64>,
+    queue: EventQueue<u64>,
+    reference: SortedVecQueue<u64>,
     next_payload: u64,
 }
 
 impl Pair {
     fn new() -> Self {
         Pair {
-            wheel: EventQueue::new(),
-            heap: HeapQueue::new(),
+            queue: EventQueue::new(),
+            reference: SortedVecQueue::new(),
             next_payload: 0,
         }
     }
@@ -118,40 +82,40 @@ impl Pair {
     fn schedule(&mut self, at: SimTime) {
         let p = self.next_payload;
         self.next_payload += 1;
-        self.wheel.schedule(at, p);
-        self.heap.schedule(at, p);
+        self.queue.schedule(at, p);
+        self.reference.schedule(at, p);
         self.check_observables();
     }
 
     fn pop(&mut self) -> Option<SimTime> {
-        let w = self.wheel.pop();
-        let h = self.heap.pop();
-        match (&w, &h) {
+        let got = self.queue.pop();
+        let want = self.reference.pop();
+        match (&got, &want) {
             (None, None) => {}
-            (Some(we), Some(he)) => {
-                assert_eq!(we.at, he.at, "pop time diverged");
-                assert_eq!(we.payload, he.payload, "pop FIFO order diverged");
+            (Some(g), Some(w)) => {
+                assert_eq!(g.at, w.at, "pop time diverged");
+                assert_eq!(g.payload, w.payload, "pop FIFO order diverged");
             }
             _ => panic!("one queue empty, the other not"),
         }
         self.check_observables();
-        w.map(|e| e.at)
+        got.map(|e| e.at)
     }
 
     fn clear(&mut self) {
-        self.wheel.clear();
-        self.heap.clear();
+        self.queue.clear();
+        self.reference.clear();
         self.next_payload = 0;
         self.check_observables();
     }
 
     fn check_observables(&self) {
-        assert_eq!(self.wheel.len(), self.heap.len(), "len diverged");
-        assert_eq!(self.wheel.is_empty(), self.heap.is_empty());
-        assert_eq!(self.wheel.now(), self.heap.now(), "watermark diverged");
+        assert_eq!(self.queue.len(), self.reference.len(), "len diverged");
+        assert_eq!(self.queue.is_empty(), self.reference.is_empty());
+        assert_eq!(self.queue.now(), self.reference.now(), "watermark diverged");
         assert_eq!(
-            self.wheel.peek_time(),
-            self.heap.peek_time(),
+            self.queue.peek_time(),
+            self.reference.peek_time(),
             "peek_time diverged"
         );
     }
@@ -161,23 +125,21 @@ impl Pair {
     }
 }
 
-/// Draws a schedule delta (µs ahead of `now`) from a mixture that hits
-/// every wheel level: same-tick ties, within-window, each cascade level,
-/// and far-future times, with extra weight on exact 64^k rollover edges.
+/// Draws a schedule delta (µs ahead of `now`) from a mixture of scales:
+/// same-instant ties, deltas under 64, 4,096, 262,144 and 16,777,216 µs,
+/// far-future times, and powers of 64 (±1) with extra weight.
 fn draw_delta(rng: &mut SplitMix64) -> u64 {
     let class = rng.next_u64() % 100;
     match class {
         // Same-timestamp ties — the FIFO-critical class.
         0..=24 => 0,
-        // Within the current 64-tick window (level 0).
         25..=44 => rng.next_u64() % 64,
-        // Levels 1–3.
         45..=59 => rng.next_u64() % 4096,
         60..=69 => rng.next_u64() % 262_144,
         70..=79 => rng.next_u64() % 16_777_216,
-        // Far future, crossing high levels.
+        // Far future.
         80..=87 => rng.next_u64() % (1 << 45),
-        // Exact rollover boundaries 64^k, ±1.
+        // Exact powers 64^k, ±1.
         _ => {
             let k = 1 + (rng.next_u64() % 8) as u32;
             let base = 1u64 << (6 * k);
@@ -197,8 +159,8 @@ fn run_schedule(seed: u64, ops: usize) {
     let mut pair = Pair::new();
     for _ in 0..ops {
         let roll = rng.next_u64() % 100;
-        if roll < 60 || pair.wheel.is_empty() {
-            let now = pair.wheel.now();
+        if roll < 60 || pair.queue.is_empty() {
+            let now = pair.queue.now();
             let at = SimTime::from_micros(now.as_micros().saturating_add(draw_delta(&mut rng)));
             pair.schedule(at);
         } else {
@@ -210,8 +172,8 @@ fn run_schedule(seed: u64, ops: usize) {
 
 #[test]
 fn seeded_schedules_are_bit_identical() {
-    // 200+ seeded schedules: every pop sequence must match the heap
-    // exactly.
+    // 200+ seeded schedules: every pop sequence must match the
+    // reference exactly.
     for seed in 0..220u64 {
         run_schedule(seed * 0x9E37_79B9 + 1, 1500);
     }
@@ -226,7 +188,7 @@ fn heavy_tie_schedules_are_bit_identical() {
         let mut rng = SplitMix64::new(seed ^ 0x71E5);
         let mut pair = Pair::new();
         for _ in 0..300 {
-            let now = pair.wheel.now().as_micros();
+            let now = pair.queue.now().as_micros();
             let t = SimTime::from_micros(now + rng.next_u64() % 128);
             let burst = 1 + rng.next_u64() % 6;
             for _ in 0..burst {
@@ -246,16 +208,16 @@ fn heavy_tie_schedules_are_bit_identical() {
 #[test]
 fn clear_then_reuse_is_bit_identical() {
     // Warm-engine reuse: clear mid-traffic, then replay a fresh seeded
-    // schedule on the same (recycled) queues. The FIFO counter and
-    // watermark must reset identically on both sides.
+    // schedule on the same (recycled) queues. The queue's schedule
+    // count and watermark must reset as a fresh queue's would.
     for seed in 0..32u64 {
         let mut rng = SplitMix64::new(seed.wrapping_mul(0xC13A_9CB5) + 7);
         let mut pair = Pair::new();
         for round in 0..3 {
             for _ in 0..200 {
                 let roll = rng.next_u64() % 100;
-                if roll < 65 || pair.wheel.is_empty() {
-                    let now = pair.wheel.now();
+                if roll < 65 || pair.queue.is_empty() {
+                    let now = pair.queue.now();
                     let at =
                         SimTime::from_micros(now.as_micros().saturating_add(draw_delta(&mut rng)));
                     pair.schedule(at);
@@ -272,9 +234,10 @@ fn clear_then_reuse_is_bit_identical() {
 }
 
 #[test]
-fn far_future_events_cross_all_levels() {
-    // A handful of events parked near the top of the tick space must
-    // survive every cascade and drain last, in schedule order.
+fn far_future_events_drain_last_in_schedule_order() {
+    // A handful of events parked near the top of the time space must
+    // outlast everything scheduled after them and drain last, in
+    // schedule order.
     let mut pair = Pair::new();
     let far = [u64::MAX - 2, u64::MAX - 1, u64::MAX - 2, u64::MAX];
     for &t in &far {
@@ -282,7 +245,7 @@ fn far_future_events_cross_all_levels() {
     }
     let mut rng = SplitMix64::new(99);
     for _ in 0..500 {
-        let now = pair.wheel.now();
+        let now = pair.queue.now();
         let at = SimTime::from_micros(now.as_micros().saturating_add(rng.next_u64() % (1 << 40)));
         pair.schedule(at);
         if rng.next_u64().is_multiple_of(3) {
@@ -293,8 +256,8 @@ fn far_future_events_cross_all_levels() {
 }
 
 #[test]
-fn zero_delay_cascade_reschedules_match() {
-    // Events that reschedule at exactly `now` while the same tick drains
+fn zero_delay_reschedule_chains_match() {
+    // Events that reschedule at exactly `now` while the same instant drains
     // (spin-up completion chains do this) must interleave identically.
     for seed in 0..32u64 {
         let mut rng = SplitMix64::new(seed + 0x5EED);
@@ -316,7 +279,7 @@ fn zero_delay_cascade_reschedules_match() {
                 }
                 None => {
                     pair.schedule(SimTime::from_micros(
-                        pair.wheel.now().as_micros() + rng.next_u64() % 1_000_000,
+                        pair.queue.now().as_micros() + rng.next_u64() % 1_000_000,
                     ));
                 }
             }
